@@ -10,12 +10,11 @@ population diversity.
 from exsel.corpus import CorpusDocument, DatasetSplit, Example, LabelSchema
 from exsel.evolve import GAConfig, Gene, Genome, RunTrace, evolve
 from exsel.metrics import ExtractionCounts, MetricReport, Prediction, aggregate, score_example
-from exsel.reduce import CandidatePool, ClusteredPool, ClusteringParams, ProjectionConfig
+from exsel.reduce import ClusteredPool, ClusteringParams, ProjectionConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidatePool",
     "ClusteredPool",
     "ClusteringParams",
     "CorpusDocument",

@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol, Sequence
+from dataclasses import astuple, dataclass, fields
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from exsel.reduce.pooling import ClusteredPool
 
 _TINY = 1e-12
 _RESAMPLE_ATTEMPTS = 32
@@ -28,19 +32,6 @@ class Gene(NamedTuple):
 
 
 Genome = tuple[Gene, ...]
-
-
-class GenePool(Protocol):
-    """Cluster-indexed example access, satisfied by ClusteredPool and CandidatePool."""
-
-    @property
-    def n_clusters(self) -> int: ...
-
-    @property
-    def cluster_members(self) -> tuple[tuple[int, ...], ...]: ...
-
-    @property
-    def examples(self) -> Sequence[object]: ...
 
 
 @dataclass(frozen=True)
@@ -103,11 +94,11 @@ class RunTrace:
     def total_evaluations(self) -> int:
         return sum(r.evaluations for r in self.records)
 
-    def as_rows(self) -> list[tuple]:
-        return [
-            (r.generation, r.mean_fitness, r.best_fitness, r.diversity, r.p_inter, r.evaluations)
-            for r in self.records
-        ]
+    def write_tsv(self, path: Path | str) -> None:
+        """A header of TraceRecord field names, then one row per record, values as repr."""
+        lines = ["\t".join(f.name for f in fields(TraceRecord))]
+        lines.extend("\t".join(map(repr, astuple(r))) for r in self.records)
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class EvolutionError(RuntimeError):
@@ -135,13 +126,9 @@ def inter_probability(d_g: float, cfg: GAConfig) -> float:
     return cfg.p_min + (cfg.p_max - cfg.p_min) * d_g
 
 
-def _cluster_sizes(pool: GenePool) -> list[int]:
-    return [len(members) for members in pool.cluster_members]
-
-
-def random_genome(pool: GenePool, length: int, rng: random.Random) -> Genome:
+def random_genome(pool: ClusteredPool, length: int, rng: random.Random) -> Genome:
     """Draw genes cluster-first (cluster uniform, example uniform within), no duplicates."""
-    sizes = _cluster_sizes(pool)
+    sizes = pool.cluster_sizes
     total = sum(sizes)
     if total < length:
         raise ValueError(f"pool has {total} examples, cannot fill a genome of length {length}")
@@ -165,7 +152,7 @@ def random_genome(pool: GenePool, length: int, rng: random.Random) -> Genome:
     return tuple(genes)
 
 
-def mutate(genome: Genome, pool: GenePool, p_inter: float, rng: random.Random) -> Genome:
+def mutate(genome: Genome, pool: ClusteredPool, p_inter: float, rng: random.Random) -> Genome:
     """Replace one uniformly chosen gene, inter-cluster with probability p_inter.
 
     Resampling retries a bounded number of times to keep the genome
@@ -173,7 +160,7 @@ def mutate(genome: Genome, pool: GenePool, p_inter: float, rng: random.Random) -
     returned unchanged. Landing on the original gene is allowed, so an
     intra-cluster move in a one-example cluster is a no-op.
     """
-    sizes = _cluster_sizes(pool)
+    sizes = pool.cluster_sizes
     position = rng.randrange(len(genome))
     inter = rng.random() < p_inter
     others = set(genome) - {genome[position]}
@@ -195,9 +182,9 @@ def splice(a: Genome, b: Genome, i: int, j: int) -> tuple[Genome, Genome]:
     return child_a, child_b
 
 
-def _repair(child: Genome, pool: GenePool, rng: random.Random) -> Genome | None:
+def _repair(child: Genome, pool: ClusteredPool, rng: random.Random) -> Genome | None:
     """Resample later duplicate genes intra-cluster; None if not repairable."""
-    sizes = _cluster_sizes(pool)
+    sizes = pool.cluster_sizes
     genes = list(child)
     seen: set[Gene] = set()
     for position, gene in enumerate(genes):
@@ -215,7 +202,7 @@ def _repair(child: Genome, pool: GenePool, rng: random.Random) -> Genome | None:
     return tuple(genes)
 
 
-def crossover(a: Genome, b: Genome, pool: GenePool, rng: random.Random) -> tuple[Genome, Genome]:
+def crossover(a: Genome, b: Genome, pool: ClusteredPool, rng: random.Random) -> tuple[Genome, Genome]:
     """Two-point crossover with duplicate repair; unrepairable children revert."""
     if len(a) != len(b):
         raise ValueError("parents must have equal genome length")
@@ -254,7 +241,7 @@ def select_tournament(
 FitnessProvider = Callable[[Genome], float]
 
 
-def evolve(pool: GenePool, fitness: FitnessProvider, cfg: GAConfig) -> tuple[Genome, RunTrace]:
+def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tuple[Genome, RunTrace]:
     """Run the GA; returns the best genome ever evaluated and the full trace.
 
     Per generation: evaluate, record (mean, best, diversity, p_inter,

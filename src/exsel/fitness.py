@@ -16,15 +16,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from exsel.corpus import Example, LabelSchema
-from exsel.evolve import GenePool, Genome
+from exsel.evolve import Genome
 from exsel.llm.client import LLMClient
 from exsel.llm.transport import ChatRequest
 from exsel.metrics import MetricReport, Prediction, aggregate, score_example
 from exsel.parsing import parse_label_map
+from exsel.reduce.pooling import ClusteredPool
 from exsel.templates import EXTRACTION_INSTRUCTION_TEMPLATE
 
 
-def resolve_examples(genome: Genome, pool: GenePool) -> list[Example]:
+def resolve_examples(genome: Genome, pool: ClusteredPool) -> list[Example]:
     """The concrete examples a genome points at, in gene order."""
     out: list[Example] = []
     for gene in genome:
@@ -106,7 +107,7 @@ def evaluate_fewshot(
 
 def evaluate_genome_llm(
     genome: Genome,
-    pool: GenePool,
+    pool: ClusteredPool,
     validation: Sequence[Example],
     client: LLMClient,
     *,
@@ -136,7 +137,7 @@ def example_quality(seed: int, example_id: str) -> float:
 
 def evaluate_genome_surrogate(
     genome: Genome,
-    pool: GenePool,
+    pool: ClusteredPool,
     seed: int,
     quality: Callable[[str], float] | None = None,
 ) -> float:
@@ -154,5 +155,5 @@ def evaluate_genome_surrogate(
     return 0.5 * coverage + 0.5 * mean_quality
 
 
-def make_surrogate_provider(pool: GenePool, seed: int) -> Callable[[Genome], float]:
+def make_surrogate_provider(pool: ClusteredPool, seed: int) -> Callable[[Genome], float]:
     return lambda genome: evaluate_genome_surrogate(genome, pool, seed)

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from exsel.corpus import Example, LabelSchema
-from exsel.evolve import GenePool, Genome, random_genome
+from exsel.evolve import Genome, random_genome
 from exsel.fitness import GenomeEvaluation, evaluate_fewshot
 from exsel.llm.client import LLMClient
+from exsel.reduce.pooling import ClusteredPool
 from exsel.seeding import derive_rng
 from exsel.templates import EXTRACTION_INSTRUCTION_TEMPLATE
 
@@ -25,7 +26,7 @@ class BaselineSummary:
 
 
 def baseline_random(
-    pool: GenePool,
+    pool: ClusteredPool,
     shots: int,
     n_draws: int,
     fitness: Callable[[Genome], float],

@@ -45,16 +45,14 @@ from exsel.pipeline.baselines import baseline_random, baseline_zeroshot
 from exsel.pipeline.config import MODE_LLM, MODE_SURROGATE, ConfigError, PipelineConfig
 from exsel.pipeline.manifest import RunManifest
 from exsel.reduce.density import cluster
-from exsel.reduce.pooling import CandidatePool, ClusteredPool, build_pool, filter_noise
-from exsel.reduce.projection import METHOD_PRECOMPUTED, project
+from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
+from exsel.reduce.projection import METHOD_PRECOMPUTED, load_precomputed, project
 from exsel.seeding import derive_seed
 
 STAGES = ("pool", "project", "cluster", "pools", "select", "report")
 
 _SURROGATE_EMBED_DIM = 32
 _SURROGATE_EMBED_MODEL = "char-ngram-hash-32"
-
-TRACE_HEADER = ("generation", "mean_fitness", "best_fitness", "diversity", "p_inter", "evaluations")
 
 
 class PipelineError(RuntimeError):
@@ -74,7 +72,7 @@ class RunState:
     projected: np.ndarray | None = None
     assignment: np.ndarray | None = None
     filtered: ClusteredPool | None = None
-    candidate_pools: dict[int, CandidatePool] = field(default_factory=dict)
+    candidate_pools: dict[int, ClusteredPool] = field(default_factory=dict)
     best_genomes: dict[int, Genome] = field(default_factory=dict)
     best_fitness: dict[int, float] = field(default_factory=dict)
     traces: dict[int, RunTrace] = field(default_factory=dict)
@@ -112,7 +110,7 @@ class RunState:
     def schema(self) -> LabelSchema:
         return LabelSchema.from_examples(list(self.candidates) + list(self.validation))
 
-    def fitness_provider(self, pool: CandidatePool) -> Callable[[Genome], float]:
+    def fitness_provider(self, pool: ClusteredPool) -> Callable[[Genome], float]:
         cfg = self.config
         if cfg.fitness_mode == MODE_SURROGATE:
             return make_surrogate_provider(pool, derive_seed(cfg.seed, "surrogate"))
@@ -141,15 +139,6 @@ def _write_json(path: Path, payload: object) -> None:
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
     lines = ["\t".join(repr(float(v)) for v in row) for row in matrix]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_matrix(path: Path) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split("\t")]
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line
-    ]
-    return np.asarray(rows, dtype=float)
 
 
 # ---------------------------------------------------------------- pool
@@ -215,7 +204,7 @@ def _project_run(state: RunState) -> list[Path]:
 
 
 def _project_load(state: RunState) -> None:
-    state.projected = _read_matrix(state.root / "reduce" / "projection.tsv")
+    state.projected = load_precomputed(state.root / "reduce" / "projection.tsv")
     if state.projected.shape[0] != len(state.candidates):
         raise PipelineError("projection artifact does not match the candidate pool")
 
@@ -254,7 +243,8 @@ def _pools_run(state: RunState) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for k in cfg.pool_sizes:
-        pool = build_pool(state.filtered, k)
+        selected = build_pool(state.filtered, k)
+        pool = state.filtered.restrict(selected)
         state.candidate_pools[k] = pool
         payload = {
             "k": k,
@@ -265,7 +255,7 @@ def _pools_run(state: RunState) -> list[Path]:
                     "id": pool.examples[index].id,
                     "cluster": int(state.filtered.assignment[index]),
                 }
-                for index in pool.selected
+                for index in selected
             ],
         }
         path = out / f"pool_k{k}.json"
@@ -282,10 +272,11 @@ def _pools_load(state: RunState) -> None:
         path = state.root / "pools" / f"pool_k{k}.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         selected = tuple(entry["index"] for entry in payload["selected"])
-        pool = CandidatePool(source=state.filtered, selected=selected, k=k)
-        for entry in payload["selected"]:
-            if pool.examples[entry["index"]].id != entry["id"]:
-                raise PipelineError(f"pool artifact pool_k{k}.json does not match the candidate pool")
+        pool = state.filtered.restrict(selected)
+        if len(selected) != min(k, len(pool.examples)) or any(
+            pool.examples[entry["index"]].id != entry["id"] for entry in payload["selected"]
+        ):
+            raise PipelineError(f"pool artifact pool_k{k}.json does not match the candidate pool")
         state.candidate_pools[k] = pool
 
 
@@ -305,12 +296,7 @@ def _select_run(state: RunState) -> list[Path]:
         state.best_fitness[k] = trace.records[-1].best_fitness
 
         trace_path = out / f"trace_k{k}.tsv"
-        lines = ["\t".join(TRACE_HEADER)]
-        for generation, mean_fit, best_fit, div, p_inter, evals in trace.as_rows():
-            lines.append(
-                f"{generation}\t{repr(mean_fit)}\t{repr(best_fit)}\t{repr(div)}\t{repr(p_inter)}\t{evals}"
-            )
-        trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trace.write_tsv(trace_path)
 
         examples = resolve_examples(best, pool)
         genome_path = out / f"best_genome_k{k}.json"

@@ -1,18 +1,11 @@
 """Reduce stage: projection, density clustering, noise filtering, pool building."""
 
 from exsel.reduce.density import ClusteringParams, cluster
-from exsel.reduce.pooling import (
-    NOISE,
-    CandidatePool,
-    ClusteredPool,
-    build_pool,
-    filter_noise,
-)
+from exsel.reduce.pooling import NOISE, ClusteredPool, build_pool, filter_noise
 from exsel.reduce.projection import ProjectionConfig, load_precomputed, project
 
 __all__ = [
     "NOISE",
-    "CandidatePool",
     "ClusteredPool",
     "ClusteringParams",
     "ProjectionConfig",

@@ -211,34 +211,29 @@ def _cluster_rows(condensed: list[tuple[int, int, float, int]]) -> list[tuple[in
     return [row for row in condensed if row[3] > 1]
 
 
-def _birth_eps(cluster_rows: list[tuple[int, int, float, int]], node: int) -> float:
-    for parent, child, lam, _ in cluster_rows:
-        if child == node:
-            return 1.0 / lam if lam > 0 and not math.isinf(lam) else 0.0
-    return math.inf  # the root has no birth row
-
-
 def _select_leaves_with_epsilon(
     condensed: list[tuple[int, int, float, int]], n: int, epsilon: float
 ) -> set[int]:
     """Leaf clusters, except leaves born below the epsilon scale, which are
     replaced by their first ancestor whose own birth scale clears it."""
     clusters = _cluster_rows(condensed)
-    if not clusters:
-        return set()
-    parents = {row[0] for row in clusters}
-    children = {row[1] for row in clusters}
-    leaves = sorted(children - parents)
+    parent_of = {child: parent for parent, child, _, _ in clusters}
+    children_of: dict[int, list[int]] = {}
+    for parent, child, _, _ in clusters:
+        children_of.setdefault(parent, []).append(child)
+    leaves = sorted(parent_of.keys() - children_of.keys())
     if epsilon <= 0.0:
         return set(leaves)
-    parent_of = {row[1]: row[0] for row in clusters}
+    birth_eps = {
+        child: 1.0 / lam if lam > 0 and not math.isinf(lam) else 0.0 for _, child, lam, _ in clusters
+    }
     root = n
     selected: set[int] = set()
     absorbed: set[int] = set()
     for leaf in leaves:
         if leaf in absorbed:
             continue
-        if _birth_eps(clusters, leaf) >= epsilon:
+        if birth_eps[leaf] >= epsilon:
             selected.add(leaf)
             continue
         node = leaf
@@ -249,16 +244,14 @@ def _select_leaves_with_epsilon(
                 # keep the deepest node reached instead
                 break
             node = parent
-            if _birth_eps(clusters, node) >= epsilon:
+            if birth_eps[node] >= epsilon:
                 break
         selected.add(node)
         stack = [node]
         while stack:
-            cur = stack.pop()
-            for parent, child, _, _ in clusters:
-                if parent == cur:
-                    absorbed.add(child)
-                    stack.append(child)
+            children = children_of.get(stack.pop(), [])
+            absorbed.update(children)
+            stack.extend(children)
     return selected
 
 
@@ -296,15 +289,8 @@ def cluster(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     edges = mutual_reachability_mst(points, core)
     linkage = single_linkage(edges, n)
     condensed = condense_tree(linkage, n, params.min_cluster_size)
+    # Selected clusters never nest: a child's birth distance is at most its
+    # parent's and siblings share one. So every label keeps a whole condensed
+    # cluster of at least min_cluster_size points, and ids come out dense.
     selected = _select_leaves_with_epsilon(condensed, n, params.cluster_selection_epsilon)
-    labels = _label_points(condensed, n, selected)
-
-    # guard the minimum-size invariant (construction already implies it)
-    counts = np.bincount(labels[labels >= 0], minlength=0)
-    small = {cid for cid, count in enumerate(counts) if 0 < count < params.min_cluster_size}
-    if small:
-        labels = np.array([NOISE if lab in small else lab for lab in labels], dtype=np.int64)
-    # re-densify in case the guard removed ids
-    kept = sorted({int(lab) for lab in labels if lab >= 0})
-    remap = {old: new for new, old in enumerate(kept)}
-    return np.array([remap.get(int(lab), NOISE) for lab in labels], dtype=np.int64)
+    return _label_points(condensed, n, selected)

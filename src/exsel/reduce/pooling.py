@@ -3,24 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from exsel.corpus import Example
 
 NOISE = -1
 
 
+def _densify(labels: Iterable[int]) -> tuple[int, ...]:
+    """Renumber non-noise ids to 0..m-1 in ascending order; noise stays -1."""
+    labels = [int(a) for a in labels]
+    remap = {old: new for new, old in enumerate(sorted(set(labels) - {NOISE}))}
+    remap[NOISE] = NOISE
+    return tuple(remap[a] for a in labels)
+
+
 @dataclass(frozen=True)
 class ClusteredPool:
     """Examples with per-example cluster assignment (noise = -1).
 
-    `cluster_members[c]` lists member indices into `examples`, ascending.
-    Cluster ids must be dense 0..n_clusters-1.
+    `cluster_members[c]` lists member indices into `examples`, ascending,
+    and `cluster_sizes[c]` its length. Cluster ids must be dense
+    0..n_clusters-1.
     """
 
     examples: tuple[Example, ...]
     assignment: tuple[int, ...]
     cluster_members: tuple[tuple[int, ...], ...] = field(init=False)
+    cluster_sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         examples = tuple(self.examples)
@@ -39,93 +49,52 @@ class ClusteredPool:
             if cid != NOISE:
                 members[cid].append(index)
         object.__setattr__(self, "cluster_members", tuple(tuple(m) for m in members))
+        object.__setattr__(self, "cluster_sizes", tuple(len(m) for m in members))
 
     @property
     def n_clusters(self) -> int:
         return len(self.cluster_members)
 
-    @property
-    def n_noise(self) -> int:
-        return sum(1 for a in self.assignment if a == NOISE)
+    def restrict(self, selected: Sequence[int]) -> ClusteredPool:
+        """The working pool over `selected` indices, cluster structure retained.
 
-    def cluster_size(self, cluster_id: int) -> int:
-        return len(self.cluster_members[cluster_id])
-
-
-@dataclass(frozen=True)
-class CandidatePool:
-    """A size-k working subset of a ClusteredPool, cluster structure retained.
-
-    `selected` holds indices into `source.examples`. `cluster_members`
-    re-densifies over the clusters that still have at least one
-    selected member (ascending source cluster id); its inner indices
-    also point into `source.examples`.
-    """
-
-    source: ClusteredPool
-    selected: tuple[int, ...]
-    k: int
-    cluster_members: tuple[tuple[int, ...], ...] = field(init=False)
-    source_cluster_ids: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        selected = tuple(int(i) for i in self.selected)
-        object.__setattr__(self, "selected", selected)
-        if len(set(selected)) != len(selected):
-            raise ValueError("selected indices contain duplicates")
-        non_noise = sum(len(m) for m in self.source.cluster_members)
-        if len(selected) != min(self.k, non_noise):
-            raise ValueError(f"selected {len(selected)} examples, expected min(k={self.k}, {non_noise})")
+        Examples and their indices are unchanged; unselected examples
+        become noise, and the clusters that keep a member are re-densified
+        in ascending source id order.
+        """
         chosen = set(selected)
-        members: list[tuple[int, ...]] = []
-        ids: list[int] = []
-        for cid, member_list in enumerate(self.source.cluster_members):
-            kept = tuple(i for i in member_list if i in chosen)
-            if kept:
-                members.append(kept)
-                ids.append(cid)
-        object.__setattr__(self, "cluster_members", tuple(members))
-        object.__setattr__(self, "source_cluster_ids", tuple(ids))
-
-    @property
-    def examples(self) -> tuple[Example, ...]:
-        return self.source.examples
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.cluster_members)
-
-    def cluster_size(self, cluster_id: int) -> int:
-        return len(self.cluster_members[cluster_id])
+        if len(chosen) != len(selected):
+            raise ValueError("selected indices contain duplicates")
+        if not chosen <= set(range(len(self.examples))):
+            raise ValueError("selected indices out of range")
+        labels = (a if i in chosen else NOISE for i, a in enumerate(self.assignment))
+        return ClusteredPool(examples=self.examples, assignment=_densify(labels))
 
 
 def filter_noise(examples: Sequence[Example], assignment: Sequence[int]) -> ClusteredPool:
     """Keep only non-noise examples, re-densify cluster ids, preserve order."""
     if len(examples) != len(assignment):
         raise ValueError("assignment must cover all examples")
-    kept_ids = sorted({int(a) for a in assignment if int(a) != NOISE})
-    remap = {old: new for new, old in enumerate(kept_ids)}
-    survivors: list[Example] = []
-    labels: list[int] = []
-    for example, raw in zip(examples, assignment):
-        cid = int(raw)
-        if cid == NOISE:
-            continue
-        survivors.append(example)
-        labels.append(remap[cid])
-    return ClusteredPool(examples=tuple(survivors), assignment=tuple(labels))
+    kept = [(example, int(a)) for example, a in zip(examples, assignment) if int(a) != NOISE]
+    return ClusteredPool(
+        examples=tuple(example for example, _ in kept),
+        assignment=_densify(a for _, a in kept),
+    )
 
 
-def build_pool(pool: ClusteredPool, k: int) -> CandidatePool:
-    """Round-robin over clusters, one example per visit, largest cluster first.
+def build_pool(pool: ClusteredPool, k: int) -> tuple[int, ...]:
+    """Indices into `pool.examples` chosen round-robin over clusters.
 
-    Size ties between clusters break by ascending cluster id; within a
-    cluster, examples are taken in member-list order. Stops after k
-    selections or when every cluster is exhausted.
+    One example per visit, largest cluster first; size ties between
+    clusters break by ascending cluster id, and within a cluster
+    examples are taken in member-list order. Stops after k selections
+    or when every cluster is exhausted. `pool.restrict` of the result
+    is the size-k working pool.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = sorted(range(pool.n_clusters), key=lambda c: (-pool.cluster_size(c), c))
+    sizes = pool.cluster_sizes
+    order = sorted(range(pool.n_clusters), key=lambda c: (-sizes[c], c))
     taken = [0] * pool.n_clusters
     selected: list[int] = []
     while len(selected) < k:
@@ -140,4 +109,4 @@ def build_pool(pool: ClusteredPool, k: int) -> CandidatePool:
                 progressed = True
         if not progressed:
             break
-    return CandidatePool(source=pool, selected=tuple(selected), k=k)
+    return tuple(selected)

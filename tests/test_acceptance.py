@@ -266,8 +266,8 @@ def _contributions(sizes, k):
             examples.append(Example(id=f"p{uid}", text=f"t{uid}", entities={}, provenance="human"))
             assignment.append(cid)
             uid += 1
-    pool = build_pool(ClusteredPool(examples=tuple(examples), assignment=tuple(assignment)), k)
-    counts = Counter(pool.source.assignment[i] for i in pool.selected)
+    pool = ClusteredPool(examples=tuple(examples), assignment=tuple(assignment))
+    counts = Counter(pool.assignment[i] for i in build_pool(pool, k))
     return [counts.get(cid, 0) for cid in range(len(sizes))]
 
 

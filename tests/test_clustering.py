@@ -226,17 +226,19 @@ class TestCluster:
             assert (labels == cid).sum() >= 10
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
     st.integers(5, 45),
     st.sampled_from([2, 3, 5]),
     st.sampled_from([1, 2, 3]),
+    st.sampled_from([0.0, 0.18, 0.5, 2.0]),
 )
-def test_cluster_output_well_formed(seed, n, mcs, ms):
+def test_cluster_output_well_formed(seed, n, mcs, ms, eps):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, 2))
-    labels = cluster(points, ClusteringParams(min_cluster_size=mcs, min_samples=ms)).tolist()
+    params = ClusteringParams(min_cluster_size=mcs, min_samples=ms, cluster_selection_epsilon=eps)
+    labels = cluster(points, params).tolist()
     ids = sorted(set(labels) - {-1})
     assert ids == list(range(len(ids)))
     for cid in ids:

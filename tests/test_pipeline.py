@@ -4,11 +4,13 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from conftest import TOPIC_VOCAB, surrogate_config_payload, write_yaml_config
 from exsel.corpus import load_examples
+from exsel.evolve import RunTrace, TraceRecord
 from exsel.llm.mock import HashingEmbeddingTransport, MockTransport
 from exsel.pipeline import (
     STAGES,
@@ -20,6 +22,9 @@ from exsel.pipeline import (
     run_pipeline,
 )
 from exsel.pipeline.manifest import file_sha256
+from exsel.pipeline.runner import _write_matrix
+from exsel.plotting import read_trace
+from exsel.reduce.projection import load_precomputed
 
 
 def write_config(tmp_path, pool_path, name="config.yaml", **overrides):
@@ -290,6 +295,23 @@ class TestSurrogateRuns:
             assert summary["std"] >= 0.0
         on_disk = json.loads((Path(cfg.output_dir) / "baseline" / "baselines.json").read_text())
         assert on_disk == payload
+
+
+def test_trace_and_projection_artifacts_round_trip(tmp_path):
+    records = (
+        TraceRecord(0, 0.1 + 0.2, 0.7, 1.0, 0.05 + 0.65 * 1.0, 10),
+        TraceRecord(1, 1 / 3, 0.7000000000000001, 0.4, 5e-324, 7),
+    )
+    RunTrace(records).write_tsv(tmp_path / "trace.tsv")
+    columns = read_trace(tmp_path / "trace.tsv")
+    assert list(columns) == [field.name for field in dataclasses.fields(TraceRecord)]
+    assert [tuple(row) for row in zip(*columns.values())] == [dataclasses.astuple(r) for r in records]
+
+    matrix = np.array([[-0.0, 5e-324, 0.1 + 0.2], [1e308, -1.5, 2 / 3]])
+    _write_matrix(tmp_path / "projection.tsv", matrix)
+    loaded = load_precomputed(tmp_path / "projection.tsv")
+    assert loaded.shape == matrix.shape
+    assert loaded.tobytes() == matrix.tobytes()
 
 
 class EchoService:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exsel.corpus import Example
-from exsel.reduce.pooling import CandidatePool, ClusteredPool, build_pool, filter_noise
+from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
 
 
 def make_examples(n):
@@ -26,7 +26,7 @@ class TestClusteredPool:
         pool = ClusteredPool(examples=tuple(examples), assignment=(1, 0, 1, -1, 0, 1))
         assert pool.cluster_members == ((1, 4), (0, 2, 5))
         assert pool.n_clusters == 2
-        assert pool.n_noise == 1
+        assert pool.cluster_sizes == (2, 3)
 
     def test_rejects_sparse_ids(self):
         with pytest.raises(ValueError, match="dense"):
@@ -66,9 +66,9 @@ class TestFilterNoise:
         assert pool.n_clusters == 2
 
 
-def contributions(pool, candidate):
+def contributions(pool, selected):
     per_cluster = [0] * pool.n_clusters
-    for index in candidate.selected:
+    for index in selected:
         per_cluster[pool.assignment[index]] += 1
     return per_cluster
 
@@ -76,8 +76,7 @@ def contributions(pool, candidate):
 class TestBuildPool:
     def test_single_cluster_takes_prefix(self):
         pool = pool_with_sizes([10])
-        candidate = build_pool(pool, 3)
-        assert list(candidate.selected) == [0, 1, 2]
+        assert build_pool(pool, 3) == (0, 1, 2)
 
     def test_hand_case_k6(self):
         pool = pool_with_sizes([4, 3, 2])
@@ -89,31 +88,33 @@ class TestBuildPool:
 
     def test_k_larger_than_pool_takes_everything(self):
         pool = pool_with_sizes([4, 3, 2])
-        candidate = build_pool(pool, 100)
-        assert sorted(candidate.selected) == list(range(9))
-        assert len(candidate.selected) == 9
+        selected = build_pool(pool, 100)
+        assert sorted(selected) == list(range(9))
+        assert len(selected) == 9
 
     def test_largest_cluster_visited_first(self):
         pool = pool_with_sizes([2, 5])
-        candidate = build_pool(pool, 1)
-        assert pool.assignment[candidate.selected[0]] == 1
+        selected = build_pool(pool, 1)
+        assert pool.assignment[selected[0]] == 1
 
     def test_size_ties_break_by_ascending_id(self):
         pool = pool_with_sizes([3, 3])
-        candidate = build_pool(pool, 1)
-        assert pool.assignment[candidate.selected[0]] == 0
+        selected = build_pool(pool, 1)
+        assert pool.assignment[selected[0]] == 0
 
     def test_selection_order_is_round_robin(self):
         pool = pool_with_sizes([2, 2])
-        candidate = build_pool(pool, 4)
-        assert [pool.assignment[i] for i in candidate.selected] == [0, 1, 0, 1]
+        selected = build_pool(pool, 4)
+        assert [pool.assignment[i] for i in selected] == [0, 1, 0, 1]
 
     def test_candidate_pool_restricts_members(self):
         pool = pool_with_sizes([4, 3, 2])
-        candidate = build_pool(pool, 6)
-        assert candidate.n_clusters == 3
-        assert [len(m) for m in candidate.cluster_members] == [2, 2, 2]
-        for members, cid in zip(candidate.cluster_members, candidate.source_cluster_ids):
+        working = pool.restrict(build_pool(pool, 6))
+        assert working.examples == pool.examples
+        assert working.n_clusters == 3
+        assert working.cluster_sizes == (2, 2, 2)
+        assert working.cluster_members == ((0, 1), (4, 5), (7, 8))
+        for cid, members in enumerate(working.cluster_members):
             for index in members:
                 assert pool.assignment[index] == cid
 
@@ -129,10 +130,10 @@ class TestBuildPool:
 )
 def test_round_robin_balance_property(sizes, k):
     pool = pool_with_sizes(sizes)
-    candidate = build_pool(pool, k)
-    per_cluster = contributions(pool, candidate)
+    selected = build_pool(pool, k)
+    per_cluster = contributions(pool, selected)
     total = sum(sizes)
-    assert len(candidate.selected) == min(k, total)
+    assert len(selected) == min(k, total)
     c = len(sizes)
     low, high = k // c, math.ceil(k / c)
     if all(size >= high for size in sizes):
@@ -148,7 +149,19 @@ def test_round_robin_balance_property(sizes, k):
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=8), st.integers(1, 60))
 def test_build_pool_candidate_invariants(sizes, k):
     pool = pool_with_sizes(sizes)
-    candidate = build_pool(pool, k)
-    assert len(set(candidate.selected)) == len(candidate.selected)
-    covered = sum(len(m) for m in candidate.cluster_members)
-    assert covered == len(candidate.selected)
+    selected = build_pool(pool, k)
+    assert len(set(selected)) == len(selected)
+    working = pool.restrict(selected)
+    members = working.cluster_members
+    assert all(members)
+    assert all(list(m) == sorted(m) for m in members)
+    # clusters keep the ascending order of their source ids
+    source_ids = [pool.assignment[m[0]] for m in members]
+    assert source_ids == sorted(set(source_ids))
+    assert all(pool.assignment[i] == source_ids[cid] for cid, m in enumerate(members) for i in m)
+    assert {i for m in members for i in m} == set(selected)
+    assert working.cluster_sizes == tuple(len(m) for m in members)
+    with pytest.raises(ValueError, match="duplicates"):
+        pool.restrict(selected + selected[:1])
+    with pytest.raises(ValueError, match="range"):
+        pool.restrict((len(pool.examples),))
