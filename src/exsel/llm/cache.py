@@ -3,7 +3,8 @@
 Keys are sha256 over (model, text), so a cache survives renames and can
 be shared between runs; re-running a 10k-example pipeline only pays for
 texts it has never embedded. Corrupt lines are skipped on load rather
-than failing the run.
+than failing the run, and a file whose last line was cut short by a
+crash gets its next record on a fresh line.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ class EmbeddingCache:
     def __init__(self, path: Path | str | None = None) -> None:
         self._path = Path(path) if path is not None else None
         self._store: dict[str, tuple[float, ...]] = {}
+        self._line_open = False  # the file ends inside a line
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -31,6 +33,7 @@ class EmbeddingCache:
         assert self._path is not None
         with self._path.open("r", encoding="utf-8") as fh:
             for line in fh:
+                self._line_open = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -58,5 +61,8 @@ class EmbeddingCache:
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             with self._path.open("a", encoding="utf-8") as fh:
+                if self._line_open:
+                    fh.write("\n")
+                    self._line_open = False
                 fh.write(json.dumps({"key": key, "vector": list(vector)}))
                 fh.write("\n")

@@ -1,6 +1,6 @@
 """Config-driven pipeline orchestration with stage-wise resumption."""
 
-from exsel.pipeline.baselines import BaselineSummary, baseline_random, baseline_zeroshot
+from exsel.pipeline.baselines import BaselineSummary, baseline_random
 from exsel.pipeline.config import (
     MODE_LLM,
     MODE_SURROGATE,
@@ -26,7 +26,6 @@ __all__ = [
     "STAGES",
     "StageRecord",
     "baseline_random",
-    "baseline_zeroshot",
     "config_from_dict",
     "file_sha256",
     "load_config",

@@ -1,18 +1,17 @@
-"""Reference points the evolved genome must beat: random draws and zero-shot."""
+"""Random-draw reference point the evolved genome must beat.
+
+The zero-shot reference is `evaluate_fewshot` with no demonstrations.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from exsel.corpus import Example, LabelSchema
 from exsel.evolve import Genome, random_genome
-from exsel.fitness import GenomeEvaluation, evaluate_fewshot
-from exsel.llm.client import LLMClient
 from exsel.reduce.pooling import ClusteredPool
 from exsel.seeding import derive_rng
-from exsel.templates import EXTRACTION_INSTRUCTION_TEMPLATE
 
 
 @dataclass(frozen=True)
@@ -51,23 +50,3 @@ def baseline_random(
         std = math.sqrt(sum((f - mean) ** 2 for f in fitnesses) / (n_draws - 1))
     return BaselineSummary(mean=mean, std=std, fitnesses=tuple(fitnesses))
 
-
-def baseline_zeroshot(
-    validation: Sequence[Example],
-    client: LLMClient,
-    *,
-    model: str,
-    schema: LabelSchema | None = None,
-    instruction_template: str = EXTRACTION_INSTRUCTION_TEMPLATE,
-    max_output_tokens: int = 512,
-) -> GenomeEvaluation:
-    """Instruction-only extraction: the few-shot evaluator with no demonstrations."""
-    return evaluate_fewshot(
-        (),
-        validation,
-        client,
-        model=model,
-        schema=schema,
-        instruction_template=instruction_template,
-        max_output_tokens=max_output_tokens,
-    )

@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import yaml
 
@@ -23,7 +24,7 @@ from exsel.evolve import GAConfig
 from exsel.generate import GenerationConfig
 from exsel.llm.transport import TransportConfig
 from exsel.reduce.density import ClusteringParams
-from exsel.reduce.projection import ProjectionConfig, ProjectionError
+from exsel.reduce.projection import METHOD_PRECOMPUTED, ProjectionConfig
 from exsel.templates import (
     EXTRACTION_INSTRUCTION_TEMPLATE,
     NEGATIVE_GENERATION_TEMPLATE,
@@ -35,6 +36,8 @@ MODE_SURROGATE = "surrogate"
 MODE_LLM = "llm"
 
 _ENV_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -77,6 +80,10 @@ class PipelineConfig:
     max_eval_output_tokens: int = 512
 
     def __post_init__(self) -> None:
+        # env-interpolated YAML values arrive as strings
+        for name in ("seed", "baseline_draws", "max_eval_output_tokens"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "pool_sizes", tuple(self.pool_sizes))
         if self.fitness_mode not in (MODE_SURROGATE, MODE_LLM):
             raise ConfigError(f"fitness_mode must be surrogate or llm, got {self.fitness_mode!r}")
         if not self.pool_sizes:
@@ -87,7 +94,8 @@ class PipelineConfig:
             raise ConfigError("pool_sizes contains duplicates")
         if self.baseline_draws < 1:
             raise ConfigError("baseline_draws must be >= 1")
-        object.__setattr__(self, "pool_sizes", tuple(self.pool_sizes))
+        if self.max_eval_output_tokens < 1:
+            raise ConfigError("evaluation.max_output_tokens must be >= 1")
         self.validate()
 
     def validate(self) -> None:
@@ -98,6 +106,8 @@ class PipelineConfig:
         if self.fitness_mode == MODE_LLM:
             if not self.chat_model:
                 raise ConfigError("llm mode requires client.chat_model")
+            if not self.embedding_model and self.projection.method != METHOD_PRECOMPUTED:
+                raise ConfigError("llm mode requires client.embedding_model unless projection is precomputed-import")
             if self.corpus.n_validation < 1:
                 raise ConfigError("llm mode requires corpus.n_validation >= 1")
         if self.corpus.pool_path is None and self.generation is None:
@@ -147,30 +157,6 @@ def _resolve(base: Path, value: str | None) -> str | None:
     return str(path if path.is_absolute() else base / path)
 
 
-def _build_generation(section: dict, base: Path) -> GenerationConfig:
-    data = dict(section)
-    positive_path = _resolve(base, data.pop("positive_template_path", None))
-    negative_path = _resolve(base, data.pop("negative_template_path", None))
-    data["positive_prompt_template"] = load_template(positive_path, POSITIVE_GENERATION_TEMPLATE)
-    data["negative_prompt_template"] = load_template(negative_path, NEGATIVE_GENERATION_TEMPLATE)
-    if "labels" in data:
-        data["labels"] = tuple(data["labels"])
-    try:
-        return GenerationConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"generation: {exc}") from exc
-
-
-def _build_ga(section: dict) -> GAConfig:
-    data = dict(section)
-    if "lambda" in data:
-        data["lambda_"] = data.pop("lambda")
-    try:
-        return GAConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ga: {exc}") from exc
-
-
 def load_config(path: Path | str) -> PipelineConfig:
     """Parse, env-interpolate, and validate a pipeline config file."""
     path = Path(path)
@@ -187,6 +173,27 @@ def load_config(path: Path | str) -> PipelineConfig:
     return config_from_dict(raw, base)
 
 
+def _section(name: str, build: Callable[..., T], data: dict) -> T:
+    """Build one config section; an unknown or invalid field raises ConfigError naming the section.
+
+    A ConfigError from the section itself already names its field and passes unchanged.
+    """
+    try:
+        return build(**data)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _evaluation(instruction_template_path: str | None = None, max_output_tokens: int = 512) -> dict:
+    """The `evaluation` section as PipelineConfig fields."""
+    return {
+        "instruction_template": load_template(instruction_template_path, EXTRACTION_INSTRUCTION_TEMPLATE),
+        "max_eval_output_tokens": max_output_tokens,
+    }
+
+
 def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
     data = dict(raw)
     unknown = set(data) - {
@@ -198,71 +205,46 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
     if "output_dir" not in data:
         raise ConfigError("output_dir is required")
 
-    corpus_raw = dict(data.get("corpus", {}))
-    corpus_raw["documents"] = tuple(
-        _resolve(base, doc) for doc in corpus_raw.get("documents", [])
-    )
+    corpus = dict(data.get("corpus", {}))
+    corpus["documents"] = tuple(_resolve(base, doc) for doc in corpus.get("documents", []))
     for key in ("pool_path", "test_path"):
-        corpus_raw[key] = _resolve(base, corpus_raw.get(key))
-    try:
-        corpus = CorpusConfig(**corpus_raw)
-    except TypeError as exc:
-        raise ConfigError(f"corpus: {exc}") from exc
+        corpus[key] = _resolve(base, corpus.get(key))
 
     generation = None
-    if "generation" in data and data["generation"] is not None:
-        generation = _build_generation(data["generation"], base)
+    if data.get("generation") is not None:
+        section = dict(data["generation"])
+        for kind, default in (("positive", POSITIVE_GENERATION_TEMPLATE), ("negative", NEGATIVE_GENERATION_TEMPLATE)):
+            path = _resolve(base, section.pop(f"{kind}_template_path", None))
+            section[f"{kind}_prompt_template"] = load_template(path, default)
+        generation = _section("generation", GenerationConfig, section)
 
-    projection_raw = dict(data.get("projection", {}))
-    projection_raw["precomputed_path"] = _resolve(base, projection_raw.get("precomputed_path"))
-    try:
-        projection = ProjectionConfig(**projection_raw)
-    except (TypeError, ProjectionError) as exc:
-        raise ConfigError(f"projection: {exc}") from exc
+    projection = dict(data.get("projection", {}))
+    projection["precomputed_path"] = _resolve(base, projection.get("precomputed_path"))
 
-    try:
-        clustering = ClusteringParams(**data.get("clustering", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"clustering: {exc}") from exc
+    ga = dict(data.get("ga", {}))
+    if "lambda" in ga:
+        ga["lambda_"] = ga.pop("lambda")
 
-    ga = _build_ga(data.get("ga", {}))
+    client = dict(data.get("client", {}))
+    top = {key: data[key] for key in ("seed", "fitness_mode", "pool_sizes", "baseline_draws") if key in data}
+    top.update((key, client.pop(key)) for key in ("chat_model", "embedding_model") if key in client)
+    top["embedding_cache"] = _resolve(base, client.pop("embedding_cache", None))
 
-    client_raw = dict(data.get("client", {}))
-    chat_model = client_raw.pop("chat_model", "")
-    embedding_model = client_raw.pop("embedding_model", "")
-    embedding_cache = _resolve(base, client_raw.pop("embedding_cache", None))
-    try:
-        transport = TransportConfig(**client_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"client: {exc}") from exc
+    evaluation = dict(data.get("evaluation", {}))
+    evaluation["instruction_template_path"] = _resolve(base, evaluation.get("instruction_template_path"))
 
-    evaluation_raw = dict(data.get("evaluation", {}))
-    instruction_path = _resolve(base, evaluation_raw.pop("instruction_template_path", None))
-    instruction = load_template(instruction_path, EXTRACTION_INSTRUCTION_TEMPLATE)
-    max_eval_tokens = evaluation_raw.pop("max_output_tokens", 512)
-    if evaluation_raw:
-        raise ConfigError(f"evaluation: unknown fields {sorted(evaluation_raw)}")
-
-    try:
-        return PipelineConfig(
+    return _section(
+        "config",
+        PipelineConfig,
+        dict(
+            top,
             output_dir=_resolve(base, data["output_dir"]),
-            seed=int(data.get("seed", 0)),
-            fitness_mode=data.get("fitness_mode", MODE_SURROGATE),
-            corpus=corpus,
+            corpus=_section("corpus", CorpusConfig, corpus),
             generation=generation,
-            projection=projection,
-            clustering=clustering,
-            pool_sizes=tuple(data.get("pool_sizes", (500, 5000))),
-            ga=ga,
-            transport=transport,
-            chat_model=chat_model,
-            embedding_model=embedding_model,
-            embedding_cache=embedding_cache,
-            instruction_template=instruction,
-            baseline_draws=int(data.get("baseline_draws", 3)),
-            max_eval_output_tokens=int(max_eval_tokens),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+            projection=_section("projection", ProjectionConfig, projection),
+            clustering=_section("clustering", ClusteringParams, data.get("clustering", {})),
+            ga=_section("ga", GAConfig, ga),
+            transport=_section("client", TransportConfig, client),
+            **_section("evaluation", _evaluation, evaluation),
+        ),
+    )

@@ -84,12 +84,6 @@ class RunManifest:
         }
         self.stages[stage] = StageRecord(completed=True, artifacts=hashed, seconds=seconds)
 
-    def artifact_paths(self, stage: str) -> list[Path]:
-        record = self.stages.get(stage)
-        if record is None:
-            return []
-        return [self.root / relpath for relpath in record.artifacts]
-
     def as_dict(self) -> dict:
         return {
             "config_hash": self.config_hash,

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -30,8 +31,8 @@ from exsel.corpus import (
 )
 from exsel.evolve import Gene, Genome, RunTrace, evolve
 from exsel.fitness import (
+    evaluate_fewshot,
     evaluate_genome_llm,
-    evaluate_genome_surrogate,
     make_surrogate_provider,
     render_fewshot_block,
     resolve_examples,
@@ -41,7 +42,7 @@ from exsel.llm.cache import EmbeddingCache
 from exsel.llm.client import HttpTransport, LLMClient
 from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.llm.transport import ClientError, Transport
-from exsel.pipeline.baselines import baseline_random, baseline_zeroshot
+from exsel.pipeline.baselines import baseline_random
 from exsel.pipeline.config import MODE_LLM, MODE_SURROGATE, ConfigError, PipelineConfig
 from exsel.pipeline.manifest import RunManifest
 from exsel.reduce.density import cluster
@@ -61,12 +62,13 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class RunState:
-    """Everything a later stage needs from earlier ones, plus lazy clients."""
+    """Everything a later stage needs from earlier ones, plus lazy clients over the run's transport."""
 
     config: PipelineConfig
     root: Path
     manifest: RunManifest
-    transport_override: Transport | None = None
+    transport: Transport
+    embedding_model: str
     candidates: list[Example] = field(default_factory=list)
     validation: list[Example] = field(default_factory=list)
     projected: np.ndarray | None = None
@@ -78,58 +80,32 @@ class RunState:
     traces: dict[int, RunTrace] = field(default_factory=dict)
     executed: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
-    _embed_client: LLMClient | None = None
-    _chat_client: LLMClient | None = None
 
+    @cached_property
     def embedding_client(self) -> LLMClient:
-        if self._embed_client is None:
-            transport = self.transport_override
-            if transport is None:
-                if self.config.fitness_mode == MODE_SURROGATE:
-                    transport = HashingEmbeddingTransport(dimension=_SURROGATE_EMBED_DIM)
-                else:
-                    transport = HttpTransport(self.config.transport)
-            cache_path = self.config.embedding_cache or str(self.root / "cache" / "embeddings.jsonl")
-            cache = EmbeddingCache(cache_path)
-            self._embed_client = LLMClient(transport, self.config.transport, embedding_cache=cache)
-        return self._embed_client
+        # only this client loads the on-disk cache, so a chat-only resume never reads it
+        cache = EmbeddingCache(self.config.embedding_cache or self.root / "cache" / "embeddings.jsonl")
+        return LLMClient(self.transport, self.config.transport, embedding_cache=cache)
 
+    @cached_property
     def chat_client(self) -> LLMClient:
-        if self._chat_client is None:
-            transport = self.transport_override
-            if transport is None:
-                transport = HttpTransport(self.config.transport)
-            self._chat_client = LLMClient(transport, self.config.transport)
-        return self._chat_client
+        return LLMClient(self.transport, self.config.transport)
 
-    def embedding_model_name(self) -> str:
-        if self.config.fitness_mode == MODE_SURROGATE and self.transport_override is None:
-            return _SURROGATE_EMBED_MODEL
-        return self.config.embedding_model or _SURROGATE_EMBED_MODEL
-
-    def schema(self) -> LabelSchema:
-        return LabelSchema.from_examples(list(self.candidates) + list(self.validation))
+    def evaluation_settings(self) -> dict:
+        """Keyword settings shared by every llm evaluation: GA fitness, report and zero-shot baseline."""
+        cfg = self.config
+        return {
+            "model": cfg.chat_model,
+            "schema": LabelSchema.from_examples(self.candidates + self.validation),
+            "instruction_template": cfg.instruction_template,
+            "max_output_tokens": cfg.max_eval_output_tokens,
+        }
 
     def fitness_provider(self, pool: ClusteredPool) -> Callable[[Genome], float]:
-        cfg = self.config
-        if cfg.fitness_mode == MODE_SURROGATE:
-            return make_surrogate_provider(pool, derive_seed(cfg.seed, "surrogate"))
-        schema = self.schema()
-        client = self.chat_client()
-
-        def fitness(genome: Genome) -> float:
-            return evaluate_genome_llm(
-                genome,
-                pool,
-                self.validation,
-                client,
-                model=cfg.chat_model,
-                schema=schema,
-                instruction_template=cfg.instruction_template,
-                max_output_tokens=cfg.max_eval_output_tokens,
-            ).fitness
-
-        return fitness
+        if self.config.fitness_mode == MODE_SURROGATE:
+            return make_surrogate_provider(pool, derive_seed(self.config.seed, "surrogate"))
+        settings = self.evaluation_settings()
+        return lambda genome: evaluate_genome_llm(genome, pool, self.validation, self.chat_client, **settings).fitness
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -159,7 +135,7 @@ def _pool_run(state: RunState) -> list[Path]:
         examples, report = generate_pool(
             cfg.generation,
             chunks,
-            state.chat_client(),
+            state.chat_client,
             model=cfg.chat_model,
             seed=derive_seed(cfg.seed, "generate"),
         )
@@ -196,7 +172,7 @@ def _project_run(state: RunState) -> list[Path]:
         state.projected = project(placeholder, cfg.projection)
     else:
         texts = [ex.text for ex in state.candidates]
-        vectors = state.embedding_client().embed_batch(state.embedding_model_name(), texts)
+        vectors = state.embedding_client.embed_batch(state.embedding_model, texts)
         state.projected = project(vectors, cfg.projection)
     path = out / "projection.tsv"
     _write_matrix(path, state.projected)
@@ -341,23 +317,14 @@ def _report_run(state: RunState) -> list[Path]:
             payload = {
                 "k": k,
                 "mode": MODE_SURROGATE,
-                "fitness": evaluate_genome_surrogate(best, pool, derive_seed(cfg.seed, "surrogate")),
+                "fitness": state.fitness_provider(pool)(best),
                 "distinct_clusters": len({gene.cluster for gene in best}),
                 "genome_length": len(best),
                 "example_ids": [ex.id for ex in resolve_examples(best, pool)],
             }
         else:
             eval_set = test_examples if test_examples is not None else state.validation
-            evaluation = evaluate_genome_llm(
-                best,
-                pool,
-                eval_set,
-                state.chat_client(),
-                model=cfg.chat_model,
-                schema=state.schema(),
-                instruction_template=cfg.instruction_template,
-                max_output_tokens=cfg.max_eval_output_tokens,
-            )
+            evaluation = evaluate_genome_llm(best, pool, eval_set, state.chat_client, **state.evaluation_settings())
             payload = {
                 "k": k,
                 "mode": MODE_LLM,
@@ -404,7 +371,14 @@ def run_pipeline(
     root = Path(config.output_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.load_or_create(root, config.config_hash())
-    state = RunState(config=config, root=root, manifest=manifest, transport_override=transport)
+    # the built-in hasher always answers to its own name, whatever the config says
+    embedding_model = config.embedding_model or _SURROGATE_EMBED_MODEL
+    if transport is None and config.fitness_mode == MODE_SURROGATE:
+        transport = HashingEmbeddingTransport(dimension=_SURROGATE_EMBED_DIM)
+        embedding_model = _SURROGATE_EMBED_MODEL
+    elif transport is None:
+        transport = HttpTransport(config.transport)
+    state = RunState(config=config, root=root, manifest=manifest, transport=transport, embedding_model=embedding_model)
     for stage in STAGES:
         run_fn, load_fn = _STAGE_FNS[stage]
         if not force and manifest.can_skip(stage):
@@ -457,14 +431,7 @@ def run_baselines(
         )
         payload["random"][str(k)] = summary.as_dict()
     if cfg.fitness_mode == MODE_LLM:
-        evaluation = baseline_zeroshot(
-            state.validation,
-            state.chat_client(),
-            model=cfg.chat_model,
-            schema=state.schema(),
-            instruction_template=cfg.instruction_template,
-            max_output_tokens=cfg.max_eval_output_tokens,
-        )
+        evaluation = evaluate_fewshot((), state.validation, state.chat_client, **state.evaluation_settings())
         payload["zeroshot"] = {
             "fitness": evaluation.fitness,
             "n_unparseable": evaluation.n_unparseable,

@@ -10,6 +10,7 @@ validates count and dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -52,7 +53,7 @@ def _to_matrix(vectors: Sequence[EmbeddingVector] | np.ndarray) -> np.ndarray:
 
 
 def load_precomputed(path: Path | str) -> np.ndarray:
-    """Read one whitespace-separated vector per line."""
+    """Read one whitespace-separated vector per line; nan and inf are rejected."""
     rows: list[list[float]] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -60,9 +61,12 @@ def load_precomputed(path: Path | str) -> np.ndarray:
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split()])
+                row = [float(tok) for tok in line.split()]
             except ValueError as exc:
                 raise ProjectionError(f"{path}:{lineno}: non-numeric value") from exc
+            if not all(map(math.isfinite, row)):
+                raise ProjectionError(f"{path}:{lineno}: non-finite value")
+            rows.append(row)
     if not rows:
         raise ProjectionError(f"{path}: no vectors found")
     width = len(rows[0])

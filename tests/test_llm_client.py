@@ -138,6 +138,23 @@ class TestEmbedBatch:
         assert cache.get("k") == (1.0,)
         assert len(cache) == 1
 
+    def test_put_after_truncated_last_line_survives_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EmbeddingCache(path)
+        for key in "abc":
+            cache.put(key, (1.0, 2.0))
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + lines[2][:-7])  # a crash cut record "c" short
+        cache = EmbeddingCache(path)
+        assert "c" not in cache
+        cache.put("c", (3.0, 4.0))
+        cache.put("d", (5.0, 6.0))
+        reloaded = EmbeddingCache(path)
+        assert {key: reloaded.get(key) for key in "abcd"} == {
+            "a": (1.0, 2.0), "b": (1.0, 2.0), "c": (3.0, 4.0), "d": (5.0, 6.0),
+        }
+        assert path.read_bytes().startswith(b"".join(lines[:2]))
+
 
 class TestConcurrencyBound:
     def test_chat_many_never_exceeds_max_in_flight(self):

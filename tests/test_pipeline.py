@@ -128,6 +128,53 @@ class TestConfig:
         with pytest.raises(ConfigError, match="chat_model"):
             dataclasses.replace(cfg, fitness_mode="llm")
 
+    def test_llm_mode_requires_embedding_model(self, tmp_path, small_pool_path):
+        path = write_config(tmp_path, small_pool_path, fitness_mode="llm", client={"chat_model": "c"})
+        with pytest.raises(ConfigError, match="embedding_model"):
+            load_config(path)
+
+    def test_llm_mode_with_imported_projection_needs_no_embedding_model(self, tmp_path, small_pool_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("0.0 1.0\n", encoding="utf-8")
+        projection = {"method": "precomputed-import", "precomputed_path": str(vectors), "target_dimension": 2}
+        path = write_config(
+            tmp_path, small_pool_path, fitness_mode="llm", client={"chat_model": "c"}, projection=projection
+        )
+        assert load_config(path).embedding_model == ""
+
+    def test_env_strings_become_ints_with_the_same_hash(self, tmp_path, small_pool_path, monkeypatch):
+        monkeypatch.setenv("EXSEL_TEST_SEED", "7")
+        monkeypatch.setenv("EXSEL_TEST_TOKENS", "64")
+        literal = load_config(write_config(tmp_path, small_pool_path, evaluation={"max_output_tokens": 64}))
+        from_env = load_config(
+            write_config(
+                tmp_path, small_pool_path, name="env.yaml",
+                seed="${EXSEL_TEST_SEED}", evaluation={"max_output_tokens": "${EXSEL_TEST_TOKENS}"},
+            )
+        )
+        assert (from_env.seed, from_env.max_eval_output_tokens) == (7, 64)
+        assert from_env.config_hash() == literal.config_hash()
+
+
+@pytest.mark.parametrize(
+    "section, bad",
+    [
+        ("corpus", {"n_validation": -1}),
+        ("generation", {"n_total": 0, "labels": ["term"]}),
+        ("projection", {"target_dimension": 1}),
+        ("clustering", {"min_cluster_size": 1}),
+        ("ga", {"mu": 0}),
+        ("client", {"max_in_flight": 0}),
+        ("evaluation", {"max_output_tokens": 0}),
+    ],
+)
+@pytest.mark.parametrize("kind", ["bad-value", "unknown-field"])
+def test_config_error_names_its_section(tmp_path, small_pool_path, section, bad, kind):
+    fields = bad if kind == "bad-value" else {"no_such_field": 1}
+    path = write_config(tmp_path, small_pool_path, **{section: fields})
+    with pytest.raises(ConfigError, match=rf"^{section}\b"):
+        load_config(path)
+
 
 class TestManifest:
     def test_skip_requires_completion_and_matching_hashes(self, tmp_path):
@@ -390,6 +437,33 @@ class TestLlmModeWithMockTransport:
         assert metrics["evaluated_on"] == "validation"
         assert metrics["metrics"]["micro_f1"] == 1.0
         assert metrics["n_unparseable"] == 0
+
+    def test_evaluation_section_reaches_every_extraction_request(self, llm_config_path):
+        (llm_config_path.parent / "instruction.txt").write_text("Pull out {labels} as JSON.\n", encoding="utf-8")
+        payload = yaml.safe_load(llm_config_path.read_text(encoding="utf-8"))
+        payload["evaluation"] = {"instruction_template_path": "instruction.txt", "max_output_tokens": 77}
+        cfg = load_config(write_yaml_config(llm_config_path, payload))
+        transport = self.make_transport()
+        marks = []
+        for through in ("pool", "select", "report"):
+            run_pipeline(cfg, through=through, transport=transport)
+            marks.append(len(transport.chat_requests))
+        run_baselines(cfg, transport=transport)
+        marks.append(len(transport.chat_requests))
+        requests = transport.chat_requests
+        phases = {
+            "ga fitness": requests[marks[0] : marks[1]],
+            "report": requests[marks[1] : marks[2]],
+            "baselines": requests[marks[2] : marks[3]],
+        }
+        for phase, issued in phases.items():
+            assert issued, phase
+            for request in issued:
+                assert request.user_prompt.endswith("Entities:"), phase
+                assert request.system_prompt == "Pull out term as JSON.\n", phase
+                assert request.max_output_tokens == 77, phase
+        zero_shot = [r for r in phases["baselines"] if r.user_prompt.count("Text: ") == 1]
+        assert len(zero_shot) == cfg.corpus.n_validation
 
     def test_zeroshot_baseline_with_echo_is_perfect(self, llm_config_path):
         cfg = load_config(llm_config_path)

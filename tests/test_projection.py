@@ -98,6 +98,13 @@ class TestPrecomputed:
         with pytest.raises(ProjectionError, match="non-numeric"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_rejected_with_line(self, tmp_path, bad):
+        path = tmp_path / "proj.txt"
+        path.write_text(f"1.0 2.0\n\n3.0 {bad}\n", encoding="utf-8")
+        with pytest.raises(ProjectionError, match=r"proj\.txt:3: non-finite"):
+            load_precomputed(path)
+
     def test_config_requires_path(self):
         with pytest.raises(ProjectionError):
             ProjectionConfig(method=METHOD_PRECOMPUTED, target_dimension=2)
