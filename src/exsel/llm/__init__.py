@@ -7,7 +7,6 @@ from exsel.llm.transport import (
     AuthenticationError,
     ChatRequest,
     ClientError,
-    EmbeddingVector,
     MalformedResponseError,
     RetryBudgetExceeded,
     Transport,
@@ -20,7 +19,6 @@ __all__ = [
     "ChatRequest",
     "ClientError",
     "EmbeddingCache",
-    "EmbeddingVector",
     "HashingEmbeddingTransport",
     "HttpTransport",
     "LLMClient",

@@ -2,8 +2,9 @@
 
 Keys are sha256 over (model, text), so a cache survives renames and can
 be shared between runs; re-running a 10k-example pipeline only pays for
-texts it has never embedded. Corrupt lines are skipped on load rather
-than failing the run, and a file whose last line was cut short by a
+texts it has never embedded. Corrupt lines, and records whose vector is
+empty or not finite, are skipped on load rather than failing the run, so
+such a text is embedded again. A file whose last line was cut short by a
 crash gets its next record on a fresh line.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
+from typing import Mapping, Sequence
 
 
 def cache_key(model: str, text: str) -> str:
@@ -43,7 +46,8 @@ class EmbeddingCache:
                     vector = tuple(float(v) for v in record["vector"])
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     continue
-                self._store[key] = vector
+                if vector and all(map(math.isfinite, vector)):
+                    self._store[key] = vector
 
     def __len__(self) -> int:
         return len(self._store)
@@ -54,15 +58,15 @@ class EmbeddingCache:
     def get(self, key: str) -> tuple[float, ...] | None:
         return self._store.get(key)
 
-    def put(self, key: str, vector: tuple[float, ...]) -> None:
-        if key in self._store:
+    def put(self, entries: Mapping[str, Sequence[float]]) -> None:
+        """Store one batch of vectors; those not yet cached go to the file in one append."""
+        fresh = {key: tuple(vector) for key, vector in entries.items() if key not in self._store}
+        if not fresh:
             return
-        self._store[key] = tuple(vector)
+        self._store.update(fresh)
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
+            lines = "".join(json.dumps({"key": key, "vector": list(vector)}) + "\n" for key, vector in fresh.items())
             with self._path.open("a", encoding="utf-8") as fh:
-                if self._line_open:
-                    fh.write("\n")
-                    self._line_open = False
-                fh.write(json.dumps({"key": key, "vector": list(vector)}))
-                fh.write("\n")
+                fh.write("\n" + lines if self._line_open else lines)
+            self._line_open = False

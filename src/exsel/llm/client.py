@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
+import numpy as np
 import requests
 
 from exsel.llm.cache import EmbeddingCache, cache_key
@@ -16,7 +17,6 @@ from exsel.llm.transport import (
     AuthenticationError,
     ChatRequest,
     ClientError,
-    EmbeddingVector,
     MalformedResponseError,
     RetryBudgetExceeded,
     Transport,
@@ -27,6 +27,19 @@ from exsel.llm.transport import (
 logger = logging.getLogger(__name__)
 
 _EMBED_API_BATCH = 128
+
+
+def _checked_embeddings(raw: Sequence[Sequence[float]], expected: int) -> np.ndarray:
+    """One embeddings reply as an (expected, d) float64 matrix: d > 0 and every value finite."""
+    if len(raw) != expected:
+        raise MalformedResponseError(f"asked for {expected} embeddings, got {len(raw)}")
+    widths = sorted({len(row) for row in raw})
+    if len(widths) != 1 or widths[0] == 0:
+        raise MalformedResponseError(f"embedding dimensions within one reply must be one non-zero width, got {widths}")
+    matrix = np.array(raw, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise MalformedResponseError("embedding reply contains non-finite values")
+    return matrix
 
 
 class HttpTransport:
@@ -141,31 +154,25 @@ class LLMClient:
         with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
             return list(pool.map(self.chat, requests_))
 
-    def embed_batch(self, model: str, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Embed texts in input order; repeated or previously seen texts hit the cache."""
+    def embed_batch(self, model: str, texts: Sequence[str]) -> np.ndarray:
+        """Embed texts as an (n, d) float64 matrix in input order; repeated or previously seen texts hit the cache.
+
+        Every service reply is checked before it reaches the cache, so a
+        malformed one raises MalformedResponseError and is asked for again
+        by the next call.
+        """
         if any(not text for text in texts):
             raise ValueError("cannot embed empty text")
         keys = [cache_key(model, text) for text in texts]
-        pending: dict[str, str] = {}
-        for key, text in zip(keys, texts):
-            if key not in self.cache and key not in pending:
-                pending[key] = text
+        pending = {key: text for key, text in zip(keys, texts) if key not in self.cache}
         fresh_keys = list(pending)
         for start in range(0, len(fresh_keys), _EMBED_API_BATCH):
             chunk_keys = fresh_keys[start : start + _EMBED_API_BATCH]
             chunk_texts = [pending[k] for k in chunk_keys]
             raw = self._with_retries(lambda ct=chunk_texts: self.transport.embed(model, ct), "embed")
-            for key, vector in zip(chunk_keys, raw):
-                self.cache.put(key, tuple(vector))
-        result = []
-        dimension: int | None = None
-        for key, text in zip(keys, texts):
-            vector = self.cache.get(key)
-            if vector is None:
-                raise MalformedResponseError(f"no embedding produced for text starting {text[:40]!r}")
-            if dimension is None:
-                dimension = len(vector)
-            elif len(vector) != dimension:
-                raise MalformedResponseError(f"embedding dimensions differ within batch: {dimension} vs {len(vector)}")
-            result.append(EmbeddingVector(vector))
-        return result
+            self.cache.put(dict(zip(chunk_keys, _checked_embeddings(raw, len(chunk_keys)).tolist())))
+        rows = [self.cache.get(key) for key in keys]
+        widths = sorted({len(row) for row in rows})
+        if len(widths) > 1:
+            raise MalformedResponseError(f"embedding dimensions differ within batch: {widths}")
+        return np.array(rows, dtype=np.float64).reshape(len(rows), widths[0] if widths else 0)

@@ -91,7 +91,6 @@ class HashingEmbeddingTransport:
             raise ValueError("dimension must be >= 2")
         self.dimension = dimension
         self.ngram = ngram
-        self.embed_calls = 0
 
     def _vector(self, text: str) -> list[float]:
         vec = [0.0] * self.dimension
@@ -112,5 +111,4 @@ class HashingEmbeddingTransport:
         raise ClientError("hashing transport does not support chat")
 
     def embed(self, model: str, texts: Sequence[str]) -> list[list[float]]:
-        self.embed_calls += 1
         return [self._vector(text) for text in texts]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -46,25 +45,6 @@ class ChatRequest:
             raise ValueError(f"temperature {self.temperature} outside [0, 2]")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A fixed-length dense vector; all components finite."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        if not values:
-            raise ValueError("embedding vector must be non-empty")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("embedding vector contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,18 @@ def load_config(path: Path | str) -> PipelineConfig:
     return config_from_dict(raw, base)
 
 
+def _fields(data: dict, name: str) -> dict:
+    """A section's fields; a section left out or written as YAML null has none."""
+    section = data.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a mapping, not {type(section).__name__}")
+    return dict(section)
+
+
 def _section(name: str, build: Callable[..., T], data: dict) -> T:
-    """Build one config section; an unknown or invalid field raises ConfigError naming the section.
+    """Build one config section; a bad field or an unreadable template file raises ConfigError naming the section.
 
     A ConfigError from the section itself already names its field and passes unchanged.
     """
@@ -182,8 +192,22 @@ def _section(name: str, build: Callable[..., T], data: dict) -> T:
         return build(**data)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _generation(
+    positive_template_path: str | None = None, negative_template_path: str | None = None, **fields
+) -> GenerationConfig:
+    """The `generation` section; its prompt templates come only from the `*_template_path` files."""
+    inline = sorted({"positive_prompt_template", "negative_prompt_template"} & set(fields))
+    if inline:
+        raise ValueError(f"{', '.join(inline)} cannot be written inline; name a file with *_template_path")
+    return GenerationConfig(
+        positive_prompt_template=load_template(positive_template_path, POSITIVE_GENERATION_TEMPLATE),
+        negative_prompt_template=load_template(negative_template_path, NEGATIVE_GENERATION_TEMPLATE),
+        **fields,
+    )
 
 
 def _evaluation(instruction_template_path: str | None = None, max_output_tokens: int = 512) -> dict:
@@ -205,32 +229,31 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
     if "output_dir" not in data:
         raise ConfigError("output_dir is required")
 
-    corpus = dict(data.get("corpus", {}))
+    corpus = _fields(data, "corpus")
     corpus["documents"] = tuple(_resolve(base, doc) for doc in corpus.get("documents", []))
     for key in ("pool_path", "test_path"):
         corpus[key] = _resolve(base, corpus.get(key))
 
     generation = None
     if data.get("generation") is not None:
-        section = dict(data["generation"])
-        for kind, default in (("positive", POSITIVE_GENERATION_TEMPLATE), ("negative", NEGATIVE_GENERATION_TEMPLATE)):
-            path = _resolve(base, section.pop(f"{kind}_template_path", None))
-            section[f"{kind}_prompt_template"] = load_template(path, default)
-        generation = _section("generation", GenerationConfig, section)
+        section = _fields(data, "generation")
+        for key in ("positive_template_path", "negative_template_path"):
+            section[key] = _resolve(base, section.get(key))
+        generation = _section("generation", _generation, section)
 
-    projection = dict(data.get("projection", {}))
+    projection = _fields(data, "projection")
     projection["precomputed_path"] = _resolve(base, projection.get("precomputed_path"))
 
-    ga = dict(data.get("ga", {}))
+    ga = _fields(data, "ga")
     if "lambda" in ga:
         ga["lambda_"] = ga.pop("lambda")
 
-    client = dict(data.get("client", {}))
+    client = _fields(data, "client")
     top = {key: data[key] for key in ("seed", "fitness_mode", "pool_sizes", "baseline_draws") if key in data}
     top.update((key, client.pop(key)) for key in ("chat_model", "embedding_model") if key in client)
     top["embedding_cache"] = _resolve(base, client.pop("embedding_cache", None))
 
-    evaluation = dict(data.get("evaluation", {}))
+    evaluation = _fields(data, "evaluation")
     evaluation["instruction_template_path"] = _resolve(base, evaluation.get("instruction_template_path"))
 
     return _section(
@@ -242,7 +265,7 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
             corpus=_section("corpus", CorpusConfig, corpus),
             generation=generation,
             projection=_section("projection", ProjectionConfig, projection),
-            clustering=_section("clustering", ClusteringParams, data.get("clustering", {})),
+            clustering=_section("clustering", ClusteringParams, _fields(data, "clustering")),
             ga=_section("ga", GAConfig, ga),
             transport=_section("client", TransportConfig, client),
             **_section("evaluation", _evaluation, evaluation),

@@ -47,7 +47,7 @@ from exsel.pipeline.config import MODE_LLM, MODE_SURROGATE, ConfigError, Pipelin
 from exsel.pipeline.manifest import RunManifest
 from exsel.reduce.density import cluster
 from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
-from exsel.reduce.projection import METHOD_PRECOMPUTED, load_precomputed, project
+from exsel.reduce.projection import METHOD_PRECOMPUTED, ProjectionError, load_precomputed, project
 from exsel.seeding import derive_seed
 
 STAGES = ("pool", "project", "cluster", "pools", "select", "report")
@@ -166,14 +166,19 @@ def _project_run(state: RunState) -> list[Path]:
     out = state.root / "reduce"
     out.mkdir(parents=True, exist_ok=True)
     if cfg.projection.method == METHOD_PRECOMPUTED:
-        # imported vectors replace embeddings entirely; validate count and
-        # width without spending embedding calls
-        placeholder = np.zeros((len(state.candidates), cfg.projection.target_dimension))
-        state.projected = project(placeholder, cfg.projection)
+        # imported vectors replace embedding and projection; no embedding call is made
+        state.projected = load_precomputed(cfg.projection.precomputed_path)
+        rows, width = state.projected.shape
+        if rows != len(state.candidates):
+            raise ProjectionError(f"precomputed file has {rows} rows for {len(state.candidates)} candidates")
+        if width != cfg.projection.target_dimension:
+            raise ProjectionError(
+                f"precomputed vectors have dimension {width}, expected {cfg.projection.target_dimension}"
+            )
     else:
         texts = [ex.text for ex in state.candidates]
-        vectors = state.embedding_client.embed_batch(state.embedding_model, texts)
-        state.projected = project(vectors, cfg.projection)
+        matrix = state.embedding_client.embed_batch(state.embedding_model, texts)
+        state.projected = project(matrix, cfg.projection)
     path = out / "projection.tsv"
     _write_matrix(path, state.projected)
     return [path]

@@ -1,11 +1,12 @@
 """Dimensionality reduction for embeddings.
 
 Two methods. `in-repo-linear` is a deterministic variance-maximizing
-linear map (center, SVD, keep the top directions); it is not a manifold
-method and makes no attempt to be one, it exists so the pipeline runs
-self-contained. `precomputed-import` loads vectors produced by any
-external projector (row order must match the examples file) and only
-validates count and dimension.
+linear map (center, SVD, keep the top directions), done by `project`;
+it is not a manifold method and makes no attempt to be one, it exists so
+the pipeline runs self-contained. `precomputed-import` replaces both
+embedding and projection with vectors produced by any external projector
+(row order must match the examples file): the runner reads them with
+`load_precomputed` and checks their count and dimension.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
-
-from exsel.llm.transport import EmbeddingVector
 
 METHOD_LINEAR = "in-repo-linear"
 METHOD_PRECOMPUTED = "precomputed-import"
@@ -40,16 +38,6 @@ class ProjectionConfig:
             raise ProjectionError("target_dimension must be >= 2")
         if self.method == METHOD_PRECOMPUTED and not self.precomputed_path:
             raise ProjectionError("precomputed-import requires precomputed_path")
-
-
-def _to_matrix(vectors: Sequence[EmbeddingVector] | np.ndarray) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        matrix = np.asarray(vectors, dtype=np.float64)
-    else:
-        matrix = np.array([v.values for v in vectors], dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise ProjectionError("need a non-empty 2-d array of vectors")
-    return matrix
 
 
 def load_precomputed(path: Path | str) -> np.ndarray:
@@ -76,23 +64,14 @@ def load_precomputed(path: Path | str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def project(vectors: Sequence[EmbeddingVector] | np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
-    """Map embeddings to cfg.target_dimension dimensions; rows stay aligned with input."""
-    matrix = _to_matrix(vectors)
+def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
+    """Map an (n, d) embedding matrix to cfg.target_dimension dimensions; rows stay aligned with input."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] == 0:
+        raise ProjectionError("need a non-empty 2-d array of vectors")
     n, dim = matrix.shape
     if cfg.target_dimension > dim:
         raise ProjectionError(f"target_dimension {cfg.target_dimension} exceeds input dimension {dim}")
-
-    if cfg.method == METHOD_PRECOMPUTED:
-        assert cfg.precomputed_path is not None
-        loaded = load_precomputed(cfg.precomputed_path)
-        if loaded.shape[0] != n:
-            raise ProjectionError(f"precomputed file has {loaded.shape[0]} rows for {n} inputs")
-        if loaded.shape[1] != cfg.target_dimension:
-            raise ProjectionError(
-                f"precomputed vectors have dimension {loaded.shape[1]}, expected {cfg.target_dimension}"
-            )
-        return loaded
 
     centered = matrix - matrix.mean(axis=0, keepdims=True)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)

@@ -83,6 +83,12 @@ def test_unset_env_var_is_config_error(tmp_path, small_pool_path, monkeypatch, c
     assert "EXSEL_MISSING" in capsys.readouterr().err
 
 
+def test_missing_template_file_is_config_error(tmp_path, small_pool_path, capsys):
+    config = write_config(tmp_path, small_pool_path, evaluation={"instruction_template_path": "missing.txt"})
+    assert cli.main(["run-all", "--config", str(config)]) == cli.EXIT_CONFIG
+    assert "evaluation" in capsys.readouterr().err
+
+
 def test_stage_failure_exit_code(tmp_path, small_pool_path):
     config = write_config(tmp_path, small_pool_path, projection={"target_dimension": 64})
     assert cli.main(["run-all", "--config", str(config)]) == cli.EXIT_STAGE

@@ -3,6 +3,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from exsel.llm import (
@@ -28,6 +29,21 @@ REQ = ChatRequest(model="m", system_prompt="s", user_prompt="u")
 def make_client(transport, config=CFG, **kw):
     kw.setdefault("sleep", lambda _: None)
     return LLMClient(transport, config, **kw)
+
+
+class ScriptedEmbeddings:
+    """Embedding service that answers every call with one fixed reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.embed_calls = 0
+
+    def complete(self, request):
+        raise ClientError("no chat here")
+
+    def embed(self, model, texts):
+        self.embed_calls += 1
+        return self.reply
 
 
 class TestChatRequest:
@@ -82,21 +98,21 @@ class TestChatRetries:
 class TestEmbedBatch:
     def test_empty_input(self):
         client = make_client(MockTransport())
-        assert client.embed_batch("e", []) == []
+        assert client.embed_batch("e", []).shape == (0, 0)
 
     def test_repeated_text_costs_one_call(self):
         transport = MockTransport(embed_fn=lambda text: [float(len(text)), 0.0])
         client = make_client(transport)
         vectors = client.embed_batch("e", ["a", "a"])
         assert transport.embed_calls == 1
-        assert vectors[0] == vectors[1]
-        assert vectors[0].dimension == 2
+        assert np.array_equal(vectors[0], vectors[1])
+        assert vectors.shape == (2, 2)
 
     def test_order_preserving(self):
         transport = MockTransport(embed_fn=lambda text: [float(len(text)), 1.0])
         client = make_client(transport)
         vectors = client.embed_batch("e", ["a", "abc", "ab"])
-        assert [v.values[0] for v in vectors] == [1.0, 3.0, 2.0]
+        assert vectors[:, 0].tolist() == [1.0, 3.0, 2.0]
 
     def test_dimension_mismatch_rejected(self):
         transport = MockTransport(embed_fn=lambda text: [0.0] * len(text))
@@ -114,8 +130,8 @@ class TestEmbedBatch:
         a, b = ["aa", "b"], ["ccc", "d"]
         joint = make_client(MockTransport(embed_fn=fn)).embed_batch("e", a + b)
         client = make_client(MockTransport(embed_fn=fn))
-        split = client.embed_batch("e", a) + client.embed_batch("e", b)
-        assert joint == split
+        split = np.vstack([client.embed_batch("e", a), client.embed_batch("e", b)])
+        assert np.array_equal(joint, split)
 
     def test_cache_persists_between_clients(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -125,7 +141,37 @@ class TestEmbedBatch:
         second = MockTransport(embed_fn=lambda text: [9.0, 9.0])
         vectors = make_client(second, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
         assert second.embed_calls == 0
-        assert vectors[0].values == (1.0, 2.0)
+        assert vectors[0].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [[[float("nan"), 1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0]], [[1.0, 0.0]]],
+        ids=["nan", "ragged", "row-too-few"],
+    )
+    def test_malformed_reply_never_reaches_the_cache(self, tmp_path, reply):
+        path = tmp_path / "embeddings.jsonl"
+        with pytest.raises(MalformedResponseError):
+            make_client(ScriptedEmbeddings(reply), embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
+        assert not path.exists() or path.read_bytes() == b""
+        healthy = ScriptedEmbeddings([[0.6, 0.8], [1.0, 0.0]])
+        matrix = make_client(healthy, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
+        assert healthy.embed_calls == 1
+        assert matrix.tolist() == [[0.6, 0.8], [1.0, 0.0]]
+
+    def test_non_finite_or_empty_record_on_disk_is_fetched_again(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        records = [
+            {"key": cache_key("e", "x"), "vector": [float("nan"), 1.0]},
+            {"key": cache_key("e", "y"), "vector": []},
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        cache = EmbeddingCache(path)
+        assert len(cache) == 0
+        healthy = ScriptedEmbeddings([[0.6, 0.8], [1.0, 0.0]])
+        matrix = make_client(healthy, embedding_cache=cache).embed_batch("e", ["x", "y"])
+        assert healthy.embed_calls == 1
+        assert matrix.tolist() == [[0.6, 0.8], [1.0, 0.0]]
+        assert EmbeddingCache(path).get(cache_key("e", "x")) == (0.6, 0.8)
 
     def test_cache_key_depends_on_model(self):
         assert cache_key("m1", "t") != cache_key("m2", "t")
@@ -141,14 +187,12 @@ class TestEmbedBatch:
     def test_put_after_truncated_last_line_survives_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        for key in "abc":
-            cache.put(key, (1.0, 2.0))
+        cache.put({key: (1.0, 2.0) for key in "abc"})
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:2]) + lines[2][:-7])  # a crash cut record "c" short
         cache = EmbeddingCache(path)
         assert "c" not in cache
-        cache.put("c", (3.0, 4.0))
-        cache.put("d", (5.0, 6.0))
+        cache.put({"c": (3.0, 4.0), "d": (5.0, 6.0)})
         reloaded = EmbeddingCache(path)
         assert {key: reloaded.get(key) for key in "abcd"} == {
             "a": (1.0, 2.0), "b": (1.0, 2.0), "c": (3.0, 4.0), "d": (5.0, 6.0),

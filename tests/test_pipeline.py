@@ -166,6 +166,12 @@ class TestConfig:
         ("ga", {"mu": 0}),
         ("client", {"max_in_flight": 0}),
         ("evaluation", {"max_output_tokens": 0}),
+        ("evaluation", {"instruction_template_path": "missing.txt"}),
+        ("generation", {"n_total": 10, "labels": ["term"], "positive_template_path": "missing.txt"}),
+        ("generation", {"n_total": 10, "labels": ["term"], "negative_template_path": "missing.txt"}),
+        ("generation", {"n_total": 10, "labels": ["term"], "positive_prompt_template": "MINE {labels}"}),
+        ("generation", {"n_total": 10, "labels": ["term"], "negative_prompt_template": "MINE {labels}"}),
+        ("ga", 5),
     ],
 )
 @pytest.mark.parametrize("kind", ["bad-value", "unknown-field"])
@@ -174,6 +180,22 @@ def test_config_error_names_its_section(tmp_path, small_pool_path, section, bad,
     path = write_config(tmp_path, small_pool_path, **{section: fields})
     with pytest.raises(ConfigError, match=rf"^{section}\b"):
         load_config(path)
+
+
+@pytest.mark.parametrize("section", ["corpus", "generation", "projection", "clustering", "ga", "client", "evaluation"])
+def test_null_section_loads_as_if_absent(tmp_path, small_pool_path, section):
+    absent = surrogate_config_payload(small_pool_path, tmp_path / "run")
+    absent.pop(section, None)
+    paths = [
+        write_yaml_config(tmp_path / "absent.yaml", absent),
+        write_yaml_config(tmp_path / "null.yaml", {**absent, section: None}),
+    ]
+    if section == "corpus":  # surrogate mode needs corpus.pool_path, so both fail alike
+        for path in paths:
+            with pytest.raises(ConfigError, match="^corpus needs"):
+                load_config(path)
+    else:
+        assert load_config(paths[1]).config_hash() == load_config(paths[0]).config_hash()
 
 
 class TestManifest:
@@ -359,6 +381,32 @@ def test_trace_and_projection_artifacts_round_trip(tmp_path):
     loaded = load_precomputed(tmp_path / "projection.tsv")
     assert loaded.shape == matrix.shape
     assert loaded.tobytes() == matrix.tobytes()
+
+
+def test_embedding_cache_bytes_are_pinned(tmp_path, small_pool_path):
+    # the hashing embedder is pure Python, so these bytes are the same on every platform
+    cfg = load_config(write_config(tmp_path, small_pool_path))
+    run_pipeline(cfg, through="project")
+    digest = file_sha256(Path(cfg.output_dir) / "cache" / "embeddings.jsonl")
+    assert digest == "f6cefc01bc2b0e9a84ce81a3ecd58657c052c42618e53555ab995feaf82e7190"
+
+
+def test_imported_projection_run_makes_no_embed_calls(tmp_path, small_pool_path):
+    embedded = load_config(
+        write_config(tmp_path, small_pool_path, name="embedded.yaml", output_dir=str(tmp_path / "embedded"))
+    )
+    run_pipeline(embedded, through="project")
+    vectors = Path(embedded.output_dir) / "reduce" / "projection.tsv"
+    projection = {"method": "precomputed-import", "precomputed_path": str(vectors), "target_dimension": 20}
+    cfg = load_config(write_config(tmp_path, small_pool_path, projection=projection))
+    transport = MockTransport()
+    state = run_pipeline(cfg, transport=transport)
+    assert state.executed == list(STAGES)
+    assert (transport.embed_calls, transport.chat_calls) == (0, 0)
+    imported = load_precomputed(vectors)
+    written = load_precomputed(Path(cfg.output_dir) / "reduce" / "projection.tsv")
+    assert written.shape == imported.shape
+    assert written.tobytes() == imported.tobytes()
 
 
 class EchoService:

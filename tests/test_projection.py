@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from exsel.llm.transport import EmbeddingVector
+from conftest import make_topic_examples, surrogate_config_payload, write_yaml_config
+from exsel.corpus import save_examples
+from exsel.llm.mock import MockTransport
+from exsel.pipeline import PipelineError, load_config, run_pipeline
 from exsel.reduce.projection import (
     METHOD_LINEAR,
     METHOD_PRECOMPUTED,
@@ -17,6 +20,29 @@ from exsel.reduce.projection import (
 def pairwise(matrix):
     diff = matrix[:, None, :] - matrix[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
+
+
+def import_projection(tmp_path, vectors: str, n_candidates: int):
+    """Run surrogate mode through the project stage, importing `vectors` as 2-d projections.
+
+    The pool holds `n_candidates` examples and no validation split; no embedding call may be made.
+    """
+    pool = tmp_path / "pool.jsonl"
+    save_examples(make_topic_examples(1, n_candidates, seed=3), pool)
+    path = tmp_path / "proj.txt"
+    path.write_text(vectors, encoding="utf-8")
+    payload = surrogate_config_payload(
+        pool,
+        tmp_path / "run",
+        corpus={"n_validation": 0},
+        projection={"method": METHOD_PRECOMPUTED, "target_dimension": 2, "precomputed_path": str(path)},
+    )
+    cfg = load_config(write_yaml_config(tmp_path / "config.yaml", payload))
+    transport = MockTransport()
+    try:
+        return run_pipeline(cfg, through="project", transport=transport)
+    finally:
+        assert transport.embed_calls == 0
 
 
 class TestLinear:
@@ -52,11 +78,6 @@ class TestLinear:
         with pytest.raises(ProjectionError):
             project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
 
-    def test_accepts_embedding_vectors(self):
-        vectors = [EmbeddingVector((1.0, 0.0, 0.0)), EmbeddingVector((0.0, 1.0, 0.0))]
-        out = project(vectors, ProjectionConfig(method=METHOD_LINEAR, target_dimension=2))
-        assert out.shape == (2, 2)
-
     def test_more_dimensions_than_rows_pads_with_zeros(self):
         data = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
@@ -66,25 +87,18 @@ class TestLinear:
 
 class TestPrecomputed:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "proj.txt"
-        path.write_text("1.0 2.0\n3.0 4.0\n", encoding="utf-8")
-        cfg = ProjectionConfig(method=METHOD_PRECOMPUTED, target_dimension=2, precomputed_path=str(path))
-        out = project(np.zeros((2, 8)), cfg)
-        assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+        state = import_projection(tmp_path, "1.0 2.0\n3.0 4.0\n", n_candidates=2)
+        assert np.array_equal(state.projected, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_count_mismatch(self, tmp_path):
-        path = tmp_path / "proj.txt"
-        path.write_text("\n".join("1.0 2.0" for _ in range(10)) + "\n", encoding="utf-8")
-        cfg = ProjectionConfig(method=METHOD_PRECOMPUTED, target_dimension=2, precomputed_path=str(path))
-        with pytest.raises(ProjectionError, match="10 rows for 9"):
-            project(np.zeros((9, 8)), cfg)
+        with pytest.raises(PipelineError, match="stage project failed: .*10 rows for 9") as info:
+            import_projection(tmp_path, "1.0 2.0\n" * 10, n_candidates=9)
+        assert isinstance(info.value.__cause__, ProjectionError)
 
     def test_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "proj.txt"
-        path.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n", encoding="utf-8")
-        cfg = ProjectionConfig(method=METHOD_PRECOMPUTED, target_dimension=2, precomputed_path=str(path))
-        with pytest.raises(ProjectionError, match="dimension"):
-            project(np.zeros((2, 8)), cfg)
+        with pytest.raises(PipelineError, match="stage project failed: .*dimension 3, expected 2") as info:
+            import_projection(tmp_path, "1.0 2.0 3.0\n4.0 5.0 6.0\n", n_candidates=2)
+        assert isinstance(info.value.__cause__, ProjectionError)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "proj.txt"
