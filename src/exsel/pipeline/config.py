@@ -88,8 +88,9 @@ class PipelineConfig:
             raise ConfigError(f"fitness_mode must be surrogate or llm, got {self.fitness_mode!r}")
         if not self.pool_sizes:
             raise ConfigError("pool_sizes must list at least one k")
-        if any(k < 1 for k in self.pool_sizes):
-            raise ConfigError("pool sizes must be >= 1")
+        short = [k for k in self.pool_sizes if k < self.ga.genome_length]
+        if short:
+            raise ConfigError(f"pool_sizes {short} cannot fill a genome of ga.genome_length {self.ga.genome_length}")
         if len(set(self.pool_sizes)) != len(self.pool_sizes):
             raise ConfigError("pool_sizes contains duplicates")
         if self.baseline_draws < 1:
@@ -210,6 +211,13 @@ def _generation(
     )
 
 
+def _ga(seed: int = 0, **fields) -> GAConfig:
+    """The `ga` section; the GA's seed is derived from the top-level seed for each k, so none is set here."""
+    if int(seed) != 0:
+        raise ValueError(f"seed {seed} would be ignored; each k's GA seed is derived from the top-level seed")
+    return GAConfig(**fields)
+
+
 def _evaluation(instruction_template_path: str | None = None, max_output_tokens: int = 512) -> dict:
     """The `evaluation` section as PipelineConfig fields."""
     return {
@@ -266,7 +274,7 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
             generation=generation,
             projection=_section("projection", ProjectionConfig, projection),
             clustering=_section("clustering", ClusteringParams, _fields(data, "clustering")),
-            ga=_section("ga", GAConfig, ga),
+            ga=_section("ga", _ga, ga),
             transport=_section("client", TransportConfig, client),
             **_section("evaluation", _evaluation, evaluation),
         ),

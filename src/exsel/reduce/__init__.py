@@ -1,7 +1,7 @@
 """Reduce stage: projection, density clustering, noise filtering, pool building."""
 
-from exsel.reduce.density import ClusteringParams, cluster
-from exsel.reduce.pooling import NOISE, ClusteredPool, build_pool, filter_noise
+from exsel.reduce.density import NOISE, ClusteringParams, cluster
+from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
 from exsel.reduce.projection import ProjectionConfig, load_precomputed, project
 
 __all__ = [

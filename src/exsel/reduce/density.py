@@ -1,9 +1,12 @@
 """Density-based clustering with noise, in the HDBSCAN family.
 
 Pipeline: core distances -> mutual reachability -> minimum spanning tree
--> single-linkage hierarchy -> condensed tree (clusters below the
-minimum size dissolve into point fall-outs) -> leaf cluster selection
-with an epsilon merge threshold -> labels with noise as -1.
+-> single-linkage hierarchy -> condensed tree of clusters only (a side
+below the minimum size is dropped, and its points fall out of the
+cluster without a row of their own) -> leaf cluster selection with an
+epsilon merge threshold -> labels with noise as -1. A selected
+cluster's members are the points under the linkage node where it
+starts.
 
 Conventions, fixed for determinism:
   - Euclidean metric.
@@ -12,8 +15,8 @@ Conventions, fixed for determinism:
     mutual reachability collapse to the raw metric.
   - Leaf selection only; the hierarchy root is never a cluster, so an
     all-noise result is possible and valid.
-  - Cluster labels are dense ints assigned by ascending hierarchy node
-    id; noise is -1.
+  - Cluster labels are dense ints assigned by ascending condensed
+    cluster id; noise is -1.
 
 Memory stays O(n): mutual-reachability rows are produced on demand
 inside Prim's algorithm instead of materializing the n x n matrix.
@@ -149,84 +152,52 @@ def _subtree_points(linkage: list[tuple[int, int, float, int]], n: int, node: in
 
 def condense_tree(
     linkage: list[tuple[int, int, float, int]], n: int, min_cluster_size: int
-) -> list[tuple[int, int, float, int]]:
-    """Rewrite the dendrogram top-down into (parent, child, lambda, child_size) rows.
+) -> tuple[list[tuple[int, int, float, int]], dict[int, int]]:
+    """Rewrite the dendrogram top-down into cluster rows (parent, child, lambda, child_size).
 
     lambda = 1/merge-distance. A split keeps both sides as clusters only
-    when both have at least min_cluster_size points; smaller sides
-    dissolve into per-point fall-out rows; a one-sided split continues
-    the parent cluster through the large side. Cluster node ids start at
-    n (the root) and grow in traversal order.
+    when both have at least min_cluster_size points; a one-sided split
+    continues the parent cluster through the large side, and a side below
+    the minimum size is dropped: its points fall out of the cluster and
+    get no row. Cluster ids start at n (the root) and grow in traversal
+    order. Also returns start[c], the linkage node where cluster c begins;
+    the points under it are exactly c's members.
     """
     if not linkage:
-        return []
+        return [], {}
     root = n + len(linkage) - 1
-    relabel: dict[int, int] = {root: n}
+    start = {n: root}
     next_label = n + 1
-    ignore: set[int] = set()
     rows: list[tuple[int, int, float, int]] = []
-    queue: deque[int] = deque([root])
+    queue: deque[tuple[int, int]] = deque([(root, n)])
     while queue:
-        node = queue.popleft()
-        if node in ignore or node < n:
-            continue
+        node, label = queue.popleft()
         left, right, distance, _ = linkage[node - n]
         lam = 1.0 / distance if distance > 0.0 else math.inf
-        left_count = 1 if left < n else linkage[left - n][3]
-        right_count = 1 if right < n else linkage[right - n][3]
-        label = relabel[node]
-
-        if left_count >= min_cluster_size and right_count >= min_cluster_size:
-            relabel[left] = next_label
-            next_label += 1
-            rows.append((label, relabel[left], lam, left_count))
-            relabel[right] = next_label
-            next_label += 1
-            rows.append((label, relabel[right], lam, right_count))
-            queue.append(left)
-            queue.append(right)
-        elif left_count < min_cluster_size and right_count < min_cluster_size:
-            for point in _subtree_points(linkage, n, left):
-                rows.append((label, point, lam, 1))
-            for point in _subtree_points(linkage, n, right):
-                rows.append((label, point, lam, 1))
-            ignore.add(left)
-            ignore.add(right)
-        elif left_count < min_cluster_size:
-            relabel[right] = label
-            for point in _subtree_points(linkage, n, left):
-                rows.append((label, point, lam, 1))
-            ignore.add(left)
-            queue.append(right)
-        else:
-            relabel[left] = label
-            for point in _subtree_points(linkage, n, right):
-                rows.append((label, point, lam, 1))
-            ignore.add(right)
-            queue.append(left)
-    return rows
+        sides = [(child, 1 if child < n else linkage[child - n][3]) for child in (left, right)]
+        big = [(child, count) for child, count in sides if count >= min_cluster_size]
+        if len(big) == 2:
+            for child, count in big:
+                start[next_label] = child
+                rows.append((label, next_label, lam, count))
+                queue.append((child, next_label))
+                next_label += 1
+        elif big:
+            queue.append((big[0][0], label))
+    return rows, start
 
 
-def _cluster_rows(condensed: list[tuple[int, int, float, int]]) -> list[tuple[int, int, float, int]]:
-    return [row for row in condensed if row[3] > 1]
-
-
-def _select_leaves_with_epsilon(
-    condensed: list[tuple[int, int, float, int]], n: int, epsilon: float
-) -> set[int]:
+def _select_leaves_with_epsilon(rows: list[tuple[int, int, float, int]], n: int, epsilon: float) -> set[int]:
     """Leaf clusters, except leaves born below the epsilon scale, which are
     replaced by their first ancestor whose own birth scale clears it."""
-    clusters = _cluster_rows(condensed)
-    parent_of = {child: parent for parent, child, _, _ in clusters}
+    parent_of = {child: parent for parent, child, _, _ in rows}
     children_of: dict[int, list[int]] = {}
-    for parent, child, _, _ in clusters:
+    for parent, child, _, _ in rows:
         children_of.setdefault(parent, []).append(child)
     leaves = sorted(parent_of.keys() - children_of.keys())
     if epsilon <= 0.0:
         return set(leaves)
-    birth_eps = {
-        child: 1.0 / lam if lam > 0 and not math.isinf(lam) else 0.0 for _, child, lam, _ in clusters
-    }
+    birth_eps = {child: 1.0 / lam if lam > 0 and not math.isinf(lam) else 0.0 for _, child, lam, _ in rows}
     root = n
     selected: set[int] = set()
     absorbed: set[int] = set()
@@ -255,25 +226,6 @@ def _select_leaves_with_epsilon(
     return selected
 
 
-def _label_points(
-    condensed: list[tuple[int, int, float, int]], n: int, selected: set[int]
-) -> np.ndarray:
-    labels = np.full(n, NOISE, dtype=np.int64)
-    if not condensed or not selected:
-        return labels
-    max_node = max(max(row[0], row[1]) for row in condensed)
-    uf = _UnionFind(max_node + 1)
-    for parent, child, _, _ in condensed:
-        if child not in selected:
-            uf.union(child, parent)
-    dense = {node: i for i, node in enumerate(sorted(selected))}
-    for point in range(n):
-        root = uf.find(point)
-        if root in dense:
-            labels[point] = dense[root]
-    return labels
-
-
 def cluster(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     """Cluster rows of `points`; returns per-row labels with noise as -1.
 
@@ -288,9 +240,13 @@ def cluster(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     core = core_distances(points, params.min_samples)
     edges = mutual_reachability_mst(points, core)
     linkage = single_linkage(edges, n)
-    condensed = condense_tree(linkage, n, params.min_cluster_size)
+    rows, start = condense_tree(linkage, n, params.min_cluster_size)
     # Selected clusters never nest: a child's birth distance is at most its
-    # parent's and siblings share one. So every label keeps a whole condensed
-    # cluster of at least min_cluster_size points, and ids come out dense.
-    selected = _select_leaves_with_epsilon(condensed, n, params.cluster_selection_epsilon)
-    return _label_points(condensed, n, selected)
+    # parent's and siblings share one. So each point gets at most one label,
+    # every label keeps a whole condensed cluster of at least
+    # min_cluster_size points, and ids come out dense.
+    selected = _select_leaves_with_epsilon(rows, n, params.cluster_selection_epsilon)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    for label, cluster_id in enumerate(sorted(selected)):
+        labels[_subtree_points(linkage, n, start[cluster_id])] = label
+    return labels

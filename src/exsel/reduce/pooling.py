@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from exsel.corpus import Example
-
-NOISE = -1
+from exsel.reduce.density import NOISE
 
 
 def _densify(labels: Iterable[int]) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ distance threshold (exactly what a single-linkage dendrogram cut
 yields).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from exsel.reduce.density import (
     ClusteringParams,
+    _subtree_points,
     cluster,
     condense_tree,
     core_distances,
@@ -161,11 +163,14 @@ class TestCondenseTree:
         # the root splits into two clusters of two.
         points = np.array([[0.0], [0.1], [10.0], [10.1]])
         edges = mutual_reachability_mst(points, core_distances(points, 1))
-        rows = condense_tree(single_linkage(edges, 4), 4, 2)
+        linkage = single_linkage(edges, 4)
+        rows, start = condense_tree(linkage, 4, 2)
         cluster_rows = [r for r in rows if r[3] > 1]
         assert len(cluster_rows) == 2
         assert all(parent == 4 for parent, _, _, _ in cluster_rows)
         assert sorted(size for _, _, _, size in cluster_rows) == [2, 2]
+        members = sorted(sorted(_subtree_points(linkage, 4, start[child])) for _, child, _, _ in cluster_rows)
+        assert members == [[0, 1], [2, 3]]
 
 
 class TestCluster:
@@ -224,6 +229,39 @@ class TestCluster:
         labels = cluster(points, ClusteringParams(min_cluster_size=10, min_samples=3))
         for cid in set(labels.tolist()) - {-1}:
             assert (labels == cid).sum() >= 10
+
+
+PARAM_GRID = [
+    ClusteringParams(min_cluster_size=mcs, min_samples=ms, cluster_selection_epsilon=eps)
+    for mcs in (2, 3, 5, 9)
+    for ms in (1, 2, 3)
+    for eps in (0.0, 0.1, 0.18, 0.5, 2.0)
+]
+
+
+def integer_inputs():
+    """Four seeded integer-coordinate point sets per parameter set: 2-d and
+    3-d grids full of duplicates and ties, and 2-d and 3-d integer blobs."""
+    for seed in range(4 * len(PARAM_GRID)):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 60))
+        kind, dim = seed % 4, 2 + seed % 2
+        if kind < 2:
+            points = rng.integers(0, 4 if dim == 2 else 3, size=(n, dim))
+        else:
+            centers = rng.integers(-40, 41, size=(int(rng.integers(2, 6)), dim))
+            points = centers[rng.integers(0, len(centers), size=n)] + rng.integers(-2, 3, size=(n, dim))
+        yield points.astype(np.float64), PARAM_GRID[seed // 4]
+
+
+def test_labels_are_pinned_on_integer_inputs():
+    # Every distance between integer points is the square root of an exact
+    # integer, so the labels, and this digest, do not depend on the platform.
+    # The digest came from the union-find labeller over per-point fall-out
+    # rows, so it also pins that subtree labelling assigns the same labels.
+    labels = [cluster(points, params) for points, params in integer_inputs()]
+    digest = hashlib.sha256(b"".join(lab.astype("<i8").tobytes() for lab in labels)).hexdigest()
+    assert digest == "33509be414bd4cb4adb941f01f9017578d059efba18792382562af9ffcd2e4eb"
 
 
 @settings(max_examples=60, deadline=None)

@@ -116,6 +116,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicates"):
             load_config(path)
 
+    def test_pool_size_below_genome_length_rejected(self, tmp_path, small_pool_path):
+        path = write_config(tmp_path, small_pool_path, pool_sizes=[40, 3])
+        with pytest.raises(ConfigError, match=r"^pool_sizes \[3\].*genome_length 5"):
+            load_config(path)
+
     def test_hash_ignores_output_dir_but_not_seed(self, tmp_path, small_pool_path):
         base = load_config(write_config(tmp_path, small_pool_path))
         moved = dataclasses.replace(base, output_dir=str(tmp_path / "other"))
@@ -172,6 +177,7 @@ class TestConfig:
         ("generation", {"n_total": 10, "labels": ["term"], "positive_prompt_template": "MINE {labels}"}),
         ("generation", {"n_total": 10, "labels": ["term"], "negative_prompt_template": "MINE {labels}"}),
         ("ga", 5),
+        ("ga", {"seed": 12345}),
     ],
 )
 @pytest.mark.parametrize("kind", ["bad-value", "unknown-field"])
