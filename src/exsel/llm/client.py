@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from exsel.llm.cache import EmbeddingCache, cache_key
 from exsel.llm.transport import (
@@ -46,6 +45,8 @@ class HttpTransport:
     """OpenAI-compatible REST adapter: POST chat/completions and embeddings."""
 
     def __init__(self, config: TransportConfig) -> None:
+        import requests  # imported here so runs that never speak HTTP do not pay for it
+
         self.config = config
         self._session = requests.Session()
 
@@ -57,6 +58,8 @@ class HttpTransport:
         return headers
 
     def _post(self, route: str, body: dict) -> dict:
+        import requests
+
         url = self.config.endpoint_url.rstrip("/") + route
         try:
             response = self._session.post(

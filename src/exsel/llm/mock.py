@@ -80,26 +80,38 @@ class MockTransport:
 class HashingEmbeddingTransport:
     """Deterministic text embeddings via character n-gram feature hashing.
 
-    No model behind it: each 3-gram of the lowercased text hashes to a
-    coordinate and a sign, and the sum is L2-normalized. Texts sharing
-    vocabulary land near each other, which is all the clustering stage
-    needs for offline end-to-end runs.
+    No model behind it: each n-gram (3 by default) of the lowercased
+    text hashes to a coordinate and a sign, and the sum is L2-normalized.
+    Texts sharing vocabulary land near each other, which is all the
+    clustering stage needs for offline end-to-end runs. Each instance
+    memoises the (coordinate, sign) of every n-gram it has hashed; the
+    vocabulary of n-grams is small, so the memo stays small.
     """
 
     def __init__(self, dimension: int = 32, ngram: int = 3) -> None:
         if dimension < 2:
             raise ValueError("dimension must be >= 2")
+        if ngram < 1:
+            raise ValueError("ngram must be >= 1")
         self.dimension = dimension
         self.ngram = ngram
+        self._features: dict[str, tuple[int, float]] = {}
+
+    def _feature(self, gram: str) -> tuple[int, float]:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        bucket = int.from_bytes(digest[:4], "big") % self.dimension
+        return bucket, 1.0 if digest[4] & 1 else -1.0
 
     def _vector(self, text: str) -> list[float]:
         vec = [0.0] * self.dimension
         padded = f" {text.lower()} "
+        features = self._features
         for i in range(max(1, len(padded) - self.ngram + 1)):
             gram = padded[i : i + self.ngram]
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
+            feature = features.get(gram)
+            if feature is None:
+                feature = features[gram] = self._feature(gram)
+            bucket, sign = feature
             vec[bucket] += sign
         norm = math.sqrt(sum(v * v for v in vec))
         if norm == 0.0:

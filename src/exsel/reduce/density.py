@@ -18,8 +18,12 @@ Conventions, fixed for determinism:
   - Cluster labels are dense ints assigned by ascending condensed
     cluster id; noise is -1.
 
-Memory stays O(n): mutual-reachability rows are produced on demand
-inside Prim's algorithm instead of materializing the n x n matrix.
+Memory stays O(n) for a fixed dimension: the n x n mutual-reachability
+matrix is never built. Prim's algorithm computes one row per step, and
+only against the points not yet in the tree, in preallocated buffers
+the size of the input. Its edges are exactly those of Prim over full
+rows with ties to the lowest index; the tests keep that full-row loop
+as the reference.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 NOISE = -1
 
@@ -73,6 +76,8 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     k = min(min_samples, n) - 1
     if k <= 0:
         return np.zeros(n)
+    from scipy.spatial.distance import cdist  # imported here: min_samples=1 never needs scipy
+
     core = np.empty(n)
     rows_per_block = max(1, _CORE_CHUNK_FLOATS // n)
     for start in range(0, n, rows_per_block):
@@ -86,29 +91,52 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
 
     Returns n-1 edges (a, b, weight). Ties resolve to the lowest point
     index, so output is deterministic for a fixed input order.
+
+    The working arrays hold only points not yet in the tree, in
+    ascending index order, so each step costs one row against the points
+    still outside the tree. A point that joins the tree is marked dead
+    in place (best and core set to inf, so it never wins or updates) and
+    the arrays are compacted once dead slots exceed 1/16 of the live
+    ones. Every live entry is computed with the same element-wise
+    arithmetic as a full row, so the edges, their order and their
+    weights do not depend on when compaction happens.
     """
     n = points.shape[0]
     if n == 1:
         return []
-    in_tree = np.zeros(n, dtype=bool)
-    best_dist = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=np.int64)
+    ids = np.arange(1, n)
+    live = points[1:].copy()
+    live_core = core[1:].astype(np.float64)
+    best = np.full(n - 1, np.inf)
+    best_from = np.zeros(n - 1, dtype=np.int64)
+    delta_buf = np.empty_like(live)
+    reach_buf = np.empty(n - 1)
+    closer_buf = np.empty(n - 1, dtype=bool)
+    dead: list[int] = []
     current = 0
-    in_tree[0] = True
     edges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
-        delta = points - points[current]
-        row = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        reach = np.maximum(np.maximum(row, core), core[current])
-        reach[in_tree] = np.inf
-        closer = reach < best_dist
-        best_dist[closer] = reach[closer]
-        best_from[closer] = current
-        best_dist[in_tree] = np.inf
-        nxt = int(np.argmin(best_dist))
-        edges.append((int(best_from[nxt]), nxt, float(best_dist[nxt])))
-        in_tree[nxt] = True
-        current = nxt
+        m = len(ids)
+        delta = np.subtract(live, points[current], out=delta_buf[:m])
+        reach = np.einsum("ij,ij->i", delta, delta, out=reach_buf[:m])
+        np.sqrt(reach, out=reach)
+        np.maximum(reach, live_core, out=reach)
+        np.maximum(reach, core[current], out=reach)
+        closer = np.less(reach, best, out=closer_buf[:m])
+        np.copyto(best, reach, where=closer)
+        np.copyto(best_from, current, where=closer)
+        slot = int(np.argmin(best))
+        current = int(ids[slot])
+        edges.append((int(best_from[slot]), current, float(best[slot])))
+        best[slot] = np.inf
+        live_core[slot] = np.inf
+        dead.append(slot)
+        if 16 * len(dead) > m - len(dead):
+            keep = np.ones(m, dtype=bool)
+            keep[dead] = False
+            ids, live, live_core = ids[keep], live[keep], live_core[keep]
+            best, best_from = best[keep], best_from[keep]
+            dead.clear()
     return edges
 
 

@@ -64,6 +64,35 @@ def oracle_mst(points, min_samples):
     return edges
 
 
+def reference_prim(points, core):
+    """Prim over full rows: one distance row against all n points per step,
+    tree points masked to inf. Edges, order, orientation and float weights
+    are the exact target for mutual_reachability_mst."""
+    n = points.shape[0]
+    if n == 1:
+        return []
+    in_tree = np.zeros(n, dtype=bool)
+    best_dist = np.full(n, np.inf)
+    best_from = np.zeros(n, dtype=np.int64)
+    current = 0
+    in_tree[0] = True
+    edges = []
+    for _ in range(n - 1):
+        delta = points - points[current]
+        row = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        reach = np.maximum(np.maximum(row, core), core[current])
+        reach[in_tree] = np.inf
+        closer = reach < best_dist
+        best_dist[closer] = reach[closer]
+        best_from[closer] = current
+        best_dist[in_tree] = np.inf
+        nxt = int(np.argmin(best_dist))
+        edges.append((int(best_from[nxt]), nxt, float(best_dist[nxt])))
+        in_tree[nxt] = True
+        current = nxt
+    return edges
+
+
 def components_under_threshold(points, threshold):
     """Connected components of the graph with raw-distance edges < threshold."""
     n = len(points)
@@ -135,6 +164,35 @@ class TestMst:
             assert {frozenset((a, b)) for a, b, _ in mine} == {
                 frozenset((a, b)) for a, b, _ in theirs
             }
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 400),
+        st.integers(1, 6),
+        st.sampled_from(["gaussian", "integer-grid", "rounded-blobs"]),
+        st.integers(1, 5),
+    )
+    def test_edges_equal_full_row_prim(self, seed, n, dim, kind, ms):
+        # exact equality, ties included: the choice among equal-weight trees
+        # reaches the condensed tree, so the same weights are not enough
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            points = rng.normal(size=(n, dim))
+        elif kind == "integer-grid":
+            points = rng.integers(0, 4, size=(n, dim)).astype(np.float64)
+        else:
+            centers = rng.normal(scale=3.0, size=(4, dim))
+            points = np.round(centers[rng.integers(0, 4, size=n)] + rng.normal(scale=0.5, size=(n, dim)), 1)
+        core = core_distances(points, ms)
+        assert mutual_reachability_mst(points, core) == reference_prim(points, core)
+
+    def test_edges_equal_full_row_prim_at_3000_points(self):
+        rng = np.random.default_rng(17)
+        centers = rng.normal(scale=4.0, size=(10, 8))
+        points = np.round(centers[rng.integers(0, 10, size=3200)] + rng.normal(size=(3200, 8)), 1)
+        core = core_distances(points, 3)
+        assert mutual_reachability_mst(points, core) == reference_prim(points, core)
 
     def test_single_point(self):
         assert mutual_reachability_mst(np.zeros((1, 2)), np.zeros(1)) == []

@@ -289,6 +289,18 @@ class TestHttpTransport:
         with pytest.raises(MalformedResponseError):
             transport.embed("e", ["a", "b"])
 
+    def test_network_error_is_transient(self, monkeypatch):
+        import requests
+
+        transport = HttpTransport(TransportConfig(endpoint_url="http://svc/v1"))
+
+        def refused(url, json=None, headers=None, timeout=None):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(transport._session, "post", refused)
+        with pytest.raises(TransientServiceError, match="connection refused"):
+            transport.complete(REQ)
+
 
 class TestHashingEmbeddingTransport:
     def test_deterministic(self):
@@ -313,3 +325,26 @@ class TestHashingEmbeddingTransport:
     def test_chat_unsupported(self):
         with pytest.raises(ClientError):
             HashingEmbeddingTransport().complete(REQ)
+
+    @pytest.mark.parametrize("ngram", [0, -1])
+    def test_ngram_below_one_rejected(self, ngram):
+        with pytest.raises(ValueError, match="ngram"):
+            HashingEmbeddingTransport(ngram=ngram)
+
+    def test_instances_agree_whatever_each_has_seen(self):
+        texts = ["quarterly revenue rose", "the cat sat", "quarterly revenue fell"]
+        warm = HashingEmbeddingTransport(dimension=32)
+        warm.embed("e", list(reversed(texts)))
+        assert warm.embed("e", texts) == HashingEmbeddingTransport(dimension=32).embed("e", texts)
+
+    def test_repeated_text_gives_the_same_vector(self):
+        t = HashingEmbeddingTransport(dimension=16)
+        first, second = t.embed("e", ["repeat me", "repeat me"])
+        assert first == second == t.embed("e", ["repeat me"])[0]
+
+    def test_text_shorter_than_ngram(self):
+        # "a" pads to " a ", shorter than a 5-gram: one gram, the whole padded text
+        t = HashingEmbeddingTransport(dimension=16, ngram=5)
+        (vec,) = t.embed("e", ["a"])
+        assert sum(v * v for v in vec) == pytest.approx(1.0)
+        assert sorted(abs(v) for v in vec)[-1] == 1.0
