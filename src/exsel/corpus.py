@@ -47,8 +47,8 @@ class Example:
     provenance: str = PROVENANCE_SYNTHETIC
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise DatasetError("example id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise DatasetError(f"example id must be a non-empty string, got {self.id!r}")
         if not isinstance(self.text, str) or not self.text:
             raise DatasetError(f"example {self.id!r}: text must be a non-empty string")
         if self.provenance not in _PROVENANCES:

@@ -24,10 +24,7 @@ class Prediction:
     entities: Mapping[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        normalized = {
-            label: frozenset(v.strip() for v in values if v.strip())
-            for label, values in self.entities.items()
-        }
+        normalized = {label: _normalize(values) for label, values in self.entities.items()}
         object.__setattr__(self, "entities", {k: v for k, v in normalized.items() if v})
 
 
@@ -96,7 +93,7 @@ def score_example(gold: Example, prediction: Prediction) -> dict[str, Extraction
     counts: dict[str, ExtractionCounts] = {}
     for label in set(gold.entities) | set(prediction.entities):
         gold_values = _normalize(gold.entities.get(label, ()))
-        pred_values = _normalize(prediction.entities.get(label, ()))
+        pred_values = prediction.entities.get(label, frozenset())
         if not gold_values and not pred_values:
             continue
         tp = len(gold_values & pred_values)

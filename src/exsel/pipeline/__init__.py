@@ -10,7 +10,7 @@ from exsel.pipeline.config import (
     config_from_dict,
     load_config,
 )
-from exsel.pipeline.manifest import RunManifest, StageRecord, file_sha256
+from exsel.pipeline.manifest import RunManifest, file_sha256
 from exsel.pipeline.runner import STAGES, PipelineError, RunState, run_baselines, run_pipeline
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "RunManifest",
     "RunState",
     "STAGES",
-    "StageRecord",
     "baseline_random",
     "config_from_dict",
     "file_sha256",

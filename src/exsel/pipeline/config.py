@@ -9,9 +9,6 @@ independently reproducible.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -123,16 +120,6 @@ class PipelineConfig:
             if candidate:
                 paths.append(candidate)
         return paths
-
-    def snapshot(self) -> dict:
-        """Config as plain data, used for hashing and for the manifest."""
-        raw = dataclasses.asdict(self)
-        raw.pop("output_dir")
-        return raw
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.snapshot(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _interpolate_env(node: object) -> object:

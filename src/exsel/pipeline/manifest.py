@@ -1,8 +1,11 @@
-"""Run manifest: records which stages completed and what they produced.
+"""Run manifest: the key each stage last ran under and what it produced.
 
-A stage may be skipped on rerun only when the config hash matches, the
-stage is marked complete, and every artifact it lists still exists with
-the recorded content hash. Anything else forces re-execution.
+A stage's key hashes what the stage reads: its settings and input-file
+digests, and the artifact hashes recorded by every earlier stage. A
+stage may be skipped on rerun only when its recorded key equals the new
+one and every artifact it lists still exists with the recorded content
+hash. Anything else forces re-execution. A manifest that cannot be read
+or holds no keys (an older format) counts as absent.
 """
 
 from __future__ import annotations
@@ -24,75 +27,45 @@ def file_sha256(path: Path) -> str:
 
 
 @dataclass
-class StageRecord:
-    completed: bool = False
-    artifacts: dict[str, str] = field(default_factory=dict)
-    seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "artifacts": dict(sorted(self.artifacts.items())),
-            "seconds": self.seconds,
-        }
-
-
-@dataclass
 class RunManifest:
+    """Per stage, one record `{"key", "artifacts", "seconds"}`; artifacts map relative path to sha256."""
+
     root: Path
-    config_hash: str
-    stages: dict[str, StageRecord] = field(default_factory=dict)
+    stages: dict[str, dict] = field(default_factory=dict)
 
     @property
     def path(self) -> Path:
         return self.root / MANIFEST_NAME
 
     @classmethod
-    def load_or_create(cls, root: Path, config_hash: str) -> "RunManifest":
-        """Existing manifest is honored only when its config hash matches."""
-        manifest = cls(root=root, config_hash=config_hash)
-        path = manifest.path
-        if not path.exists():
-            return manifest
+    def load(cls, root: Path) -> "RunManifest":
+        """The manifest under `root`; a missing, unreadable or keyless one loads empty."""
+        manifest = cls(root=root)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return manifest
-        if raw.get("config_hash") != config_hash:
-            return manifest
-        for name, record in raw.get("stages", {}).items():
-            manifest.stages[name] = StageRecord(
-                completed=bool(record.get("completed", False)),
-                artifacts=dict(record.get("artifacts", {})),
-                seconds=float(record.get("seconds", 0.0)),
-            )
+            stages = json.loads(manifest.path.read_text(encoding="utf-8"))["stages"]
+            if all(isinstance(r["key"], str) and isinstance(r["artifacts"], dict) for r in stages.values()):
+                manifest.stages = stages
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            pass
         return manifest
 
-    def can_skip(self, stage: str) -> bool:
+    def can_skip(self, stage: str, key: str) -> bool:
         record = self.stages.get(stage)
-        if record is None or not record.completed:
+        if record is None or record["key"] != key:
             return False
-        for relpath, expected in record.artifacts.items():
+        for relpath, expected in record["artifacts"].items():
             target = self.root / relpath
             if not target.exists() or file_sha256(target) != expected:
                 return False
         return True
 
-    def record_stage(self, stage: str, artifacts: list[Path], seconds: float) -> None:
-        hashed = {
-            str(path.relative_to(self.root)): file_sha256(path) for path in artifacts
-        }
-        self.stages[stage] = StageRecord(completed=True, artifacts=hashed, seconds=seconds)
-
-    def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "stages": {name: record.as_dict() for name, record in self.stages.items()},
-        }
+    def record_stage(self, stage: str, key: str, artifacts: list[Path], seconds: float) -> None:
+        hashed = {str(path.relative_to(self.root)): file_sha256(path) for path in artifacts}
+        self.stages[stage] = {"key": key, "artifacts": hashed, "seconds": seconds}
 
     def save(self) -> None:
         """Write only when contents changed, so clean reruns leave the file alone."""
-        payload = json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        payload = json.dumps({"stages": self.stages}, indent=2, sort_keys=True) + "\n"
         if self.path.exists() and self.path.read_text(encoding="utf-8") == payload:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)

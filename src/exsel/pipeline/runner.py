@@ -2,8 +2,10 @@
 
 Stages run in a fixed order: pool, project, cluster, pools, select,
 report. Each stage writes byte-stable artifacts under the output
-directory and records their hashes in the manifest; a completed stage
-whose artifacts still hash-match is loaded instead of re-executed.
+directory and records their hashes in the manifest, under a key over
+what the stage reads (`_stage_reads`) and the artifact hashes of every
+earlier stage. A stage whose key is unchanged and whose artifacts still
+hash-match is loaded instead of re-executed.
 Artifacts carry no timestamps and floats are written with repr, so a
 fixed seed reproduces files byte for byte.
 """
@@ -11,6 +13,7 @@ fixed seed reproduces files byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -44,7 +47,7 @@ from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.llm.transport import ClientError, Transport
 from exsel.pipeline.baselines import baseline_random
 from exsel.pipeline.config import MODE_LLM, MODE_SURROGATE, ConfigError, PipelineConfig
-from exsel.pipeline.manifest import RunManifest
+from exsel.pipeline.manifest import RunManifest, file_sha256
 from exsel.reduce.density import cluster
 from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
 from exsel.reduce.projection import METHOD_PRECOMPUTED, ProjectionError, load_precomputed, project
@@ -66,7 +69,6 @@ class RunState:
 
     config: PipelineConfig
     root: Path
-    manifest: RunManifest
     transport: Transport
     embedding_model: str
     candidates: list[Example] = field(default_factory=list)
@@ -358,6 +360,29 @@ _STAGE_FNS: dict[str, tuple[Callable[[RunState], list[Path]], Callable[[RunState
 }
 
 
+def _stage_reads(cfg: PipelineConfig, embedding_model: str) -> dict[str, tuple]:
+    """What each stage reads besides earlier stages' artifacts, in STAGES order.
+
+    Sections are listed whole and input files by content digest, so an
+    in-place edit of a pool, document, imported-vector or test file counts.
+    """
+    corpus = cfg.corpus
+    llm = cfg.fitness_mode == MODE_LLM
+    evaluating = (cfg.chat_model, cfg.instruction_template, cfg.max_eval_output_tokens) if llm else ()
+    return {
+        "pool": (cfg.seed, corpus, cfg.generation, cfg.chat_model, _digests(corpus.pool_path, *corpus.documents)),
+        "project": (cfg.projection, embedding_model, _digests(cfg.projection.precomputed_path)),
+        "cluster": (cfg.clustering,),
+        "pools": (cfg.pool_sizes,),
+        "select": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, cfg.ga, evaluating),
+        "report": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, corpus, evaluating, _digests(corpus.test_path)),
+    }
+
+
+def _digests(*paths: str | None) -> list[str]:
+    return [file_sha256(Path(path)) for path in paths if path]
+
+
 def run_pipeline(
     config: PipelineConfig,
     *,
@@ -375,7 +400,7 @@ def run_pipeline(
         raise ValueError(f"unknown stage {through!r}; expected one of {STAGES}")
     root = Path(config.output_dir)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.load_or_create(root, config.config_hash())
+    manifest = RunManifest.load(root)
     # the built-in hasher always answers to its own name, whatever the config says
     embedding_model = config.embedding_model or _SURROGATE_EMBED_MODEL
     if transport is None and config.fitness_mode == MODE_SURROGATE:
@@ -383,10 +408,13 @@ def run_pipeline(
         embedding_model = _SURROGATE_EMBED_MODEL
     elif transport is None:
         transport = HttpTransport(config.transport)
-    state = RunState(config=config, root=root, manifest=manifest, transport=transport, embedding_model=embedding_model)
+    state = RunState(config=config, root=root, transport=transport, embedding_model=embedding_model)
+    reads = _stage_reads(config, embedding_model)
+    upstream: list[tuple[str, str]] = []
     for stage in STAGES:
         run_fn, load_fn = _STAGE_FNS[stage]
-        if not force and manifest.can_skip(stage):
+        key = hashlib.sha256(repr((reads[stage], sorted(upstream))).encode("utf-8")).hexdigest()
+        if not force and manifest.can_skip(stage, key):
             load_fn(state)
             state.skipped.append(stage)
             if log:
@@ -400,11 +428,12 @@ def run_pipeline(
             except Exception as exc:
                 raise PipelineError(f"stage {stage} failed: {exc}") from exc
             seconds = time.perf_counter() - start
-            manifest.record_stage(stage, artifacts, seconds)
+            manifest.record_stage(stage, key, artifacts, seconds)
             manifest.save()
             state.executed.append(stage)
             if log:
                 log(f"[run ] {stage} ({seconds:.2f}s)")
+        upstream.extend(manifest.stages[stage]["artifacts"].items())
         if stage == through:
             break
     manifest.save()

@@ -109,6 +109,15 @@ class TestJsonlRoundTrip:
         with pytest.raises(DatasetError, match=r"bad\.jsonl:2"):
             load_examples(path)
 
+    @pytest.mark.parametrize("ident", [["a"], 5])
+    def test_load_rejects_non_string_id_with_line_number(self, tmp_path, ident):
+        # an int id would be written back as the same text as its string twin
+        path = tmp_path / "ids.jsonl"
+        lines = [json.dumps({"id": "5", "text": "x"}), json.dumps({"id": ident, "text": "y"})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"ids\.jsonl:2: example id must be a non-empty string"):
+            load_examples(path)
+
     def test_load_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         rec = json.dumps({"id": "a", "text": "x"})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ import yaml
 from conftest import TOPIC_VOCAB, surrogate_config_payload, write_yaml_config
 from exsel.corpus import load_examples
 from exsel.evolve import RunTrace, TraceRecord
+from exsel.generate import GenerationConfig
 from exsel.llm.mock import HashingEmbeddingTransport, MockTransport
 from exsel.pipeline import (
     STAGES,
     ConfigError,
+    PipelineConfig,
     PipelineError,
     RunManifest,
     load_config,
@@ -123,10 +126,12 @@ class TestConfig:
 
     def test_hash_ignores_output_dir_but_not_seed(self, tmp_path, small_pool_path):
         base = load_config(write_config(tmp_path, small_pool_path))
-        moved = dataclasses.replace(base, output_dir=str(tmp_path / "other"))
-        reseeded = dataclasses.replace(base, seed=8)
-        assert base.config_hash() == moved.config_hash()
-        assert base.config_hash() != reseeded.config_hash()
+        run_pipeline(base)
+        shutil.copytree(base.output_dir, tmp_path / "other")
+        moved = run_pipeline(dataclasses.replace(base, output_dir=str(tmp_path / "other")))
+        assert moved.skipped == list(STAGES)
+        reseeded = run_pipeline(dataclasses.replace(base, seed=8))
+        assert reseeded.executed == list(STAGES)
 
     def test_override_revalidates(self, tmp_path, small_pool_path):
         cfg = load_config(write_config(tmp_path, small_pool_path))
@@ -158,7 +163,7 @@ class TestConfig:
             )
         )
         assert (from_env.seed, from_env.max_eval_output_tokens) == (7, 64)
-        assert from_env.config_hash() == literal.config_hash()
+        assert from_env == literal
 
 
 @pytest.mark.parametrize(
@@ -201,35 +206,35 @@ def test_null_section_loads_as_if_absent(tmp_path, small_pool_path, section):
             with pytest.raises(ConfigError, match="^corpus needs"):
                 load_config(path)
     else:
-        assert load_config(paths[1]).config_hash() == load_config(paths[0]).config_hash()
+        assert load_config(paths[1]) == load_config(paths[0])
 
 
 class TestManifest:
     def test_skip_requires_completion_and_matching_hashes(self, tmp_path):
         artifact = tmp_path / "a.txt"
         artifact.write_text("payload", encoding="utf-8")
-        manifest = RunManifest.load_or_create(tmp_path, "h1")
-        assert not manifest.can_skip("pool")
-        manifest.record_stage("pool", [artifact], seconds=0.5)
+        manifest = RunManifest.load(tmp_path)
+        assert not manifest.can_skip("pool", "k1")
+        manifest.record_stage("pool", "k1", [artifact], seconds=0.5)
         manifest.save()
-        assert manifest.can_skip("pool")
+        assert manifest.can_skip("pool", "k1")
+        assert not manifest.can_skip("pool", "k2")
         artifact.write_text("tampered", encoding="utf-8")
-        assert not manifest.can_skip("pool")
+        assert not manifest.can_skip("pool", "k1")
 
     def test_reload_honors_config_hash(self, tmp_path):
         artifact = tmp_path / "a.txt"
         artifact.write_text("payload", encoding="utf-8")
-        manifest = RunManifest.load_or_create(tmp_path, "h1")
-        manifest.record_stage("pool", [artifact], seconds=0.5)
+        manifest = RunManifest.load(tmp_path)
+        manifest.record_stage("pool", "k1", [artifact], seconds=0.5)
         manifest.save()
-        again = RunManifest.load_or_create(tmp_path, "h1")
-        assert again.can_skip("pool")
-        assert again.stages["pool"].seconds == 0.5
-        changed = RunManifest.load_or_create(tmp_path, "h2")
-        assert changed.stages == {}
+        again = RunManifest.load(tmp_path)
+        assert again.can_skip("pool", "k1")
+        assert again.stages["pool"]["seconds"] == 0.5
+        assert not again.can_skip("pool", "k2")
 
     def test_save_leaves_unchanged_file_alone(self, tmp_path):
-        manifest = RunManifest.load_or_create(tmp_path, "h1")
+        manifest = RunManifest.load(tmp_path)
         manifest.save()
         before = manifest.path.stat().st_mtime_ns
         manifest.save()
@@ -262,7 +267,7 @@ class TestSurrogateRuns:
         assert state.executed == list(STAGES)
         assert sorted(state.best_fitness) == [40, 120]
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        assert all(manifest["stages"][stage]["completed"] for stage in STAGES)
+        assert all(len(manifest["stages"][stage]["key"]) == 64 for stage in STAGES)
 
     def test_pool_artifacts_are_consistent(self, tmp_path, small_pool_path):
         cfg = load_config(write_config(tmp_path, small_pool_path))
@@ -356,7 +361,7 @@ class TestSurrogateRuns:
         with pytest.raises(PipelineError, match="project"):
             run_pipeline(cfg)
         manifest = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
-        assert manifest["stages"]["pool"]["completed"]
+        assert len(manifest["stages"]["pool"]["key"]) == 64
         assert "project" not in manifest["stages"]
 
     def test_baselines_written_and_deterministic(self, tmp_path, small_pool_path):
@@ -413,6 +418,118 @@ def test_imported_projection_run_makes_no_embed_calls(tmp_path, small_pool_path)
     written = load_precomputed(Path(cfg.output_dir) / "reduce" / "projection.tsv")
     assert written.shape == imported.shape
     assert written.tobytes() == imported.tobytes()
+
+
+def hashing_transport(**hasher) -> MockTransport:
+    """A caller transport that embeds with the built-in hasher and answers every chat with an empty label map."""
+    embedder = HashingEmbeddingTransport(dimension=32, **hasher)
+    return MockTransport(chat_fn=lambda request: "{}", embed_fn=lambda text: embedder.embed("m", [text])[0])
+
+
+def _setting(dotted: str, value):
+    """A change of one top-level config field, or of one field in a section."""
+    section, _, name = dotted.partition(".")
+
+    def change(cfg, tmp_path):
+        new = dataclasses.replace(getattr(cfg, section), **{name: value}) if name else value
+        return dataclasses.replace(cfg, **{section: new})
+
+    return change
+
+
+def _copied_run(cfg, tmp_path):
+    shutil.copytree(cfg.output_dir, tmp_path / "copy")
+    return dataclasses.replace(cfg, output_dir=str(tmp_path / "copy"))
+
+
+def _pool_file_edited_in_place(cfg, tmp_path):
+    path = Path(cfg.corpus.pool_path)
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]), encoding="utf-8")
+    return cfg
+
+
+def _llm_mode(cfg, tmp_path):
+    return dataclasses.replace(cfg, fitness_mode="llm", chat_model="chat", embedding_model="embed")
+
+
+# one row per top-level PipelineConfig field at least: sections are keyed whole
+SKIP_MATRIX = [
+    pytest.param("output_dir", _copied_run, [], id="output_dir"),
+    pytest.param("seed", _setting("seed", 8), list(STAGES), id="seed"),
+    # llm mode needs both models; chat_model is read by pool, embedding_model by project
+    pytest.param("fitness_mode", _llm_mode, ["pool", "project", "select", "report"], id="fitness_mode"),
+    pytest.param("corpus", _setting("corpus.n_validation", 30), list(STAGES), id="corpus.n_validation"),
+    pytest.param("corpus", _pool_file_edited_in_place, list(STAGES), id="pool-file-edited-in-place"),
+    # pool reruns, but the pool file's examples come out byte for byte the same
+    pytest.param("generation", _setting("generation", GenerationConfig(n_total=10)), ["pool"], id="generation"),
+    pytest.param("projection", _setting("projection.target_dimension", 16), list(STAGES[1:]), id="projection"),
+    # the same labels come out, so nothing downstream reruns
+    pytest.param("clustering", _setting("clustering.cluster_selection_epsilon", 0.181), ["cluster"], id="clustering"),
+    pytest.param("pool_sizes", _setting("pool_sizes", (40, 100)), ["pools", "select", "report"], id="pool_sizes"),
+    pytest.param("ga", _setting("ga.mu", 13), ["select", "report"], id="ga.mu"),
+    pytest.param("transport", _setting("transport.max_in_flight", 1), [], id="client.max_in_flight"),
+    pytest.param("chat_model", _setting("chat_model", "chat"), ["pool"], id="chat_model"),
+    # the same caller transport answers to any model name with the same vectors
+    pytest.param("embedding_model", _setting("embedding_model", "embed"), ["project"], id="embedding_model"),
+    pytest.param(
+        "embedding_cache",
+        lambda cfg, tmp_path: dataclasses.replace(cfg, embedding_cache=str(tmp_path / "elsewhere.jsonl")),
+        [],
+        id="embedding_cache",
+    ),
+    pytest.param("instruction_template", _setting("instruction_template", "Pull out {labels}."), [], id="instruction"),
+    pytest.param("max_eval_output_tokens", _setting("max_eval_output_tokens", 64), [], id="max_eval_output_tokens"),
+    pytest.param("baseline_draws", _setting("baseline_draws", 5), [], id="baseline_draws"),
+]
+
+
+@pytest.mark.parametrize("field_name, change, expected", SKIP_MATRIX)
+def test_a_change_reruns_the_stages_that_read_it(tmp_path, small_pool_path, field_name, change, expected):
+    pool_path = tmp_path / "pool.jsonl"
+    shutil.copyfile(small_pool_path, pool_path)
+    cfg = load_config(write_config(tmp_path, pool_path))
+    run_pipeline(cfg, transport=hashing_transport())
+    state = run_pipeline(change(cfg, tmp_path), transport=hashing_transport())
+    assert state.executed == expected
+
+
+def test_skip_matrix_has_a_row_for_every_config_field():
+    rows = {row.values[0] for row in SKIP_MATRIX}
+    assert {field.name for field in dataclasses.fields(PipelineConfig)} <= rows
+
+
+def test_changed_upstream_output_reruns_every_later_stage(tmp_path, small_pool_path):
+    cfg = load_config(write_config(tmp_path, small_pool_path))
+    run_pipeline(cfg, transport=hashing_transport())
+    root = Path(cfg.output_dir)
+    (root / "reduce" / "projection.tsv").unlink()
+    shutil.rmtree(root / "cache")
+    state = run_pipeline(cfg, transport=hashing_transport(ngram=4))
+    assert state.executed == list(STAGES[1:])
+    fresh = dataclasses.replace(cfg, output_dir=str(tmp_path / "fresh"))
+    run_pipeline(fresh, transport=hashing_transport(ngram=4))
+    for relpath in ["reduce/assignment.tsv", "select/best_genome_k40.json", "report/metrics_k120.json"]:
+        assert (root / relpath).read_bytes() == (tmp_path / "fresh" / relpath).read_bytes(), relpath
+
+
+@pytest.mark.parametrize("old_format", ["config-hash", "record-not-a-mapping"])
+def test_old_format_manifest_counts_as_absent(tmp_path, small_pool_path, old_format):
+    cfg = load_config(write_config(tmp_path, small_pool_path))
+    run_pipeline(cfg)
+    path = Path(cfg.output_dir) / "manifest.json"
+    stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+    if old_format == "config-hash":
+        records = {name: {"completed": True, "artifacts": r["artifacts"], "seconds": 0.5} for name, r in stages.items()}
+        payload = {"config_hash": "0" * 64, "stages": records}
+    else:
+        payload = {"stages": {**stages, "report": ["report/metrics_k40.json"]}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    state = run_pipeline(cfg)
+    assert state.executed == list(STAGES)
+    rerun = json.loads(path.read_text(encoding="utf-8"))["stages"]
+    assert [(rerun[s]["key"], rerun[s]["artifacts"]) for s in STAGES] == [
+        (stages[s]["key"], stages[s]["artifacts"]) for s in STAGES
+    ]
 
 
 class EchoService:
