@@ -96,7 +96,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(path)
         return EXIT_OK
     if args.command == "baseline":
-        payload = run_baselines(config, log=print)
+        payload = run_baselines(config, force=args.force, log=print)
         for k, summary in payload["random"].items():
             print(f"random baseline k={k}: mean={summary['mean']:.4f} std={summary['std']:.4f}")
         if "zeroshot" in payload:

@@ -443,15 +443,17 @@ def run_pipeline(
 def run_baselines(
     config: PipelineConfig,
     *,
+    force: bool = False,
     transport: Transport | None = None,
     log: Callable[[str], None] | None = None,
 ) -> dict:
     """Random-draw (and, in llm mode, zero-shot) reference scores per pool size.
 
-    Reuses completed stages through pool construction, then writes
-    baseline/baselines.json. Not a manifest stage: reruns overwrite.
+    Reuses completed stages through pool construction (unless `force`),
+    then writes baseline/baselines.json. Not a manifest stage: reruns
+    overwrite.
     """
-    state = run_pipeline(config, through="pools", transport=transport, log=log)
+    state = run_pipeline(config, through="pools", force=force, transport=transport, log=log)
     cfg = state.config
     payload: dict = {"mode": cfg.fitness_mode, "n_draws": cfg.baseline_draws, "random": {}}
     for k in cfg.pool_sizes:

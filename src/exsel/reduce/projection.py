@@ -7,13 +7,22 @@ the pipeline runs self-contained. `precomputed-import` replaces both
 embedding and projection with vectors produced by any external projector
 (row order must match the examples file): the runner reads them with
 `load_precomputed` and checks their count and dimension.
+
+The SVD runs in one BLAS thread, set automatically (and restored after)
+when numpy's BLAS is OpenBLAS, for the same bytes without the threaded
+LAPACK path's stall; with any other BLAS nothing extra is done.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -64,6 +73,62 @@ def load_precomputed(path: Path | str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+# (get, set) thread-count symbols, from numpy's bundled OpenBLAS down to a plain build
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_paths() -> list[str]:
+    """OpenBLAS libraries this process has loaded (or numpy bundles), numpy's own first."""
+    numpy_dir = Path(np.__file__).resolve().parent
+    own = (str(numpy_dir) + os.sep, str(numpy_dir.parent / "numpy.libs") + os.sep)
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = (line.split(maxsplit=5) for line in fh)
+            paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    except OSError:  # no /proc: look where numpy wheels bundle their BLAS
+        bundled = (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+        paths = {str(p) for d in bundled for p in d.glob("*openblas*")}
+    return sorted(paths, key=lambda path: (not path.startswith(own), path))
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """OpenBLAS's (get, set) thread-count functions, or None when none is found."""
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS limited to one thread; restore the previous count after."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
     """Map an (n, d) embedding matrix to cfg.target_dimension dimensions; rows stay aligned with input."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -74,7 +139,8 @@ def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
         raise ProjectionError(f"target_dimension {cfg.target_dimension} exceeds input dimension {dim}")
 
     centered = matrix - matrix.mean(axis=0, keepdims=True)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    with _one_blas_thread():
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
     # canonical sign: the largest-magnitude entry of each direction is positive
     for row in vt:
         pivot = np.argmax(np.abs(row))

@@ -126,6 +126,17 @@ def test_fitness_mode_override_revalidates(tmp_path, small_pool_path, capsys):
     assert "chat_model" in capsys.readouterr().err
 
 
+def test_baseline_force_reruns_stages_through_pools(tmp_path, small_pool_path, capsys):
+    config = write_config(tmp_path, small_pool_path)
+    assert cli.main(["baseline", "--config", str(config)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["baseline", "--config", str(config), "--force"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    for stage in ("pool", "project", "cluster", "pools"):
+        assert f"[run ] {stage}" in out
+    assert "[skip]" not in out
+
+
 def test_force_flag_reruns_completed_stages(tmp_path, small_pool_path, capsys):
     config = write_config(tmp_path, small_pool_path)
     assert cli.main(["run-all", "--config", str(config)]) == cli.EXIT_OK

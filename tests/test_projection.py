@@ -7,6 +7,7 @@ from conftest import make_topic_examples, surrogate_config_payload, write_yaml_c
 from exsel.corpus import save_examples
 from exsel.llm.mock import MockTransport
 from exsel.pipeline import PipelineError, load_config, run_pipeline
+from exsel.reduce import projection
 from exsel.reduce.projection import (
     METHOD_LINEAR,
     METHOD_PRECOMPUTED,
@@ -82,6 +83,85 @@ class TestLinear:
         data = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
         assert out.shape == (2, 4)
+        assert np.allclose(pairwise(out), pairwise(data), atol=1e-9)
+
+
+def _inputs():
+    """Seeded tall, rank-deficient and wider-than-tall matrices, each with a target dimension."""
+    rng = np.random.default_rng(21)
+    return {
+        "tall": (rng.normal(size=(3000, 32)), 20),
+        "rank-deficient": (rng.normal(size=(400, 3)) @ rng.normal(size=(3, 16)), 8),
+        "n-below-d": (rng.normal(size=(6, 20)), 12),
+    }
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's (get, set) thread controls; the count is reset after the test."""
+    controls = projection._blas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread controls")
+    get, set_ = controls
+    original = get()
+    yield get, set_
+    set_(original)
+
+
+class TestOneBlasThread:
+    def test_controls_are_found_when_numpy_uses_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy is not built against OpenBLAS")
+        assert projection._blas_thread_controls() is not None
+
+    @pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d"])
+    def test_same_bytes_with_and_without_the_thread_limit(self, monkeypatch, kind):
+        data, target = _inputs()[kind]
+        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=target)
+        limited = project(data, cfg)
+        monkeypatch.setattr(projection, "_blas_thread_controls", lambda: None)
+        assert np.array_equal(project(data, cfg), limited)
+
+    def test_svd_runs_in_one_thread_and_the_count_is_restored(self, monkeypatch, blas_threads):
+        get, set_ = blas_threads
+        set_(2)
+        before = get()
+        seen = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            seen.append(get())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        project(_inputs()["tall"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        assert seen == [1]
+        assert get() == before
+
+    def test_count_is_restored_when_the_svd_raises(self, monkeypatch, blas_threads):
+        get, set_ = blas_threads
+        set_(2)
+        before = get()
+
+        def failing_svd(*args, **kwargs):
+            assert get() == 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError):
+            project(_inputs()["rank-deficient"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        assert get() == before
+
+    def test_project_works_when_no_thread_controls_are_found(self, monkeypatch, tmp_path):
+        not_a_library = tmp_path / "libopenblas.so"
+        not_a_library.write_text("not a shared object\n", encoding="utf-8")
+        for paths in ([], [str(not_a_library)]):
+            monkeypatch.setattr(projection, "_openblas_paths", lambda paths=paths: paths)
+            assert projection._blas_thread_controls.__wrapped__() is None
+        monkeypatch.setattr(projection, "_blas_thread_controls", lambda: None)
+        data = np.random.default_rng(4).normal(size=(50, 6))
+        out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=6))
         assert np.allclose(pairwise(out), pairwise(data), atol=1e-9)
 
 
