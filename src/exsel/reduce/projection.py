@@ -8,9 +8,16 @@ embedding and projection with vectors produced by any external projector
 (row order must match the examples file): the runner reads them with
 `load_precomputed` and checks their count and dimension.
 
-The SVD runs in one BLAS thread, set automatically (and restored after)
-when numpy's BLAS is OpenBLAS, for the same bytes without the threaded
-LAPACK path's stall; with any other BLAS nothing extra is done.
+A small SVD, rows x columns x min(rows, columns) below 2**24, runs in one
+BLAS thread when numpy's BLAS is the OpenBLAS bundled in its wheel; the
+thread count is set automatically and restored after, and with any other
+BLAS nothing extra is done. Measured on 2 cores (`BENCH_project.json`,
+`widths`): the threaded call on 920 x 32 or 6,620 x 32 inputs sometimes
+stalls for up to 0.46 s, while one thread takes 0.01-0.02 s and gives the
+same bytes on every measured input up to 12,000 x 32. Larger SVDs keep
+OpenBLAS's own thread count, since there threads pay (6,620 x 1,536:
+3.5 s threaded, 5.1 s in one thread) and the threaded bytes already vary
+with the thread count.
 """
 
 from __future__ import annotations
@@ -18,11 +25,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
-from contextlib import contextmanager
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -73,32 +79,31 @@ def load_precomputed(path: Path | str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-# (get, set) thread-count symbols, from numpy's bundled OpenBLAS down to a plain build
+# (get, set) thread-count symbols of the OpenBLAS that numpy wheels bundle:
+# scipy-openblas64 from numpy 2.0 on, openblas64_ in numpy 1.x
 _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+# An SVD whose work, rows x columns x min(rows, columns), is below this runs
+# in one thread; larger ones keep OpenBLAS's own thread count.
+_ONE_THREAD_WORK = 1 << 24
+
+# the thread count is process-wide: one SVD at a time sets, uses and restores it
+_svd_lock = threading.Lock()
 
 
 def _openblas_paths() -> list[str]:
-    """OpenBLAS libraries this process has loaded (or numpy bundles), numpy's own first."""
+    """The OpenBLAS libraries bundled in numpy's wheel: numpy.libs (Linux, Windows) or numpy/.dylibs (macOS)."""
     numpy_dir = Path(np.__file__).resolve().parent
-    own = (str(numpy_dir) + os.sep, str(numpy_dir.parent / "numpy.libs") + os.sep)
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = (line.split(maxsplit=5) for line in fh)
-            paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
-    except OSError:  # no /proc: look where numpy wheels bundle their BLAS
-        bundled = (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
-        paths = {str(p) for d in bundled for p in d.glob("*openblas*")}
-    return sorted(paths, key=lambda path: (not path.startswith(own), path))
+    bundled = (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+    return sorted(str(p) for d in bundled for p in d.glob("*openblas*"))
 
 
 @functools.cache
 def _blas_thread_controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """OpenBLAS's (get, set) thread-count functions, or None when none is found."""
+    """numpy's OpenBLAS (get, set) thread-count functions, or None when none is found."""
     for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)
@@ -113,20 +118,21 @@ def _blas_thread_controls() -> tuple[Callable[[], int], Callable[[int], None]] |
     return None
 
 
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the body with OpenBLAS limited to one thread; restore the previous count after."""
-    controls = _blas_thread_controls()
-    if controls is None:
-        yield
-        return
-    get, set_ = controls
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+def _svd(centered: np.ndarray) -> np.ndarray:
+    """The right singular vectors of `centered`, in one OpenBLAS thread when the work is small."""
+    rows, cols = centered.shape
+    small = rows * cols * min(rows, cols) < _ONE_THREAD_WORK
+    controls = _blas_thread_controls() if small else None
+    with _svd_lock:
+        if controls is None:
+            return np.linalg.svd(centered, full_matrices=False)[2]
+        get, set_ = controls
+        previous = get()
+        set_(1)
+        try:
+            return np.linalg.svd(centered, full_matrices=False)[2]
+        finally:
+            set_(previous)
 
 
 def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
@@ -139,8 +145,7 @@ def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
         raise ProjectionError(f"target_dimension {cfg.target_dimension} exceeds input dimension {dim}")
 
     centered = matrix - matrix.mean(axis=0, keepdims=True)
-    with _one_blas_thread():
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    vt = _svd(centered)
     # canonical sign: the largest-magnitude entry of each direction is positive
     for row in vt:
         pivot = np.argmax(np.abs(row))

@@ -1,5 +1,9 @@
 """Tests for the linear projection and precomputed import paths."""
 
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,6 +156,74 @@ class TestOneBlasThread:
         with pytest.raises(np.linalg.LinAlgError):
             project(_inputs()["rank-deficient"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
         assert get() == before
+
+    @pytest.mark.parametrize("rows, limited", [(4095, True), (4096, False)])
+    def test_only_svds_below_the_work_bound_run_in_one_thread(self, monkeypatch, blas_threads, rows, limited):
+        get, set_ = blas_threads
+        set_(2)
+        assert (rows * 64 * 64 < projection._ONE_THREAD_WORK) == limited
+        seen = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            seen.append(get())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        data = np.random.default_rng(9).normal(size=(rows, 64))
+        project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        assert seen == [1 if limited else 2]
+        assert get() == 2
+
+    def test_concurrent_calls_take_turns_and_restore_the_count(self, monkeypatch, blas_threads):
+        get, set_ = blas_threads
+        set_(2)
+        active, overlaps = [], []
+        svd = np.linalg.svd
+
+        def slow_svd(*args, **kwargs):
+            active.append(1)
+            overlaps.append(len(active))
+            time.sleep(0.01)
+            try:
+                return svd(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", slow_svd)
+        data, target = _inputs()["rank-deficient"]
+        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=target)
+        start = threading.Barrier(2)
+
+        def worker():
+            start.wait()
+            for _ in range(5):
+                project(data, cfg)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert overlaps == [1] * 10
+        assert get() == 2
+
+    def test_only_numpys_own_openblas_is_used(self):
+        """scipy bundles its own OpenBLAS; loading it must not put it in the lookup."""
+        linalg = pytest.importorskip("scipy.linalg")
+        linalg.svd(np.eye(3))
+        numpy_dir = Path(np.__file__).resolve().parent
+        own = (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+        paths = projection._openblas_paths()
+        assert all(Path(path).parent in own for path in paths)
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no /proc/self/maps to list the loaded libraries")
+        loaded = {line.split()[-1] for line in maps.read_text(encoding="utf-8").splitlines() if "openblas" in line}
+        others = {path for path in loaded if Path(path).parent not in own}
+        if not others:
+            pytest.skip("scipy loaded no OpenBLAS of its own")
+        assert others.isdisjoint(paths)
 
     def test_project_works_when_no_thread_controls_are_found(self, monkeypatch, tmp_path):
         not_a_library = tmp_path / "libopenblas.so"
