@@ -7,7 +7,7 @@ clustering (dropping noise), and search the clustered pool with a
 population diversity.
 """
 
-from exsel.corpus import CorpusDocument, DatasetSplit, Example, LabelSchema
+from exsel.corpus import DatasetSplit, Example, LabelSchema
 from exsel.evolve import GAConfig, Gene, Genome, RunTrace, evolve
 from exsel.metrics import ExtractionCounts, MetricReport, Prediction, aggregate, score_example
 from exsel.reduce import ClusteredPool, ClusteringParams, ProjectionConfig
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusteredPool",
     "ClusteringParams",
-    "CorpusDocument",
     "DatasetSplit",
     "Example",
     "ExtractionCounts",

@@ -1,4 +1,4 @@
-"""Data model and persistence for labeled examples, corpora, and splits.
+"""Data model and persistence for labeled examples and splits, and chunk sampling from raw text.
 
 An example is one sentence-level input plus, per label, the set of values
 extractable from it (verbatim surface forms). Examples with no entities
@@ -87,36 +87,15 @@ class LabelSchema:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Candidate / validation / test partition; id sets are pairwise disjoint."""
+    """Candidate / validation partition; the id sets are disjoint."""
 
     candidates: tuple[Example, ...]
     validation: tuple[Example, ...] = ()
-    test: tuple[Example, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = [ex.id for part in (self.candidates, self.validation, self.test) for ex in part]
+        ids = [ex.id for part in (self.candidates, self.validation) for ex in part]
         if len(set(ids)) != len(ids):
             raise DatasetError("dataset splits share example ids")
-
-
-@dataclass(frozen=True)
-class CorpusDocument:
-    """Raw domain text plus the chunk size used when sampling prompt seeds."""
-
-    id: str
-    text: str
-    chunk_size: int = 800
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise DatasetError(f"corpus document {self.id!r} is empty")
-        if self.chunk_size <= 0:
-            raise DatasetError("chunk size must be positive")
-
-    @classmethod
-    def from_file(cls, path: Path | str, chunk_size: int = 800) -> "CorpusDocument":
-        path = Path(path)
-        return cls(id=path.name, text=path.read_text(encoding="utf-8"), chunk_size=chunk_size)
 
 
 def example_to_record(example: Example) -> dict:
@@ -188,7 +167,6 @@ def split_dataset(examples: Sequence[Example], n_validation: int, seed: int) -> 
     """Randomly hold out `n_validation` examples; the rest become candidates.
 
     Deterministic per seed; each split preserves the input's relative order.
-    The test split stays empty (supply held-out test data separately).
     """
     if n_validation < 0:
         raise DatasetError("n_validation must be >= 0")
@@ -203,8 +181,8 @@ def split_dataset(examples: Sequence[Example], n_validation: int, seed: int) -> 
     return DatasetSplit(candidates=candidates, validation=validation)
 
 
-def sample_chunks(doc: CorpusDocument, n: int, seed: int) -> list[str]:
-    """Sample `n` text chunks from a document, uniform over chunk start offsets.
+def sample_chunks(text: str, chunk_size: int, n: int, seed: int) -> list[str]:
+    """Sample `n` chunks of a document's text, uniform over chunk start offsets.
 
     Start offsets lie on a fixed grid of chunk-size strides; the final
     window of a document may be shorter than the chunk size.
@@ -213,6 +191,6 @@ def sample_chunks(doc: CorpusDocument, n: int, seed: int) -> list[str]:
         raise DatasetError("chunk count must be >= 0")
     if n == 0:
         return []
-    offsets = range(0, len(doc.text), doc.chunk_size)
+    offsets = range(0, len(text), chunk_size)
     rng = random.Random(seed)
-    return [doc.text[off : off + doc.chunk_size] for off in rng.choices(offsets, k=n)]
+    return [text[off : off + chunk_size] for off in rng.choices(offsets, k=n)]

@@ -50,10 +50,30 @@ def render_prompt(examples: Sequence[Example], query_text: str) -> str:
 
 
 @dataclass(frozen=True)
+class EvaluationConfig:
+    """The extraction prompt's settings: system instruction (placeholder `{labels}`) and reply budget."""
+
+    instruction_template: str = EXTRACTION_INSTRUCTION_TEMPLATE
+    max_output_tokens: int = 512
+
+    def __post_init__(self) -> None:
+        # env-interpolated YAML values arrive as strings
+        object.__setattr__(self, "max_output_tokens", int(self.max_output_tokens))
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
+
+
+@dataclass(frozen=True)
 class GenomeEvaluation:
-    fitness: float
     report: MetricReport
     n_unparseable: int
+
+    @property
+    def fitness(self) -> float:
+        return self.report.micro_f1
+
+    def as_dict(self) -> dict:
+        return {"fitness": self.fitness, "n_unparseable": self.n_unparseable, "metrics": self.report.as_dict()}
 
 
 def evaluate_fewshot(
@@ -63,8 +83,7 @@ def evaluate_fewshot(
     *,
     model: str,
     schema: LabelSchema | None = None,
-    instruction_template: str = EXTRACTION_INSTRUCTION_TEMPLATE,
-    max_output_tokens: int = 512,
+    settings: EvaluationConfig = EvaluationConfig(),
 ) -> GenomeEvaluation:
     """Score a fixed demonstration set against the validation set.
 
@@ -77,14 +96,14 @@ def evaluate_fewshot(
         raise ValueError("validation set must be non-empty")
     if schema is None:
         schema = LabelSchema.from_examples(list(demos) + list(validation))
-    system_prompt = instruction_template.format(labels=", ".join(schema.labels))
+    system_prompt = settings.instruction_template.format(labels=", ".join(schema.labels))
     requests = [
         ChatRequest(
             model=model,
             system_prompt=system_prompt,
             user_prompt=render_prompt(demos, gold.text),
             temperature=0.0,
-            max_output_tokens=max_output_tokens,
+            max_output_tokens=settings.max_output_tokens,
         )
         for gold in validation
     ]
@@ -101,8 +120,7 @@ def evaluate_fewshot(
             entities={label: frozenset(values) for label, values in label_map.items()},
         )
         per_example.append(score_example(gold, prediction))
-    report = aggregate(per_example)
-    return GenomeEvaluation(fitness=report.micro_f1, report=report, n_unparseable=unparseable)
+    return GenomeEvaluation(report=aggregate(per_example), n_unparseable=unparseable)
 
 
 def evaluate_genome_llm(
@@ -113,19 +131,11 @@ def evaluate_genome_llm(
     *,
     model: str,
     schema: LabelSchema | None = None,
-    instruction_template: str = EXTRACTION_INSTRUCTION_TEMPLATE,
-    max_output_tokens: int = 512,
+    settings: EvaluationConfig = EvaluationConfig(),
 ) -> GenomeEvaluation:
     """Score one genome's examples with `evaluate_fewshot`; fitness is micro-F1."""
-    demos = resolve_examples(genome, pool)
     return evaluate_fewshot(
-        demos,
-        validation,
-        client,
-        model=model,
-        schema=schema,
-        instruction_template=instruction_template,
-        max_output_tokens=max_output_tokens,
+        resolve_examples(genome, pool), validation, client, model=model, schema=schema, settings=settings
     )
 
 

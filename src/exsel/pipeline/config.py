@@ -18,6 +18,7 @@ from typing import Callable, TypeVar
 import yaml
 
 from exsel.evolve import GAConfig
+from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
 from exsel.llm.transport import TransportConfig
 from exsel.reduce.density import ClusteringParams
@@ -72,13 +73,12 @@ class PipelineConfig:
     chat_model: str = ""
     embedding_model: str = ""
     embedding_cache: str | None = None
-    instruction_template: str = EXTRACTION_INSTRUCTION_TEMPLATE
+    evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
     baseline_draws: int = 3
-    max_eval_output_tokens: int = 512
 
     def __post_init__(self) -> None:
         # env-interpolated YAML values arrive as strings
-        for name in ("seed", "baseline_draws", "max_eval_output_tokens"):
+        for name in ("seed", "baseline_draws"):
             object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "pool_sizes", tuple(self.pool_sizes))
         if self.fitness_mode not in (MODE_SURROGATE, MODE_LLM):
@@ -92,11 +92,6 @@ class PipelineConfig:
             raise ConfigError("pool_sizes contains duplicates")
         if self.baseline_draws < 1:
             raise ConfigError("baseline_draws must be >= 1")
-        if self.max_eval_output_tokens < 1:
-            raise ConfigError("evaluation.max_output_tokens must be >= 1")
-        self.validate()
-
-    def validate(self) -> None:
         if self.corpus.pool_path is None and not self.corpus.documents:
             raise ConfigError("corpus needs either pool_path or documents")
         if self.fitness_mode == MODE_SURROGATE and self.corpus.pool_path is None:
@@ -110,16 +105,10 @@ class PipelineConfig:
                 raise ConfigError("llm mode requires corpus.n_validation >= 1")
         if self.corpus.pool_path is None and self.generation is None:
             raise ConfigError("generation section is required when generating from documents")
-        for path in self._referenced_paths():
+        optional = (self.corpus.pool_path, self.corpus.test_path, self.projection.precomputed_path)
+        for path in (*self.corpus.documents, *filter(None, optional)):
             if not Path(path).exists():
                 raise ConfigError(f"referenced path does not exist: {path}")
-
-    def _referenced_paths(self) -> list[str]:
-        paths = list(self.corpus.documents)
-        for candidate in (self.corpus.pool_path, self.corpus.test_path, self.projection.precomputed_path):
-            if candidate:
-                paths.append(candidate)
-        return paths
 
 
 def _interpolate_env(node: object) -> object:
@@ -205,12 +194,9 @@ def _ga(seed: int = 0, **fields) -> GAConfig:
     return GAConfig(**fields)
 
 
-def _evaluation(instruction_template_path: str | None = None, max_output_tokens: int = 512) -> dict:
-    """The `evaluation` section as PipelineConfig fields."""
-    return {
-        "instruction_template": load_template(instruction_template_path, EXTRACTION_INSTRUCTION_TEMPLATE),
-        "max_eval_output_tokens": max_output_tokens,
-    }
+def _evaluation(instruction_template_path: str | None = None, **fields) -> EvaluationConfig:
+    """The `evaluation` section; its instruction template comes only from the `instruction_template_path` file."""
+    return EvaluationConfig(load_template(instruction_template_path, EXTRACTION_INSTRUCTION_TEMPLATE), **fields)
 
 
 def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
@@ -263,6 +249,6 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
             clustering=_section("clustering", ClusteringParams, _fields(data, "clustering")),
             ga=_section("ga", _ga, ga),
             transport=_section("client", TransportConfig, client),
-            **_section("evaluation", _evaluation, evaluation),
+            evaluation=_section("evaluation", _evaluation, evaluation),
         ),
     )

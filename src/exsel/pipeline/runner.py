@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from exsel.corpus import (
-    CorpusDocument,
+    DatasetError,
     Example,
     LabelSchema,
     load_examples,
@@ -32,7 +32,7 @@ from exsel.corpus import (
     save_examples,
     split_dataset,
 )
-from exsel.evolve import Gene, Genome, RunTrace, evolve
+from exsel.evolve import Gene, Genome, evolve
 from exsel.fitness import (
     evaluate_fewshot,
     evaluate_genome_llm,
@@ -75,11 +75,9 @@ class RunState:
     validation: list[Example] = field(default_factory=list)
     projected: np.ndarray | None = None
     assignment: np.ndarray | None = None
-    filtered: ClusteredPool | None = None
     candidate_pools: dict[int, ClusteredPool] = field(default_factory=dict)
     best_genomes: dict[int, Genome] = field(default_factory=dict)
     best_fitness: dict[int, float] = field(default_factory=dict)
-    traces: dict[int, RunTrace] = field(default_factory=dict)
     executed: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
@@ -99,8 +97,7 @@ class RunState:
         return {
             "model": cfg.chat_model,
             "schema": LabelSchema.from_examples(self.candidates + self.validation),
-            "instruction_template": cfg.instruction_template,
-            "max_output_tokens": cfg.max_eval_output_tokens,
+            "settings": cfg.evaluation,
         }
 
     def fitness_provider(self, pool: ClusteredPool) -> Callable[[Genome], float]:
@@ -115,7 +112,8 @@ def _write_json(path: Path, payload: object) -> None:
 
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    lines = ["\t".join(repr(float(v)) for v in row) for row in matrix]
+    # one row at a time: a whole-matrix tolist() holds every float as a Python object at once
+    lines = ["\t".join(map(repr, row.tolist())) for row in matrix]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -132,8 +130,11 @@ def _pool_run(state: RunState) -> list[Path]:
         assert cfg.generation is not None  # enforced by config validation
         chunks: list[str] = []
         for index, doc_path in enumerate(cfg.corpus.documents):
-            doc = CorpusDocument.from_file(doc_path, cfg.corpus.chunk_size)
-            chunks.extend(sample_chunks(doc, cfg.corpus.n_chunks, derive_seed(cfg.seed, "chunks", index)))
+            text = Path(doc_path).read_text(encoding="utf-8")
+            if not text:
+                raise DatasetError(f"corpus document {doc_path} is empty")
+            seed = derive_seed(cfg.seed, "chunks", index)
+            chunks.extend(sample_chunks(text, cfg.corpus.chunk_size, cfg.corpus.n_chunks, seed))
         examples, report = generate_pool(
             cfg.generation,
             chunks,
@@ -221,13 +222,13 @@ def _cluster_load(state: RunState) -> None:
 def _pools_run(state: RunState) -> list[Path]:
     assert state.assignment is not None
     cfg = state.config
-    state.filtered = filter_noise(state.candidates, state.assignment)
+    filtered = filter_noise(state.candidates, state.assignment)
     out = state.root / "pools"
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for k in cfg.pool_sizes:
-        selected = build_pool(state.filtered, k)
-        pool = state.filtered.restrict(selected)
+        selected = build_pool(filtered, k)
+        pool = filtered.restrict(selected)
         state.candidate_pools[k] = pool
         payload = {
             "k": k,
@@ -236,7 +237,7 @@ def _pools_run(state: RunState) -> list[Path]:
                 {
                     "index": index,
                     "id": pool.examples[index].id,
-                    "cluster": int(state.filtered.assignment[index]),
+                    "cluster": int(filtered.assignment[index]),
                 }
                 for index in selected
             ],
@@ -250,12 +251,12 @@ def _pools_run(state: RunState) -> list[Path]:
 def _pools_load(state: RunState) -> None:
     assert state.assignment is not None
     cfg = state.config
-    state.filtered = filter_noise(state.candidates, state.assignment)
+    filtered = filter_noise(state.candidates, state.assignment)
     for k in cfg.pool_sizes:
         path = state.root / "pools" / f"pool_k{k}.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         selected = tuple(entry["index"] for entry in payload["selected"])
-        pool = state.filtered.restrict(selected)
+        pool = filtered.restrict(selected)
         if len(selected) != min(k, len(pool.examples)) or any(
             pool.examples[entry["index"]].id != entry["id"] for entry in payload["selected"]
         ):
@@ -275,7 +276,6 @@ def _select_run(state: RunState) -> list[Path]:
         ga_cfg = dataclasses.replace(cfg.ga, seed=derive_seed(cfg.seed, "select", k))
         best, trace = evolve(pool, state.fitness_provider(pool), ga_cfg)
         state.best_genomes[k] = best
-        state.traces[k] = trace
         state.best_fitness[k] = trace.records[-1].best_fitness
 
         trace_path = out / f"trace_k{k}.tsv"
@@ -336,9 +336,7 @@ def _report_run(state: RunState) -> list[Path]:
                 "k": k,
                 "mode": MODE_LLM,
                 "evaluated_on": "test" if test_examples is not None else "validation",
-                "fitness": evaluation.fitness,
-                "n_unparseable": evaluation.n_unparseable,
-                "metrics": evaluation.report.as_dict(),
+                **evaluation.as_dict(),
             }
         path = out / f"metrics_k{k}.json"
         _write_json(path, payload)
@@ -368,7 +366,7 @@ def _stage_reads(cfg: PipelineConfig, embedding_model: str) -> dict[str, tuple]:
     """
     corpus = cfg.corpus
     llm = cfg.fitness_mode == MODE_LLM
-    evaluating = (cfg.chat_model, cfg.instruction_template, cfg.max_eval_output_tokens) if llm else ()
+    evaluating = (cfg.chat_model, *dataclasses.astuple(cfg.evaluation)) if llm else ()
     return {
         "pool": (cfg.seed, corpus, cfg.generation, cfg.chat_model, _digests(corpus.pool_path, *corpus.documents)),
         "project": (cfg.projection, embedding_model, _digests(cfg.projection.precomputed_path)),
@@ -468,11 +466,7 @@ def run_baselines(
         payload["random"][str(k)] = summary.as_dict()
     if cfg.fitness_mode == MODE_LLM:
         evaluation = evaluate_fewshot((), state.validation, state.chat_client, **state.evaluation_settings())
-        payload["zeroshot"] = {
-            "fitness": evaluation.fitness,
-            "n_unparseable": evaluation.n_unparseable,
-            "metrics": evaluation.report.as_dict(),
-        }
+        payload["zeroshot"] = evaluation.as_dict()
     out = state.root / "baseline"
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "baselines.json", payload)

@@ -1,5 +1,6 @@
-"""Shared fixtures: synthetic topic pools whose hashed-ngram embeddings cluster cleanly."""
+"""Shared fixtures: synthetic topic pools whose hashed-ngram embeddings cluster cleanly, and a tiny llm run."""
 
+import json
 import random
 
 import pytest
@@ -86,3 +87,59 @@ def surrogate_config_payload(pool_path, default_output_dir, **overrides) -> dict
         else:
             payload[key] = value
     return payload
+
+
+class EchoService:
+    """Scripted chat: generation prompts get fresh topical records, extraction echoes gold."""
+
+    def __init__(self, per_batch: int = 10):
+        self.per_batch = per_batch
+        self.gold: dict[str, dict] = {}
+        self.batch = 0
+        self.uid = 0
+
+    def __call__(self, request) -> str:
+        prompt = request.user_prompt
+        if prompt.endswith("Entities:"):
+            tail = prompt.rsplit("Text: ", 1)[1]
+            text = tail[: -len("\nEntities:")]
+            return json.dumps(self.gold.get(text, {}))
+        negative = "NO extractable" in prompt
+        vocab = TOPIC_VOCAB[self.batch % 6]
+        self.batch += 1
+        records = []
+        for i in range(self.per_batch):
+            words = [vocab[(i + j) % len(vocab)] for j in range(10)]
+            text = " ".join(words) + f" gen {self.uid:04d}"
+            self.uid += 1
+            entities = {} if negative else {"term": [words[0]]}
+            self.gold[text] = entities
+            records.append({"text": text, "entities": entities})
+        return json.dumps(records)
+
+
+@pytest.fixture
+def llm_config_path(tmp_path):
+    doc = tmp_path / "corpus.txt"
+    doc.write_text("ledger audit invoice accrual dividend equity " * 60, encoding="utf-8")
+    payload = {
+        "seed": 5,
+        "output_dir": str(tmp_path / "run"),
+        "fitness_mode": "llm",
+        "corpus": {"documents": [str(doc)], "n_validation": 12, "chunk_size": 120, "n_chunks": 6},
+        "generation": {"n_total": 60, "batch_size": 10, "labels": ["term"], "positive_fraction": 0.5},
+        "projection": {"target_dimension": 8},
+        "clustering": {"min_cluster_size": 4, "min_samples": 1, "cluster_selection_epsilon": 0.4},
+        "pool_sizes": [16],
+        "ga": {
+            "mu": 6,
+            "lambda": 8,
+            "max_generations": 3,
+            "genome_length": 3,
+            "tournament_size": 2,
+            "warmup": 1,
+            "patience": 1,
+        },
+        "client": {"chat_model": "mock-chat", "embedding_model": "mock-embed"},
+    }
+    return write_yaml_config(tmp_path / "config.yaml", payload)

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import surrogate_config_payload, write_yaml_config
 from exsel import cli
@@ -92,6 +93,19 @@ def test_missing_template_file_is_config_error(tmp_path, small_pool_path, capsys
 def test_stage_failure_exit_code(tmp_path, small_pool_path):
     config = write_config(tmp_path, small_pool_path, projection={"target_dimension": 64})
     assert cli.main(["run-all", "--config", str(config)]) == cli.EXIT_STAGE
+
+
+def test_empty_corpus_document_fails_the_pool_stage(llm_config_path, capsys):
+    payload = yaml.safe_load(llm_config_path.read_text(encoding="utf-8"))
+    document = Path(payload["corpus"]["documents"][0])
+    document.write_text("", encoding="utf-8")
+    # a closed local port, so a stage that got as far as the model would fail as a client error
+    payload["client"].update(endpoint_url="http://127.0.0.1:9/v1", max_retries=0, backoff_base_s=0.0, timeout_s=2.0)
+    write_yaml_config(llm_config_path, payload)
+    assert cli.main(["run-all", "--config", str(llm_config_path)]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "stage pool failed" in err
+    assert f"{document} is empty" in err
 
 
 def test_client_failure_exit_code(tmp_path, small_pool_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exsel.corpus import (
-    CorpusDocument,
     DatasetError,
     DatasetSplit,
     Example,
@@ -173,9 +172,6 @@ class TestSplitDataset:
         with pytest.raises(DatasetError):
             split_dataset(_numbered(5), n_validation=5, seed=0)
 
-    def test_test_split_is_empty(self):
-        assert split_dataset(_numbered(5), n_validation=1, seed=0).test == ()
-
     def test_splits_reject_shared_ids(self):
         a = Example(id="a", text="x")
         with pytest.raises(DatasetError):
@@ -184,25 +180,21 @@ class TestSplitDataset:
 
 class TestSampleChunks:
     def test_chunks_lie_on_offset_grid(self):
-        doc = CorpusDocument(id="d", text="abcdefghij" * 37, chunk_size=16)
-        windows = {doc.text[off : off + 16] for off in range(0, len(doc.text), 16)}
-        for chunk in sample_chunks(doc, n=50, seed=5):
+        text = "abcdefghij" * 37
+        windows = {text[off : off + 16] for off in range(0, len(text), 16)}
+        for chunk in sample_chunks(text, 16, n=50, seed=5):
             assert chunk in windows
 
     def test_final_chunk_may_be_short(self):
-        doc = CorpusDocument(id="d", text="abcde", chunk_size=3)
-        chunks = set(sample_chunks(doc, n=64, seed=0))
+        chunks = set(sample_chunks("abcde", 3, n=64, seed=0))
         assert chunks <= {"abc", "de"}
         assert "de" in chunks
 
     def test_deterministic(self):
-        doc = CorpusDocument(id="d", text="xyz" * 100, chunk_size=10)
-        assert sample_chunks(doc, 20, seed=4) == sample_chunks(doc, 20, seed=4)
+        assert sample_chunks("xyz" * 100, 10, 20, seed=4) == sample_chunks("xyz" * 100, 10, 20, seed=4)
 
     def test_zero_count(self):
-        doc = CorpusDocument(id="d", text="abc", chunk_size=2)
-        assert sample_chunks(doc, 0, seed=1) == []
+        assert sample_chunks("abc", 2, 0, seed=1) == []
 
     def test_document_shorter_than_chunk(self):
-        doc = CorpusDocument(id="d", text="ab", chunk_size=100)
-        assert set(sample_chunks(doc, 10, seed=2)) == {"ab"}
+        assert set(sample_chunks("ab", 100, 10, seed=2)) == {"ab"}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import TOPIC_VOCAB, surrogate_config_payload, write_yaml_config
+from conftest import EchoService, surrogate_config_payload, write_yaml_config
 from exsel.corpus import load_examples
 from exsel.evolve import RunTrace, TraceRecord
 from exsel.generate import GenerationConfig
@@ -162,7 +162,7 @@ class TestConfig:
                 seed="${EXSEL_TEST_SEED}", evaluation={"max_output_tokens": "${EXSEL_TEST_TOKENS}"},
             )
         )
-        assert (from_env.seed, from_env.max_eval_output_tokens) == (7, 64)
+        assert (from_env.seed, from_env.evaluation.max_output_tokens) == (7, 64)
         assert from_env == literal
 
 
@@ -349,9 +349,11 @@ class TestSurrogateRuns:
 
     def test_trace_best_fitness_never_decreases(self, tmp_path, small_pool_path):
         cfg = load_config(write_config(tmp_path, small_pool_path))
-        state = run_pipeline(cfg)
-        for trace in state.traces.values():
-            best = [record.best_fitness for record in trace.records]
+        run_pipeline(cfg)
+        traces = sorted((Path(cfg.output_dir) / "select").glob("trace_k*.tsv"))
+        assert len(traces) == len(cfg.pool_sizes)
+        for path in traces:
+            best = read_trace(path)["best_fitness"]
             assert all(b >= a for a, b in zip(best, best[1:]))
 
     def test_stage_failure_wraps_and_names_stage(self, tmp_path, small_pool_path):
@@ -392,6 +394,15 @@ def test_trace_and_projection_artifacts_round_trip(tmp_path):
     loaded = load_precomputed(tmp_path / "projection.tsv")
     assert loaded.shape == matrix.shape
     assert loaded.tobytes() == matrix.tobytes()
+
+
+def test_projection_text_matches_per_scalar_repr(tmp_path):
+    rng = np.random.default_rng(3)
+    scaled = rng.standard_normal((40, 20)) * 10.0 ** rng.integers(-9, 7, size=(40, 20))
+    matrix = np.vstack([scaled, [[-0.0, 5e-324, 1e16, 0.1, 1e-9, 1e6, 0.1 + 0.2, 1 / 3] * 2 + [0.0, -1e16, 2.5, 1e22]]])
+    _write_matrix(tmp_path / "projection.tsv", matrix)
+    expected = "".join("\t".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+    assert (tmp_path / "projection.tsv").read_text(encoding="utf-8") == expected
 
 
 def test_embedding_cache_bytes_are_pinned(tmp_path, small_pool_path):
@@ -477,8 +488,13 @@ SKIP_MATRIX = [
         [],
         id="embedding_cache",
     ),
-    pytest.param("instruction_template", _setting("instruction_template", "Pull out {labels}."), [], id="instruction"),
-    pytest.param("max_eval_output_tokens", _setting("max_eval_output_tokens", 64), [], id="max_eval_output_tokens"),
+    pytest.param(
+        "evaluation",
+        _setting("evaluation.instruction_template", "Pull out {labels}."),
+        [],
+        id="evaluation.instruction_template",
+    ),
+    pytest.param("evaluation", _setting("evaluation.max_output_tokens", 64), [], id="evaluation.max_output_tokens"),
     pytest.param("baseline_draws", _setting("baseline_draws", 5), [], id="baseline_draws"),
 ]
 
@@ -530,62 +546,6 @@ def test_old_format_manifest_counts_as_absent(tmp_path, small_pool_path, old_for
     assert [(rerun[s]["key"], rerun[s]["artifacts"]) for s in STAGES] == [
         (stages[s]["key"], stages[s]["artifacts"]) for s in STAGES
     ]
-
-
-class EchoService:
-    """Scripted chat: generation prompts get fresh topical records, extraction echoes gold."""
-
-    def __init__(self, per_batch: int = 10):
-        self.per_batch = per_batch
-        self.gold: dict[str, dict] = {}
-        self.batch = 0
-        self.uid = 0
-
-    def __call__(self, request) -> str:
-        prompt = request.user_prompt
-        if prompt.endswith("Entities:"):
-            tail = prompt.rsplit("Text: ", 1)[1]
-            text = tail[: -len("\nEntities:")]
-            return json.dumps(self.gold.get(text, {}))
-        negative = "NO extractable" in prompt
-        vocab = TOPIC_VOCAB[self.batch % 6]
-        self.batch += 1
-        records = []
-        for i in range(self.per_batch):
-            words = [vocab[(i + j) % len(vocab)] for j in range(10)]
-            text = " ".join(words) + f" gen {self.uid:04d}"
-            self.uid += 1
-            entities = {} if negative else {"term": [words[0]]}
-            self.gold[text] = entities
-            records.append({"text": text, "entities": entities})
-        return json.dumps(records)
-
-
-@pytest.fixture
-def llm_config_path(tmp_path):
-    doc = tmp_path / "corpus.txt"
-    doc.write_text("ledger audit invoice accrual dividend equity " * 60, encoding="utf-8")
-    payload = {
-        "seed": 5,
-        "output_dir": str(tmp_path / "run"),
-        "fitness_mode": "llm",
-        "corpus": {"documents": [str(doc)], "n_validation": 12, "chunk_size": 120, "n_chunks": 6},
-        "generation": {"n_total": 60, "batch_size": 10, "labels": ["term"], "positive_fraction": 0.5},
-        "projection": {"target_dimension": 8},
-        "clustering": {"min_cluster_size": 4, "min_samples": 1, "cluster_selection_epsilon": 0.4},
-        "pool_sizes": [16],
-        "ga": {
-            "mu": 6,
-            "lambda": 8,
-            "max_generations": 3,
-            "genome_length": 3,
-            "tournament_size": 2,
-            "warmup": 1,
-            "patience": 1,
-        },
-        "client": {"chat_model": "mock-chat", "embedding_model": "mock-embed"},
-    }
-    return write_yaml_config(tmp_path / "config.yaml", payload)
 
 
 class TestLlmModeWithMockTransport:
@@ -643,3 +603,33 @@ class TestLlmModeWithMockTransport:
         payload = run_baselines(cfg, transport=transport)
         assert payload["zeroshot"]["fitness"] == 1.0
         assert len(payload["random"]["16"]["fitnesses"]) == 3
+
+
+# run directories written by earlier versions must keep matching these; pool and report keys hold absolute paths
+PINNED_STAGE_KEYS = {
+    "surrogate": {
+        "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
+        "cluster": "ef449f45f6de8114c96bf92c6df7acd5891c4bbbdb99bc9bbb41ffda3c1ee0f0",
+        "pools": "f6f9a6e374702283c71addd90aac1956a31c4dabbaee887e945c4f8ac5451348",
+        "select": "fe369f3bc343750b97e47cca944b9524f2ecab4cb5f8ac584fdccf657de50cdd",
+    },
+    "llm": {
+        "project": "a506b7854b69b097dab43290316826525970d5a2a83dd2e3323fd4416f024c7b",
+        "cluster": "f13f89b2311b006c2ebfeafc7742c74111360bcd1e612699c70e6b6232dfea85",
+        "pools": "30a6826405c423c649212533585fbf4e4fdf30278399ef2024fd7665e39d2438",
+        "select": "03b449d916116170eab4a0b92c4401095f9c01530e2c4d9644fec7f08e52923b",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_STAGE_KEYS))
+def test_stage_keys_are_pinned(tmp_path, small_pool_path, llm_config_path, mode):
+    # a moved key makes every existing run directory pay for that stage again
+    if mode == "llm":
+        cfg = load_config(llm_config_path)
+        run_pipeline(cfg, transport=TestLlmModeWithMockTransport().make_transport())
+    else:
+        cfg = load_config(write_config(tmp_path, small_pool_path))
+        run_pipeline(cfg)
+    stages = json.loads((Path(cfg.output_dir) / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert {stage: stages[stage]["key"] for stage in PINNED_STAGE_KEYS[mode]} == PINNED_STAGE_KEYS[mode]
