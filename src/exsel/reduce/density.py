@@ -19,11 +19,14 @@ Conventions, fixed for determinism:
     cluster id; noise is -1.
 
 Memory stays O(n) for a fixed dimension: the n x n mutual-reachability
-matrix is never built. Prim's algorithm computes one row per step, and
-only against the points not yet in the tree, in preallocated buffers
-the size of the input. Its edges are exactly those of Prim over full
-rows with ties to the lowest index; the tests keep that full-row loop
-as the reference.
+matrix is never built. Each step of Prim's algorithm bounds the
+distance from the newest tree point to every point not yet in the tree
+with one matrix-vector product, skips the points whose bound proves
+they cannot get closer, and computes exact distances for the rest only.
+The bound carries a proven rounding margin and decides no edge itself:
+every best, argmin and tie is decided by the same floats as a full row.
+So the edges are exactly those of Prim over full rows with ties to the
+lowest index; the tests keep that full-row loop as the reference.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ import numpy as np
 NOISE = -1
 
 _CORE_CHUNK_FLOATS = 4_000_000  # ~32 MB of pairwise distances per block
+
+# The MST filter's safety margin; mutual_reachability_mst proves it sufficient.
+_SLACK = 1e-9  # relative, on both squared norms and on best^2
+_FLOOR = 1e-300  # absolute, for rounding in subnormal squares
+_NORM_LIMIT = 2.0**1000  # above this squared norm a point is never skipped
 
 
 class _UnionFind:
@@ -87,55 +95,99 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
 
 
 def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[int, int, float]]:
-    """Prim's MST over mutual-reachability distances, one distance row at a time.
+    """Prim's MST over mutual-reachability distances.
 
     Returns n-1 edges (a, b, weight). Ties resolve to the lowest point
     index, so output is deterministic for a fixed input order.
 
     The working arrays hold only points not yet in the tree, in
-    ascending index order, so each step costs one row against the points
-    still outside the tree. A point that joins the tree is marked dead
-    in place (best and core set to inf, so it never wins or updates) and
-    the arrays are compacted once dead slots exceed 1/16 of the live
-    ones. Every live entry is computed with the same element-wise
-    arithmetic as a full row, so the edges, their order and their
-    weights do not depend on when compaction happens.
+    ascending index order. A point that joins the tree is marked dead in
+    place and the arrays are compacted once dead slots exceed 1/16 of
+    the live ones.
+
+    Each step first filters the live points, then computes exact
+    distances for the few that pass. A live point x can only change
+    when its exact reach max(sqrt(fl(|x - c|^2)), core[x], core[c]) to
+    the point c that just joined is strictly below its best b. Since
+    the rounded sqrt is monotone and b is a float, fl(|x - c|^2) >= b^2
+    rules that out. The filter proves this from the Gram identity
+    |x - c|^2 = |x|^2 + |c|^2 - 2 x.c, one matrix-vector product per
+    step against a copy of the live points scaled by -2 (exact, a power
+    of two), and skips x when
+
+        h[x] + h[c] - 2 x.c  >=  (1 + s) b^2 + FLOOR,  h[p] = (1 - s) |p|^2.
+
+    Margin: in d dimensions, all roundings together, in the squared
+    norms, the dot product, the exact squared distance and this test
+    itself, err by at most about 2 (d + 3) 2^-53 relative to
+    |x|^2 + |c|^2 and to b^2, in any summation order and with or
+    without FMA, plus a few d 2^-1074 absolute from underflow. The
+    slack s = max(1e-9, 2^-50 (d + 4)) covers the relative part four
+    times over and FLOOR = 1e-300 the absolute part, so a skipped point
+    provably keeps its best. Between points whose squared norms are at
+    most 2^1000 no term of the estimate can overflow, and a bound that
+    overflows is inf, which no estimate reaches. A point above that, or
+    not finite, gets h = NaN: its own bound is NaN, and so is every
+    estimate in the step after it joins the tree. NaN fails `>=`, so
+    those points take the exact path. Dead slots get the bound -inf and
+    so never reach it unless the estimate is NaN, when their inf best
+    and inf core keep them from changing.
+
+    The points that pass get the full-row arithmetic element by element:
+    subtract, squared sum, sqrt, the two maximums and the strict `<`.
+    So every best, every argmin and every tie is decided by the same
+    floats as in Prim over full rows, and the edges, their order and
+    their weights do not depend on the filter or on compaction.
     """
-    n = points.shape[0]
+    n, dim = points.shape
     if n == 1:
         return []
+    slack = max(_SLACK, 2.0**-50 * (dim + 4))
+    sq = np.einsum("ij,ij->i", points, points)
+    half = np.where(sq <= _NORM_LIMIT, (1.0 - slack) * sq, np.nan)
     ids = np.arange(1, n)
-    live = points[1:].copy()
+    scaled = -2.0 * points[1:]
     live_core = core[1:].astype(np.float64)
     best = np.full(n - 1, np.inf)
+    bound = (1.0 + slack) * (best * best) + _FLOOR - half[1:]
     best_from = np.zeros(n - 1, dtype=np.int64)
-    delta_buf = np.empty_like(live)
-    reach_buf = np.empty(n - 1)
-    closer_buf = np.empty(n - 1, dtype=bool)
+    est_buf = np.empty(n - 1)
+    skip_buf = np.empty(n - 1, dtype=bool)
     dead: list[int] = []
     current = 0
     edges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
         m = len(ids)
-        delta = np.subtract(live, points[current], out=delta_buf[:m])
-        reach = np.einsum("ij,ij->i", delta, delta, out=reach_buf[:m])
-        np.sqrt(reach, out=reach)
-        np.maximum(reach, live_core, out=reach)
-        np.maximum(reach, core[current], out=reach)
-        closer = np.less(reach, best, out=closer_buf[:m])
-        np.copyto(best, reach, where=closer)
-        np.copyto(best_from, current, where=closer)
+        with np.errstate(over="ignore", invalid="ignore"):  # out-of-range estimates end as NaN
+            est = np.matmul(scaled, points[current], out=est_buf[:m])
+            est += half[current]
+        skip = np.greater_equal(est, bound, out=skip_buf[:m])
+        cand = np.flatnonzero(np.logical_not(skip, out=skip))
+        if cand.size:
+            rows = ids[cand]
+            delta = points[rows]
+            delta -= points[current]
+            reach = np.einsum("ij,ij->i", delta, delta)
+            np.sqrt(reach, out=reach)
+            np.maximum(reach, live_core[cand], out=reach)
+            np.maximum(reach, core[current], out=reach)
+            closer = reach < best[cand]
+            moved, reach = cand[closer], reach[closer]
+            best[moved] = reach
+            best_from[moved] = current
+            bound[moved] = (1.0 + slack) * (reach * reach) + _FLOOR - half[rows[closer]]
         slot = int(np.argmin(best))
         current = int(ids[slot])
         edges.append((int(best_from[slot]), current, float(best[slot])))
         best[slot] = np.inf
         live_core[slot] = np.inf
+        bound[slot] = -np.inf
         dead.append(slot)
         if 16 * len(dead) > m - len(dead):
             keep = np.ones(m, dtype=bool)
             keep[dead] = False
-            ids, live, live_core = ids[keep], live[keep], live_core[keep]
-            best, best_from = best[keep], best_from[keep]
+            ids, scaled, live_core = ids[keep], scaled[keep], live_core[keep]
+            best, best_from, bound = best[keep], best_from[keep], bound[keep]
             dead.clear()
     return edges
 
@@ -262,6 +314,8 @@ def cluster(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-d array")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     n = points.shape[0]
     if n < params.min_cluster_size:
         return np.full(n, NOISE, dtype=np.int64)

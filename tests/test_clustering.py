@@ -194,6 +194,29 @@ class TestMst:
         core = core_distances(points, 3)
         assert mutual_reachability_mst(points, core) == reference_prim(points, core)
 
+    @pytest.mark.parametrize("ms", [1, 3])
+    @pytest.mark.parametrize(
+        "kind", ["translated-1e8", "duplicated-4x", "scaled-1e-160", "scaled-1e-162", "scaled-1e100", "norms-overflow"]
+    )
+    def test_edges_equal_full_row_prim_where_the_filter_margin_is_thin(self, kind, ms):
+        # Inputs that strain the skip filter's margin: cancellation in the Gram
+        # identity (translated), exact zero distances and ties (duplicated),
+        # subnormal squares (1e-160, 1e-162), huge but finite squares (1e100), and
+        # squared norms that overflow while distances do not, whose estimates
+        # are NaN and must take the exact path.
+        rng = np.random.default_rng(23)
+        blobs = np.vstack([blob(rng, center, 30) for center in ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))])
+        points = {
+            "translated-1e8": blobs + 1e8,
+            "duplicated-4x": np.tile(blobs[:40], (4, 1)),
+            "scaled-1e-160": blobs * 1e-160,
+            "scaled-1e-162": blobs * 1e-162,
+            "scaled-1e100": blobs * 1e100,
+            "norms-overflow": blobs * 1e152 + 1e154,
+        }[kind]
+        core = core_distances(points, ms)
+        assert mutual_reachability_mst(points, core) == reference_prim(points, core)
+
     def test_single_point(self):
         assert mutual_reachability_mst(np.zeros((1, 2)), np.zeros(1)) == []
 
@@ -232,6 +255,14 @@ class TestCondenseTree:
 
 
 class TestCluster:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_are_rejected(self, bad):
+        rng = np.random.default_rng(5)
+        points = np.vstack([blob(rng, (0.0, 0.0), 20), blob(rng, (10.0, 0.0), 20)])
+        points[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cluster(points, ClusteringParams(min_cluster_size=5, min_samples=1))
+
     def test_fewer_points_than_min_cluster_size_all_noise(self):
         points = np.zeros((3, 2))
         labels = cluster(points, ClusteringParams(min_cluster_size=5, min_samples=1))
