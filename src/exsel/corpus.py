@@ -29,11 +29,11 @@ def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozens
     for label, values in entities.items():
         if not isinstance(label, str) or not label:
             raise DatasetError(f"entity label must be a non-empty string, got {label!r}")
-        values = frozenset(values)
-        for value in values:
+        values = tuple(values)
+        for value in values:  # checked before hashing: a list or object value is unhashable
             if not isinstance(value, str) or not value.strip():
                 raise DatasetError(f"entity value for label {label!r} must be a non-empty string, got {value!r}")
-        frozen[label] = values
+        frozen[label] = frozenset(values)
     return frozen
 
 

@@ -3,21 +3,22 @@
 Positives must carry at least one entity, negatives none; the model is
 asked for a JSON array of records per batch. Temperature jitters per
 batch around the configured base. Parsing is strict with a tally: a
-record that fails schema validation or its stream's constraint is
-rejected and counted, never silently dropped. A batch whose reply does
-not parse at all is retried once at the same temperature.
+record that the corpus reader or its stream's constraint rejects is
+counted, never silently dropped. A batch whose reply does not parse at
+all is retried once at the same temperature; an authentication failure
+ends generation.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from exsel.corpus import DatasetError, Example
+from exsel.corpus import DatasetError, Example, example_from_record
 from exsel.llm.client import LLMClient
-from exsel.llm.transport import ChatRequest, ClientError
+from exsel.llm.transport import AuthenticationError, ChatRequest, ClientError
 from exsel.parsing import parse_json_payload
 from exsel.seeding import derive_rng
 from exsel.templates import (
@@ -60,8 +61,11 @@ class GenerationConfig:
             raise ValueError("n_total must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.temperature_jitter < 0 or self.base_temperature - self.temperature_jitter < 0:
-            raise ValueError("base_temperature - temperature_jitter must be >= 0")
+        base, jitter = self.base_temperature, self.temperature_jitter
+        if not 0.0 <= base - jitter <= base + jitter <= 2.0:
+            raise ValueError("base_temperature +/- temperature_jitter must lie in [0, 2]")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise ValueError("positive_fraction must be in [0, 1]")
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -123,31 +127,18 @@ def _plan_batches(cfg: GenerationConfig) -> list[tuple[str, int]]:
     return plan
 
 
-def _validate_record(record: object, stream: str) -> tuple[str, dict[str, list[str]]] | str:
-    """Return (text, entities) for a usable record, or a rejection reason."""
-    if not isinstance(record, dict):
+def _generated_example(record: object, stream: str, example_id: str) -> Example | str:
+    """The example a generated record makes, or why it is rejected; the corpus reader checks the example itself."""
+    if not isinstance(record, dict) or set(record) - {"text", "entities"} or not isinstance(record.get("text"), str):
         return REASON_SCHEMA
-    if set(record) - {"text", "entities"}:
+    try:
+        example = example_from_record({**record, "id": example_id, "text": record["text"].strip()})
+    except DatasetError:
         return REASON_SCHEMA
-    text = record.get("text")
-    if not isinstance(text, str) or not text.strip():
-        return REASON_SCHEMA
-    entities = record.get("entities", {})
-    if not isinstance(entities, dict):
-        return REASON_SCHEMA
-    cleaned: dict[str, list[str]] = {}
-    for label, values in entities.items():
-        if not isinstance(label, str) or not label:
-            return REASON_SCHEMA
-        if not isinstance(values, list) or not all(isinstance(v, str) and v.strip() for v in values):
-            return REASON_SCHEMA
-        if values:
-            cleaned[label] = values
-    if stream == POSITIVE and not cleaned:
+    entities = {label: values for label, values in example.entities.items() if values}
+    if bool(entities) != (stream == POSITIVE):
         return REASON_STREAM
-    if stream == NEGATIVE and cleaned:
-        return REASON_STREAM
-    return (text.strip(), cleaned)
+    return replace(example, entities=entities)
 
 
 def generate_pool(
@@ -196,6 +187,8 @@ def generate_pool(
                     records = payload
                     break
                 logger.warning("batch %d (%s): unparseable reply (attempt %d)", batch_index, stream, attempt + 1)
+        except AuthenticationError:
+            raise
         except ClientError as exc:
             logger.warning("batch %d (%s) skipped: %s", batch_index, stream, exc)
             batch_failures[FAILURE_CLIENT] += 1
@@ -206,25 +199,14 @@ def generate_pool(
 
         successful_batches += 1
         for position, record in enumerate(records):
-            if position >= count:
-                rejection_reasons[REASON_EXCESS] += 1
-                stream_rejected[stream] += 1
-                continue
-            outcome = _validate_record(record, stream)
+            example_id = f"syn-{stream[:3]}-{batch_index:03d}-{position:02d}"
+            outcome = REASON_EXCESS if position >= count else _generated_example(record, stream, example_id)
             if isinstance(outcome, str):
                 rejection_reasons[outcome] += 1
                 stream_rejected[stream] += 1
-                continue
-            text, entities = outcome
-            example_id = f"syn-{stream[:3]}-{batch_index:03d}-{position:02d}"
-            try:
-                example = Example(id=example_id, text=text, entities=entities, provenance="synthetic")
-            except DatasetError:
-                rejection_reasons[REASON_SCHEMA] += 1
-                stream_rejected[stream] += 1
-                continue
-            examples.append(example)
-            stream_parsed[stream] += 1
+            else:
+                examples.append(outcome)
+                stream_parsed[stream] += 1
 
     if successful_batches == 0:
         raise GenerationError(

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from exsel.llm.cache import EmbeddingCache, cache_key
+from exsel.llm.cache import EmbeddingCache, cache_key, checked_rows
 from exsel.llm.transport import (
     AuthenticationError,
     ChatRequest,
@@ -26,19 +26,6 @@ from exsel.llm.transport import (
 logger = logging.getLogger(__name__)
 
 _EMBED_API_BATCH = 128
-
-
-def _checked_embeddings(raw: Sequence[Sequence[float]], expected: int) -> np.ndarray:
-    """One embeddings reply as an (expected, d) float64 matrix: d > 0 and every value finite."""
-    if len(raw) != expected:
-        raise MalformedResponseError(f"asked for {expected} embeddings, got {len(raw)}")
-    widths = sorted({len(row) for row in raw})
-    if len(widths) != 1 or widths[0] == 0:
-        raise MalformedResponseError(f"embedding dimensions within one reply must be one non-zero width, got {widths}")
-    matrix = np.array(raw, dtype=np.float64)
-    if not np.isfinite(matrix).all():
-        raise MalformedResponseError("embedding reply contains non-finite values")
-    return matrix
 
 
 class HttpTransport:
@@ -101,8 +88,8 @@ class HttpTransport:
         payload = self._post("/embeddings", {"model": model, "input": list(texts)})
         try:
             rows = sorted(payload["data"], key=lambda item: item["index"])
-            vectors = [[float(v) for v in row["embedding"]] for row in rows]
-        except (KeyError, TypeError, ValueError) as exc:
+            vectors = [row["embedding"] for row in rows]  # LLMClient.embed_batch checks them with checked_rows
+        except (KeyError, TypeError) as exc:
             raise MalformedResponseError("embeddings response missing data[*].embedding") from exc
         if len(vectors) != len(texts):
             raise MalformedResponseError(f"asked for {len(texts)} embeddings, got {len(vectors)}")
@@ -160,22 +147,25 @@ class LLMClient:
     def embed_batch(self, model: str, texts: Sequence[str]) -> np.ndarray:
         """Embed texts as an (n, d) float64 matrix in input order; repeated or previously seen texts hit the cache.
 
-        Every service reply is checked before it reaches the cache, so a
-        malformed one raises MalformedResponseError and is asked for again
-        by the next call.
+        The rows of one call share one width: that of its cached rows, or
+        else of its first service reply. Every reply is checked before it
+        reaches the cache, so a malformed one raises MalformedResponseError
+        and is asked for again by the next call.
         """
         if any(not text for text in texts):
             raise ValueError("cannot embed empty text")
         keys = [cache_key(model, text) for text in texts]
+        widths = {len(self.cache.get(key)) for key in keys if key in self.cache}
+        if len(widths) > 1:
+            raise MalformedResponseError(f"cached embedding dimensions differ within batch: {sorted(widths)}")
+        width = widths.pop() if widths else None
         pending = {key: text for key, text in zip(keys, texts) if key not in self.cache}
         fresh_keys = list(pending)
         for start in range(0, len(fresh_keys), _EMBED_API_BATCH):
             chunk_keys = fresh_keys[start : start + _EMBED_API_BATCH]
             chunk_texts = [pending[k] for k in chunk_keys]
             raw = self._with_retries(lambda ct=chunk_texts: self.transport.embed(model, ct), "embed")
-            self.cache.put(dict(zip(chunk_keys, _checked_embeddings(raw, len(chunk_keys)).tolist())))
-        rows = [self.cache.get(key) for key in keys]
-        widths = sorted({len(row) for row in rows})
-        if len(widths) > 1:
-            raise MalformedResponseError(f"embedding dimensions differ within batch: {widths}")
-        return np.array(rows, dtype=np.float64).reshape(len(rows), widths[0] if widths else 0)
+            rows = checked_rows(raw, len(chunk_keys), width)
+            width = rows.shape[1]
+            self.cache.put(chunk_keys, rows)
+        return np.array([self.cache.get(key) for key in keys]).reshape(len(keys), width or 0)

@@ -70,6 +70,8 @@ class TransportConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+            raise ValueError("backoff_base_s and backoff_cap_s must be >= 0")
 
 
 @runtime_checkable

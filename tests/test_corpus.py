@@ -117,6 +117,14 @@ class TestJsonlRoundTrip:
         with pytest.raises(DatasetError, match=r"ids\.jsonl:2: example id must be a non-empty string"):
             load_examples(path)
 
+    @pytest.mark.parametrize("value", [["v"], {"v": 1}], ids=["list", "object"])
+    def test_load_rejects_unhashable_entity_value_with_line_number(self, tmp_path, value):
+        path = tmp_path / "values.jsonl"
+        lines = [json.dumps({"id": "a", "text": "x"}), json.dumps({"id": "b", "text": "y", "entities": {"x": [value]}})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"values\.jsonl:2: entity value for label 'x' must be a non-empty string"):
+            load_examples(path)
+
     def test_load_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         rec = json.dumps({"id": "a", "text": "x"})

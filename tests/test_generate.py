@@ -10,7 +10,14 @@ from exsel.generate import (
     draw_temperature,
     generate_pool,
 )
-from exsel.llm import LLMClient, MockTransport, TransportConfig, TransientServiceError
+from exsel.llm import (
+    AuthenticationError,
+    LLMClient,
+    MalformedResponseError,
+    MockTransport,
+    TransportConfig,
+    TransientServiceError,
+)
 
 
 def make_client(transport):
@@ -135,6 +142,22 @@ class TestGeneratePool:
         assert len(examples) == 2
         assert report.batch_failure_reasons == {"client-error": 1}
 
+    def test_malformed_reply_skips_batch(self):
+        cfg = GenerationConfig(n_total=4, batch_size=2, positive_fraction=1.0)
+        transport = MockTransport(replies=[MalformedResponseError("no content"), json.dumps(records(2))])
+        examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
+        assert len(examples) == 2
+        assert report.batch_failure_reasons == {"client-error": 1}
+
+    def test_authentication_error_stops_generation(self):
+        cfg = GenerationConfig(n_total=6, batch_size=2, positive_fraction=1.0)
+        transport = MockTransport(
+            replies=[json.dumps(records(2)), AuthenticationError("401"), json.dumps(records(2))]
+        )
+        with pytest.raises(AuthenticationError):
+            generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
+        assert transport.chat_calls == 2
+
     def test_all_batches_failing_is_fatal(self):
         cfg = GenerationConfig(n_total=2, batch_size=2)
         client = make_client(MockTransport(replies=["x", "y", "z", "w"]))
@@ -185,3 +208,44 @@ class TestGeneratePool:
         cfg = GenerationConfig(n_total=2)
         with pytest.raises(ValueError):
             generate_pool(cfg, [], make_client(MockTransport()), model="m", seed=0)
+
+
+# one record per case, alone in a batch of one on its stream: the rejection reason, or the (text, entities) kept
+RECORD_CASES = {
+    "empty-label-positive": ("positive", {"text": "t", "entities": {"": []}}, "schema"),
+    "empty-label-negative": ("negative", {"text": "t", "entities": {"": []}}, "schema"),
+    "no-values-positive": ("positive", {"text": "t", "entities": {"x": []}}, "stream-constraint"),
+    "no-values-negative": ("negative", {"text": "t", "entities": {"x": []}}, ("t", {})),
+    "no-values-label-dropped": ("positive", {"text": "t", "entities": {"x": [], "y": ["v"]}}, ("t", {"y": {"v"}})),
+    "extra-id-key": ("positive", {"id": "a", "text": "t", "entities": {"x": ["v"]}}, "schema"),
+    "whitespace-text": ("negative", {"text": "   ", "entities": {}}, "schema"),
+    "non-string-text": ("negative", {"text": 5, "entities": {}}, "schema"),
+    "missing-text": ("negative", {"entities": {}}, "schema"),
+    "list-entities": ("positive", {"text": "t", "entities": ["x"]}, "schema"),
+    "null-entities": ("negative", {"text": "t", "entities": None}, "schema"),
+    "blank-value": ("positive", {"text": "t", "entities": {"x": [" "]}}, "schema"),
+    "list-value": ("positive", {"text": "t", "entities": {"x": [["v"]]}}, "schema"),
+    "object-value": ("positive", {"text": "t", "entities": {"x": [{"v": 1}]}}, "schema"),
+    "string-values": ("positive", {"text": "t", "entities": {"x": "v"}}, "schema"),
+    "not-an-object": ("negative", "plain text", "schema"),
+    "padded-text-stripped": ("negative", {"text": "  padded  "}, ("padded", {})),
+    "repeated-values": ("positive", {"text": "t", "entities": {"x": ["b", "a", "b"]}}, ("t", {"x": {"a", "b"}})),
+    "entity-on-negative": ("negative", {"text": "t", "entities": {"x": ["v"]}}, "stream-constraint"),
+    "no-entity-on-positive": ("positive", {"text": "t", "entities": {}}, "stream-constraint"),
+}
+
+
+@pytest.mark.parametrize("stream, record, expected", RECORD_CASES.values(), ids=RECORD_CASES.keys())
+def test_generated_record_edge_cases(stream, record, expected):
+    cfg = GenerationConfig(n_total=1, batch_size=1, positive_fraction=1.0 if stream == "positive" else 0.0)
+    client = make_client(MockTransport(replies=[json.dumps([record])]))
+    examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
+    if isinstance(expected, str):
+        assert examples == []
+        assert report.rejection_reasons == {expected: 1}
+        assert report.per_stream[stream].rejected == 1
+    else:
+        (example,) = examples
+        assert (example.text, dict(example.entities)) == expected
+        assert example.is_positive == (stream == "positive")
+        assert report.rejected == 0

@@ -46,6 +46,22 @@ class ScriptedEmbeddings:
         return self.reply
 
 
+class WidthPerCall:
+    """Embedding service whose n-th call answers rows of ones, widths[n] wide."""
+
+    def __init__(self, *widths):
+        self.widths = widths
+        self.embed_calls = 0
+
+    def complete(self, request):
+        raise ClientError("no chat here")
+
+    def embed(self, model, texts):
+        width = self.widths[self.embed_calls]
+        self.embed_calls += 1
+        return [[1.0] * width for _ in texts]
+
+
 class TestChatRequest:
     def test_rejects_empty_prompts(self):
         with pytest.raises(ValueError):
@@ -145,8 +161,14 @@ class TestEmbedBatch:
 
     @pytest.mark.parametrize(
         "reply",
-        [[[float("nan"), 1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0]], [[1.0, 0.0]]],
-        ids=["nan", "ragged", "row-too-few"],
+        [
+            [[float("nan"), 1.0], [1.0, 0.0]],
+            [[1.0, 0.0], [1.0]],
+            [[1.0, 0.0]],
+            [[[1.0, 2.0]], [[1.0, 2.0]]],
+            [["a", 1.0], [1.0, 0.0]],
+        ],
+        ids=["nan", "ragged", "row-too-few", "nested", "non-numeric"],
     )
     def test_malformed_reply_never_reaches_the_cache(self, tmp_path, reply):
         path = tmp_path / "embeddings.jsonl"
@@ -171,7 +193,51 @@ class TestEmbedBatch:
         matrix = make_client(healthy, embedding_cache=cache).embed_batch("e", ["x", "y"])
         assert healthy.embed_calls == 1
         assert matrix.tolist() == [[0.6, 0.8], [1.0, 0.0]]
-        assert EmbeddingCache(path).get(cache_key("e", "x")) == (0.6, 0.8)
+        assert EmbeddingCache(path).get(cache_key("e", "x")).tolist() == [0.6, 0.8]
+
+    @pytest.mark.parametrize("vector", [[[1.0, 2.0]], ["a", 1.0], "12", None], ids=["nested", "non-numeric", "string", "null"])
+    def test_record_on_disk_that_is_not_a_row_of_numbers_is_fetched_again(self, tmp_path, vector):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text(json.dumps({"key": cache_key("e", "x"), "vector": vector}) + "\n", encoding="utf-8")
+        cache = EmbeddingCache(path)
+        assert len(cache) == 0
+        healthy = ScriptedEmbeddings([[0.6, 0.8]])
+        assert make_client(healthy, embedding_cache=cache).embed_batch("e", ["x"]).tolist() == [[0.6, 0.8]]
+        assert healthy.embed_calls == 1
+
+    def test_api_batches_of_one_call_share_one_width(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        texts = [f"text {i}" for i in range(200)]
+        mixed = WidthPerCall(4, 3)
+        with pytest.raises(MalformedResponseError, match="dimension"):
+            make_client(mixed, embedding_cache=EmbeddingCache(path)).embed_batch("e", texts)
+        assert mixed.embed_calls == 2
+        assert len(EmbeddingCache(path)) == 128  # the first API batch was whole; the second never reached the file
+        healthy = WidthPerCall(4)
+        matrix = make_client(healthy, embedding_cache=EmbeddingCache(path)).embed_batch("e", texts)
+        assert healthy.embed_calls == 1
+        assert matrix.shape == (200, 4)
+
+    def test_fresh_rows_must_match_the_width_of_cached_ones(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        make_client(WidthPerCall(2), embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x"])
+        before = path.read_bytes()
+        wider = WidthPerCall(3)
+        with pytest.raises(MalformedResponseError, match="dimension"):
+            make_client(wider, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
+        assert wider.embed_calls == 1
+        assert path.read_bytes() == before
+
+    def test_cached_rows_of_two_widths_fail_before_any_call(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        records = [{"key": cache_key("e", "x"), "vector": [1.0, 0.0]}, {"key": cache_key("e", "y"), "vector": [1.0, 0.0, 0.0]}]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        before = path.read_bytes()
+        service = WidthPerCall(2)
+        with pytest.raises(MalformedResponseError, match="dimension"):
+            make_client(service, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y", "z"])
+        assert service.embed_calls == 0
+        assert path.read_bytes() == before
 
     def test_cache_key_depends_on_model(self):
         assert cache_key("m1", "t") != cache_key("m2", "t")
@@ -181,21 +247,32 @@ class TestEmbedBatch:
         good = json.dumps({"key": "k", "vector": [1.0]})
         path.write_text("not json\n" + good + "\n", encoding="utf-8")
         cache = EmbeddingCache(path)
-        assert cache.get("k") == (1.0,)
+        assert cache.get("k").tolist() == [1.0]
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize(
+        "record", [{"key": ["k"], "vector": [1.0]}, ["k", [1.0]], {"vector": [1.0]}], ids=["list-key", "array", "no-key"]
+    )
+    def test_cache_skips_records_without_a_usable_key(self, tmp_path, record):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"key": "k", "vector": [1.0]})
+        path.write_text(json.dumps(record) + "\n" + good + "\n", encoding="utf-8")
+        cache = EmbeddingCache(path)
+        assert cache.get("k").tolist() == [1.0]
         assert len(cache) == 1
 
     def test_put_after_truncated_last_line_survives_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EmbeddingCache(path)
-        cache.put({key: (1.0, 2.0) for key in "abc"})
+        cache.put(list("abc"), np.array([[1.0, 2.0]] * 3))
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:2]) + lines[2][:-7])  # a crash cut record "c" short
         cache = EmbeddingCache(path)
         assert "c" not in cache
-        cache.put({"c": (3.0, 4.0), "d": (5.0, 6.0)})
+        cache.put(["c", "d"], np.array([[3.0, 4.0], [5.0, 6.0]]))
         reloaded = EmbeddingCache(path)
-        assert {key: reloaded.get(key) for key in "abcd"} == {
-            "a": (1.0, 2.0), "b": (1.0, 2.0), "c": (3.0, 4.0), "d": (5.0, 6.0),
+        assert {key: reloaded.get(key).tolist() for key in "abcd"} == {
+            "a": [1.0, 2.0], "b": [1.0, 2.0], "c": [3.0, 4.0], "d": [5.0, 6.0],
         }
         assert path.read_bytes().startswith(b"".join(lines[:2]))
 

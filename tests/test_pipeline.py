@@ -181,6 +181,10 @@ class TestConfig:
         ("generation", {"n_total": 10, "labels": ["term"], "negative_template_path": "missing.txt"}),
         ("generation", {"n_total": 10, "labels": ["term"], "positive_prompt_template": "MINE {labels}"}),
         ("generation", {"n_total": 10, "labels": ["term"], "negative_prompt_template": "MINE {labels}"}),
+        ("generation", {"n_total": 10, "labels": ["term"], "max_output_tokens": 0}),
+        ("generation", {"n_total": 10, "labels": ["term"], "base_temperature": 1.9, "temperature_jitter": 0.2}),
+        ("client", {"backoff_base_s": -0.5}),
+        ("client", {"backoff_cap_s": -1}),
         ("ga", 5),
         ("ga", {"seed": 12345}),
     ],
@@ -633,3 +637,14 @@ def test_stage_keys_are_pinned(tmp_path, small_pool_path, llm_config_path, mode)
         run_pipeline(cfg)
     stages = json.loads((Path(cfg.output_dir) / "manifest.json").read_text(encoding="utf-8"))["stages"]
     assert {stage: stages[stage]["key"] for stage in PINNED_STAGE_KEYS[mode]} == PINNED_STAGE_KEYS[mode]
+
+
+def test_generated_pool_bytes_are_pinned(llm_config_path):
+    # the echo service fixes every reply, so the parsed pool and its tallies are the same on every platform
+    cfg = load_config(llm_config_path)
+    run_pipeline(cfg, through="pool", transport=TestLlmModeWithMockTransport().make_transport())
+    root = Path(cfg.output_dir) / "pool"
+    assert {name: file_sha256(root / name) for name in ("candidates.jsonl", "generation_report.json")} == {
+        "candidates.jsonl": "7bffc279e5bfd9b4e036313b08030a4df8af75af01532c27b9149ca2533c0214",
+        "generation_report.json": "6b8b3d642e8124f23107be77ed94110db8fdc0c39bee0a00ca635623b532602c",
+    }
