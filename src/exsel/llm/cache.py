@@ -25,8 +25,8 @@ def cache_key(model: str, text: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def checked_rows(raw: object, n_rows: int, width: int | None = None) -> np.ndarray:
-    """Rows as an (n_rows, d) float64 matrix of finite numbers, d > 0 and `width` if given.
+def checked_rows(raw: object, n_rows: int) -> np.ndarray:
+    """Rows as an (n_rows, d) float64 matrix of finite numbers, d > 0.
 
     Anything else raises MalformedResponseError.
     """
@@ -38,8 +38,8 @@ def checked_rows(raw: object, n_rows: int, width: int | None = None) -> np.ndarr
         raise MalformedResponseError(f"embeddings must be rows of numbers, got a {rows.ndim}-d array of {rows.dtype}")
     if len(rows) != n_rows:
         raise MalformedResponseError(f"asked for {n_rows} embeddings, got {len(rows)}")
-    if rows.shape[1] == 0 or width not in (None, rows.shape[1]):
-        raise MalformedResponseError(f"embedding dimension must be {width or 'non-zero'}, got {rows.shape[1]}")
+    if rows.shape[1] == 0:
+        raise MalformedResponseError("embedding dimension must be non-zero, got 0")
     rows = rows.astype(np.float64, copy=False)
     if not np.isfinite(rows).all():
         raise MalformedResponseError("embeddings contain non-finite values")
@@ -50,15 +50,15 @@ class EmbeddingCache:
     """In-memory map of float64 rows backed by an append-only JSONL file (optional)."""
 
     def __init__(self, path: Path | str | None = None) -> None:
-        self._path = Path(path) if path is not None else None
+        self.path = Path(path) if path is not None else None
         self._store: dict[str, np.ndarray] = {}
         self._line_open = False  # the file ends inside a line
-        if self._path is not None and self._path.exists():
+        if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        assert self._path is not None
-        with self._path.open("r", encoding="utf-8") as fh:
+        assert self.path is not None
+        with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 self._line_open = not line.endswith("\n")
                 line = line.strip()
@@ -85,9 +85,9 @@ class EmbeddingCache:
         if not fresh:
             return
         self._store.update(fresh)
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             lines = "".join(json.dumps({"key": key, "vector": row.tolist()}) + "\n" for key, row in fresh.items())
-            with self._path.open("a", encoding="utf-8") as fh:
+            with self.path.open("a", encoding="utf-8") as fh:
                 fh.write("\n" + lines if self._line_open else lines)
             self._line_open = False

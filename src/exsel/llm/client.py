@@ -91,8 +91,6 @@ class HttpTransport:
             vectors = [row["embedding"] for row in rows]  # LLMClient.embed_batch checks them with checked_rows
         except (KeyError, TypeError) as exc:
             raise MalformedResponseError("embeddings response missing data[*].embedding") from exc
-        if len(vectors) != len(texts):
-            raise MalformedResponseError(f"asked for {len(texts)} embeddings, got {len(vectors)}")
         return vectors
 
 
@@ -165,7 +163,13 @@ class LLMClient:
             chunk_keys = fresh_keys[start : start + _EMBED_API_BATCH]
             chunk_texts = [pending[k] for k in chunk_keys]
             raw = self._with_retries(lambda ct=chunk_texts: self.transport.embed(model, ct), "embed")
-            rows = checked_rows(raw, len(chunk_keys), width)
+            rows = checked_rows(raw, len(chunk_keys))
+            if width not in (None, rows.shape[1]):
+                where = self.cache.path or "in memory"
+                raise MalformedResponseError(
+                    f"embedding dimension must be {width}, got {rows.shape[1]}: the embedding cache ({where}) "
+                    f"holds {width}-d rows for model {model!r}; delete the cache file or use another model name"
+                )
             width = rows.shape[1]
             self.cache.put(chunk_keys, rows)
         return np.array([self.cache.get(key) for key in keys]).reshape(len(keys), width or 0)

@@ -1,12 +1,11 @@
 """Density-based clustering with noise, in the HDBSCAN family.
 
 Pipeline: core distances -> mutual reachability -> minimum spanning tree
--> single-linkage hierarchy -> condensed tree of clusters only (a side
-below the minimum size is dropped, and its points fall out of the
-cluster without a row of their own) -> leaf cluster selection with an
-epsilon merge threshold -> labels with noise as -1. A selected
-cluster's members are the points under the linkage node where it
-starts.
+-> single-linkage hierarchy -> one top-down pass that condenses the
+hierarchy and selects leaf clusters, stopping early where a split is
+born below the epsilon merge threshold (`condense_tree`) -> labels with
+noise as -1. A selected cluster's members are the points under the
+linkage node where it starts.
 
 Conventions, fixed for determinism:
   - Euclidean metric.
@@ -16,7 +15,7 @@ Conventions, fixed for determinism:
   - Leaf selection only; the hierarchy root is never a cluster, so an
     all-noise result is possible and valid.
   - Cluster labels are dense ints assigned by ascending condensed
-    cluster id; noise is -1.
+    cluster id, numbered in breadth-first order; noise is -1.
 
 Memory stays O(n) for a fixed dimension: the n x n mutual-reachability
 matrix is never built. Each step of Prim's algorithm bounds the
@@ -74,7 +73,7 @@ class ClusteringParams:
             raise ValueError("min_cluster_size must be >= 2")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.cluster_selection_epsilon < 0:
+        if not self.cluster_selection_epsilon >= 0:  # NaN too
             raise ValueError("cluster_selection_epsilon must be >= 0")
 
 
@@ -98,7 +97,8 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
     """Prim's MST over mutual-reachability distances.
 
     Returns n-1 edges (a, b, weight). Ties resolve to the lowest point
-    index, so output is deterministic for a fixed input order.
+    index, so output is deterministic for a fixed input order. Finite
+    points whose distances overflow to inf raise ValueError.
 
     The working arrays hold only points not yet in the tree, in
     ascending index order. A point that joins the tree is marked dead in
@@ -177,6 +177,8 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
             best_from[moved] = current
             bound[moved] = (1.0 + slack) * (reach * reach) + _FLOOR - half[rows[closer]]
         slot = int(np.argmin(best))
+        if not math.isfinite(best[slot]):
+            raise ValueError("mutual-reachability distances overflow to inf; scale the points down")
         current = int(ids[slot])
         edges.append((int(best_from[slot]), current, float(best[slot])))
         best[slot] = np.inf
@@ -231,79 +233,54 @@ def _subtree_points(linkage: list[tuple[int, int, float, int]], n: int, node: in
 
 
 def condense_tree(
-    linkage: list[tuple[int, int, float, int]], n: int, min_cluster_size: int
-) -> tuple[list[tuple[int, int, float, int]], dict[int, int]]:
-    """Rewrite the dendrogram top-down into cluster rows (parent, child, lambda, child_size).
+    linkage: list[tuple[int, int, float, int]], n: int, min_cluster_size: int, epsilon: float
+) -> list[int]:
+    """Walk the dendrogram top-down once; return where each selected cluster starts.
 
-    lambda = 1/merge-distance. A split keeps both sides as clusters only
-    when both have at least min_cluster_size points; a one-sided split
-    continues the parent cluster through the large side, and a side below
-    the minimum size is dropped: its points fall out of the cluster and
-    get no row. Cluster ids start at n (the root) and grow in traversal
-    order. Also returns start[c], the linkage node where cluster c begins;
-    the points under it are exactly c's members.
+    The walk is breadth-first from the root, and cluster ids grow in
+    traversal order. At a node of cluster c, a side with at least
+    min_cluster_size points is big:
+      - one big side: c continues through it, and the small side's
+        points fall out of c;
+      - two big sides: c is selected if it is not the root and the
+        split's birth scale is below epsilon; otherwise each side opens
+        a new cluster;
+      - no big side: c ends, and is selected unless it is the root.
+    Single-linkage heights never rise going down, so this selects what
+    climbing from each leaf to its first ancestor born at or above
+    epsilon, stopping below the root, selects. The birth scale is
+    1/lambda with lambda = 1/distance, the float HDBSCAN's condensed tree
+    stores; it can differ from the distance in the last bit (1/(1/49) is
+    49.00000000000001), so the distance itself is not compared.
+    Returns the linkage node where each selected cluster starts, in
+    ascending cluster id; the points under it are exactly that
+    cluster's members.
     """
     if not linkage:
-        return [], {}
+        return []
     root = n + len(linkage) - 1
-    start = {n: root}
-    next_label = n + 1
-    rows: list[tuple[int, int, float, int]] = []
-    queue: deque[tuple[int, int]] = deque([(root, n)])
+    next_id = 1
+    selected: list[tuple[int, int]] = []  # (cluster id, start node)
+    queue: deque[tuple[int, int, int]] = deque([(root, 0, root)])  # (node, cluster id, start node); the root is 0
     while queue:
-        node, label = queue.popleft()
+        node, cluster_id, start = queue.popleft()
         left, right, distance, _ = linkage[node - n]
-        lam = 1.0 / distance if distance > 0.0 else math.inf
         sides = [(child, 1 if child < n else linkage[child - n][3]) for child in (left, right)]
-        big = [(child, count) for child, count in sides if count >= min_cluster_size]
+        big = [child for child, count in sides if count >= min_cluster_size]
         if len(big) == 2:
-            for child, count in big:
-                start[next_label] = child
-                rows.append((label, next_label, lam, count))
-                queue.append((child, next_label))
-                next_label += 1
+            lam = 1.0 / distance if distance > 0.0 else math.inf
+            birth = 1.0 / lam if 0.0 < lam < math.inf else 0.0
+            if cluster_id and birth < epsilon:
+                selected.append((cluster_id, start))
+                continue
+            for child in big:
+                queue.append((child, next_id, child))
+                next_id += 1
         elif big:
-            queue.append((big[0][0], label))
-    return rows, start
-
-
-def _select_leaves_with_epsilon(rows: list[tuple[int, int, float, int]], n: int, epsilon: float) -> set[int]:
-    """Leaf clusters, except leaves born below the epsilon scale, which are
-    replaced by their first ancestor whose own birth scale clears it."""
-    parent_of = {child: parent for parent, child, _, _ in rows}
-    children_of: dict[int, list[int]] = {}
-    for parent, child, _, _ in rows:
-        children_of.setdefault(parent, []).append(child)
-    leaves = sorted(parent_of.keys() - children_of.keys())
-    if epsilon <= 0.0:
-        return set(leaves)
-    birth_eps = {child: 1.0 / lam if lam > 0 and not math.isinf(lam) else 0.0 for _, child, lam, _ in rows}
-    root = n
-    selected: set[int] = set()
-    absorbed: set[int] = set()
-    for leaf in leaves:
-        if leaf in absorbed:
-            continue
-        if birth_eps[leaf] >= epsilon:
-            selected.add(leaf)
-            continue
-        node = leaf
-        while True:
-            parent = parent_of[node]
-            if parent == root:
-                # merging all the way up would make one cluster of everything;
-                # keep the deepest node reached instead
-                break
-            node = parent
-            if birth_eps[node] >= epsilon:
-                break
-        selected.add(node)
-        stack = [node]
-        while stack:
-            children = children_of.get(stack.pop(), [])
-            absorbed.update(children)
-            stack.extend(children)
-    return selected
+            queue.append((big[0], cluster_id, start))
+        elif cluster_id:
+            selected.append((cluster_id, start))
+    return [start for _, start in sorted(selected)]
 
 
 def cluster(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
@@ -322,13 +299,8 @@ def cluster(points: np.ndarray, params: ClusteringParams) -> np.ndarray:
     core = core_distances(points, params.min_samples)
     edges = mutual_reachability_mst(points, core)
     linkage = single_linkage(edges, n)
-    rows, start = condense_tree(linkage, n, params.min_cluster_size)
-    # Selected clusters never nest: a child's birth distance is at most its
-    # parent's and siblings share one. So each point gets at most one label,
-    # every label keeps a whole condensed cluster of at least
-    # min_cluster_size points, and ids come out dense.
-    selected = _select_leaves_with_epsilon(rows, n, params.cluster_selection_epsilon)
+    starts = condense_tree(linkage, n, params.min_cluster_size, params.cluster_selection_epsilon)
     labels = np.full(n, NOISE, dtype=np.int64)
-    for label, cluster_id in enumerate(sorted(selected)):
-        labels[_subtree_points(linkage, n, start[cluster_id])] = label
+    for label, node in enumerate(starts):
+        labels[_subtree_points(linkage, n, node)] = label
     return labels

@@ -225,6 +225,13 @@ class TestMst:
         points = rng.normal(size=(17, 2))
         assert len(mutual_reachability_mst(points, core_distances(points, 1))) == 16
 
+    def test_distances_that_overflow_are_rejected(self):
+        # finite points whose squared distances overflow: every reach is inf,
+        # and an MST over them would join dead slots
+        points = np.random.default_rng(2).normal(size=(40, 2)) * 1e200
+        with pytest.raises(ValueError, match="overflow"):
+            mutual_reachability_mst(points, np.zeros(40))
+
 
 class TestSingleLinkage:
     def test_sizes_and_final_merge(self):
@@ -245,12 +252,8 @@ class TestCondenseTree:
         points = np.array([[0.0], [0.1], [10.0], [10.1]])
         edges = mutual_reachability_mst(points, core_distances(points, 1))
         linkage = single_linkage(edges, 4)
-        rows, start = condense_tree(linkage, 4, 2)
-        cluster_rows = [r for r in rows if r[3] > 1]
-        assert len(cluster_rows) == 2
-        assert all(parent == 4 for parent, _, _, _ in cluster_rows)
-        assert sorted(size for _, _, _, size in cluster_rows) == [2, 2]
-        members = sorted(sorted(_subtree_points(linkage, 4, start[child])) for _, child, _, _ in cluster_rows)
+        starts = condense_tree(linkage, 4, 2, 0.0)
+        members = sorted(sorted(_subtree_points(linkage, 4, node)) for node in starts)
         assert members == [[0, 1], [2, 3]]
 
 
@@ -262,6 +265,11 @@ class TestCluster:
         points[7, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             cluster(points, ClusteringParams(min_cluster_size=5, min_samples=1))
+
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
+    def test_epsilon_must_be_a_number_at_least_zero(self, epsilon):
+        with pytest.raises(ValueError, match="cluster_selection_epsilon"):
+            ClusteringParams(cluster_selection_epsilon=epsilon)
 
     def test_fewer_points_than_min_cluster_size_all_noise(self):
         points = np.zeros((3, 2))

@@ -223,8 +223,11 @@ class TestEmbedBatch:
         make_client(WidthPerCall(2), embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x"])
         before = path.read_bytes()
         wider = WidthPerCall(3)
-        with pytest.raises(MalformedResponseError, match="dimension"):
+        with pytest.raises(MalformedResponseError, match="dimension must be 2, got 3") as raised:
             make_client(wider, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
+        message = str(raised.value)
+        assert str(path) in message
+        assert "delete the cache file or use another model name" in message
         assert wider.embed_calls == 1
         assert path.read_bytes() == before
 
@@ -360,11 +363,15 @@ class TestHttpTransport:
         transport = self._patched(monkeypatch, FakeResponse(200, payload))
         assert transport.embed("e", ["a", "b"]) == [[1.0], [2.0]]
 
-    def test_embedding_count_mismatch(self, monkeypatch):
+    def test_embedding_count_mismatch(self, monkeypatch, tmp_path):
         payload = {"data": [{"index": 0, "embedding": [1.0]}]}
         transport = self._patched(monkeypatch, FakeResponse(200, payload))
-        with pytest.raises(MalformedResponseError):
-            transport.embed("e", ["a", "b"])
+        path = tmp_path / "embeddings.jsonl"
+        client = make_client(transport, embedding_cache=EmbeddingCache(path))
+        with pytest.raises(MalformedResponseError, match="asked for 2 embeddings, got 1"):
+            client.embed_batch("e", ["a", "b"])
+        assert len(client.cache) == 0
+        assert not path.exists()
 
     def test_network_error_is_transient(self, monkeypatch):
         import requests

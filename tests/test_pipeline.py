@@ -1,15 +1,17 @@
 """Config parsing, manifest resumption, and the runner over surrogate and mocked llm paths."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import EchoService, surrogate_config_payload, write_yaml_config
+from conftest import TOPIC_VOCAB, EchoService, surrogate_config_payload, write_yaml_config
 from exsel.corpus import load_examples
 from exsel.evolve import RunTrace, TraceRecord
 from exsel.generate import GenerationConfig
@@ -607,6 +609,119 @@ class TestLlmModeWithMockTransport:
         payload = run_baselines(cfg, transport=transport)
         assert payload["zeroshot"]["fitness"] == 1.0
         assert len(payload["random"]["16"]["fitnesses"]) == 3
+
+
+class Crash(Exception):
+    """Stands in for a killed process: no stage absorbs it, unlike a ClientError."""
+
+
+class PureService:
+    """Chat and embeddings that are a pure function of the request, so a rerun gets the replies a first run got.
+
+    Generation replies ten records in a topic picked by a digest of the
+    whole request; extraction names one of the query's first three words,
+    picked by a digest of the whole prompt, so fitness varies by genome.
+    """
+
+    def __init__(self):
+        self.hasher = HashingEmbeddingTransport(dimension=32)
+
+    def complete(self, request):
+        digest = hashlib.sha256(repr(request).encode("utf-8")).digest()
+        if request.user_prompt.endswith("Entities:"):
+            words = request.user_prompt.rsplit("Text: ", 1)[1].split()
+            return json.dumps({"term": [words[digest[0] % 3]]})
+        negative = "NO extractable" in request.user_prompt
+        vocab = TOPIC_VOCAB[digest[0] % 6]
+        records = []
+        for i in range(10):
+            words = [vocab[(digest[1] + i + j) % len(vocab)] for j in range(10)]
+            text = " ".join(words) + f" gen {digest.hex()[:8]} {i}"
+            records.append({"text": text, "entities": {} if negative else {"term": [words[0]]}})
+        return json.dumps(records)
+
+    def embed(self, model, texts):
+        return self.hasher.embed(model, texts)
+
+
+class CallLog:
+    """Passes every call on to `inner` and notes its kind, and whether `marker` existed when it came."""
+
+    def __init__(self, inner, marker):
+        self.inner, self.marker = inner, marker
+        self.calls: list[tuple[str, bool]] = []
+
+    def complete(self, request):
+        kind = "extract" if request.user_prompt.endswith("Entities:") else "generate"
+        self.calls.append((kind, self.marker.exists()))
+        return self.inner.complete(request)
+
+    def embed(self, model, texts):
+        self.calls.append(("embed", self.marker.exists()))
+        return self.inner.embed(model, texts)
+
+
+class CrashAfter:
+    """Passes the first `n` calls on to `inner`; every later call raises Crash."""
+
+    def __init__(self, inner, n):
+        self.inner, self.n = inner, n
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def _count(self):
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.n:
+                raise Crash(f"crashed after {self.n} calls")
+
+    def complete(self, request):
+        self._count()
+        return self.inner.complete(request)
+
+    def embed(self, model, texts):
+        self._count()
+        return self.inner.embed(model, texts)
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# the kind of call that crashes, and how many calls of an uninterrupted run get through before it
+CRASH_POINTS = {
+    "inside-generation": ("generate", lambda calls: 3),
+    "inside-embedding-batch": ("embed", lambda calls: calls.index(("embed", False))),
+    # the sixth of the first genome's twelve validation queries
+    "mid-genome": ("extract", lambda calls: calls.index(("extract", False)) + 5),
+    # the first call after the first k's select artifacts are written
+    "between-k-values": ("extract", lambda calls: [marked for _, marked in calls].index(True)),
+}
+
+
+@pytest.mark.parametrize("point", sorted(CRASH_POINTS))
+def test_rerun_after_a_crash_writes_the_bytes_of_an_uninterrupted_run(tmp_path, llm_config_path, point):
+    cfg = dataclasses.replace(load_config(llm_config_path), pool_sizes=(12, 16))
+    whole = dataclasses.replace(cfg, output_dir=str(tmp_path / "whole"))
+    log = CallLog(PureService(), tmp_path / "whole" / "select" / "prompt_k12.txt")
+    run_pipeline(whole, transport=log)
+    kind, picker = CRASH_POINTS[point]
+    crash_at = picker(log.calls)
+    assert log.calls[crash_at][0] == kind
+
+    resumed = dataclasses.replace(cfg, output_dir=str(tmp_path / "resumed"))
+    crashing = CrashAfter(PureService(), crash_at)
+    with pytest.raises(PipelineError, match=f"crashed after {crash_at} calls"):
+        run_pipeline(resumed, transport=crashing)
+    if point == "between-k-values":
+        assert (tmp_path / "resumed" / "select" / "prompt_k12.txt").exists()
+        assert not (tmp_path / "resumed" / "select" / "trace_k16.tsv").exists()
+    run_pipeline(resumed, transport=PureService())
+
+    got, want = _files(tmp_path / "resumed"), _files(tmp_path / "whole")
+    del got["manifest.json"], want["manifest.json"]
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
 
 
 # run directories written by earlier versions must keep matching these; pool and report keys hold absolute paths
