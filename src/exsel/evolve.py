@@ -65,7 +65,7 @@ class GAConfig:
             raise ValueError("genome_length must be >= 1")
         if self.max_generations < 0 or self.warmup < 0 or self.patience < 1:
             raise ValueError("invalid stopping parameters")
-        if self.min_relative_improvement < 0:
+        if not self.min_relative_improvement >= 0:  # NaN too
             raise ValueError("min_relative_improvement must be >= 0")
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from exsel.corpus import DatasetError, Example, example_from_record
 from exsel.llm.client import LLMClient
@@ -71,37 +71,6 @@ class GenerationConfig:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-@dataclass(frozen=True)
-class StreamCounts:
-    parsed_ok: int = 0
-    rejected: int = 0
-
-
-@dataclass(frozen=True)
-class GenerationReport:
-    requested: int
-    parsed_ok: int
-    rejected: int
-    rejection_reasons: Mapping[str, int] = field(default_factory=dict)
-    per_stream: Mapping[str, StreamCounts] = field(default_factory=dict)
-    failed_batches: int = 0
-    batch_failure_reasons: Mapping[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "parsed_ok": self.parsed_ok,
-            "rejected": self.rejected,
-            "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
-            "per_stream": {
-                stream: {"parsed_ok": c.parsed_ok, "rejected": c.rejected}
-                for stream, c in sorted(self.per_stream.items())
-            },
-            "failed_batches": self.failed_batches,
-            "batch_failure_reasons": dict(sorted(self.batch_failure_reasons.items())),
-        }
-
-
 def draw_temperature(cfg: GenerationConfig, seed: int, batch_index: int) -> float:
     """Uniform in [base - jitter, base + jitter], fixed per (seed, batch index)."""
     if cfg.temperature_jitter == 0.0:
@@ -148,12 +117,16 @@ def generate_pool(
     *,
     model: str,
     seed: int = 0,
-) -> tuple[list[Example], GenerationReport]:
+) -> tuple[list[Example], dict]:
     """Produce up to cfg.n_total synthetic examples plus a full accounting.
 
-    Chunks seed the prompts round-robin and are reused when fewer than
-    the number of batches. Batches run sequentially in plan order, so a
-    scripted mock client sees a deterministic request sequence.
+    The report holds `requested`, `parsed_ok`, `rejected`,
+    `rejection_reasons`, `per_stream` ({stream: {parsed_ok, rejected}},
+    for each stream that parsed or rejected a record), `failed_batches`
+    and `batch_failure_reasons`. Chunks seed the prompts round-robin and
+    are reused when fewer than the number of batches. Batches run
+    sequentially in plan order, so a scripted mock client sees a
+    deterministic request sequence.
     """
     if not chunks:
         raise ValueError("need at least one corpus chunk to seed generation")
@@ -164,9 +137,7 @@ def generate_pool(
     examples: list[Example] = []
     rejection_reasons: Counter[str] = Counter()
     batch_failures: Counter[str] = Counter()
-    stream_parsed: Counter[str] = Counter()
-    stream_rejected: Counter[str] = Counter()
-    successful_batches = 0
+    per_stream: dict[str, Counter[str]] = {}
 
     for batch_index, (stream, count) in enumerate(plan):
         template = cfg.positive_prompt_template if stream == POSITIVE else cfg.negative_prompt_template
@@ -197,32 +168,27 @@ def generate_pool(
             batch_failures[FAILURE_PARSE] += 1
             continue
 
-        successful_batches += 1
         for position, record in enumerate(records):
             example_id = f"syn-{stream[:3]}-{batch_index:03d}-{position:02d}"
             outcome = REASON_EXCESS if position >= count else _generated_example(record, stream, example_id)
+            tally = per_stream.setdefault(stream, Counter(parsed_ok=0, rejected=0))
             if isinstance(outcome, str):
                 rejection_reasons[outcome] += 1
-                stream_rejected[stream] += 1
+                tally["rejected"] += 1
             else:
                 examples.append(outcome)
-                stream_parsed[stream] += 1
+                tally["parsed_ok"] += 1
 
-    if successful_batches == 0:
-        raise GenerationError(
-            f"all {len(plan)} generation batches failed: {dict(batch_failures)}"
-        )
-    report = GenerationReport(
-        requested=cfg.n_total,
-        parsed_ok=len(examples),
-        rejected=sum(rejection_reasons.values()),
-        rejection_reasons=dict(rejection_reasons),
-        per_stream={
-            stream: StreamCounts(parsed_ok=stream_parsed[stream], rejected=stream_rejected[stream])
-            for stream in (POSITIVE, NEGATIVE)
-            if stream_parsed[stream] or stream_rejected[stream]
-        },
-        failed_batches=sum(batch_failures.values()),
-        batch_failure_reasons=dict(batch_failures),
-    )
+    failed_batches = sum(batch_failures.values())
+    if failed_batches == len(plan):
+        raise GenerationError(f"all {len(plan)} generation batches failed: {dict(batch_failures)}")
+    report = {
+        "requested": cfg.n_total,
+        "parsed_ok": len(examples),
+        "rejected": sum(rejection_reasons.values()),
+        "rejection_reasons": rejection_reasons,
+        "per_stream": per_stream,
+        "failed_batches": failed_batches,
+        "batch_failure_reasons": batch_failures,
+    }
     return examples, report

@@ -91,6 +91,8 @@ class HttpTransport:
             vectors = [row["embedding"] for row in rows]  # LLMClient.embed_batch checks them with checked_rows
         except (KeyError, TypeError) as exc:
             raise MalformedResponseError("embeddings response missing data[*].embedding") from exc
+        if [row["index"] for row in rows] != list(range(len(rows))):
+            raise MalformedResponseError(f"embeddings response index values are not 0..{len(rows) - 1}")
         return vectors
 
 
@@ -153,10 +155,14 @@ class LLMClient:
         if any(not text for text in texts):
             raise ValueError("cannot embed empty text")
         keys = [cache_key(model, text) for text in texts]
-        widths = {len(self.cache.get(key)) for key in keys if key in self.cache}
+        widths = sorted({len(self.cache.get(key)) for key in keys if key in self.cache})
+        where = self.cache.path or "in memory"
         if len(widths) > 1:
-            raise MalformedResponseError(f"cached embedding dimensions differ within batch: {sorted(widths)}")
-        width = widths.pop() if widths else None
+            raise MalformedResponseError(
+                f"cached embedding dimensions differ within batch: {widths}: the embedding cache ({where}) "
+                f"mixes them for model {model!r}; delete the cache file or use another model name"
+            )
+        width = widths[0] if widths else None
         pending = {key: text for key, text in zip(keys, texts) if key not in self.cache}
         fresh_keys = list(pending)
         for start in range(0, len(fresh_keys), _EMBED_API_BATCH):
@@ -165,7 +171,6 @@ class LLMClient:
             raw = self._with_retries(lambda ct=chunk_texts: self.transport.embed(model, ct), "embed")
             rows = checked_rows(raw, len(chunk_keys))
             if width not in (None, rows.shape[1]):
-                where = self.cache.path or "in memory"
                 raise MalformedResponseError(
                     f"embedding dimension must be {width}, got {rows.shape[1]}: the embedding cache ({where}) "
                     f"holds {width}-d rows for model {model!r}; delete the cache file or use another model name"

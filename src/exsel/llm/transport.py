@@ -68,9 +68,9 @@ class TransportConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:  # NaN too
             raise ValueError("timeout_s must be positive")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+        if not (self.backoff_base_s >= 0 and self.backoff_cap_s >= 0):  # NaN too
             raise ValueError("backoff_base_s and backoff_cap_s must be >= 0")
 
 

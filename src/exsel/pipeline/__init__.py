@@ -1,6 +1,6 @@
 """Config-driven pipeline orchestration with stage-wise resumption."""
 
-from exsel.pipeline.baselines import BaselineSummary, baseline_random
+from exsel.pipeline.baselines import baseline_random
 from exsel.pipeline.config import (
     MODE_LLM,
     MODE_SURROGATE,
@@ -14,7 +14,6 @@ from exsel.pipeline.manifest import RunManifest, file_sha256
 from exsel.pipeline.runner import STAGES, PipelineError, RunState, run_baselines, run_pipeline
 
 __all__ = [
-    "BaselineSummary",
     "ConfigError",
     "CorpusConfig",
     "MODE_LLM",

@@ -149,7 +149,7 @@ def _pool_run(state: RunState) -> list[Path]:
     save_examples(state.validation, out / "validation.jsonl")
     artifacts = [out / "candidates.jsonl", out / "validation.jsonl"]
     if report is not None:
-        _write_json(out / "generation_report.json", report.as_dict())
+        _write_json(out / "generation_report.json", report)
         artifacts.append(out / "generation_report.json")
     return artifacts
 
@@ -456,14 +456,13 @@ def run_baselines(
     payload: dict = {"mode": cfg.fitness_mode, "n_draws": cfg.baseline_draws, "random": {}}
     for k in cfg.pool_sizes:
         pool = state.candidate_pools[k]
-        summary = baseline_random(
+        payload["random"][str(k)] = baseline_random(
             pool,
             cfg.ga.genome_length,
             cfg.baseline_draws,
             state.fitness_provider(pool),
             derive_seed(cfg.seed, "baseline", k),
         )
-        payload["random"][str(k)] = summary.as_dict()
     if cfg.fitness_mode == MODE_LLM:
         evaluation = evaluate_fewshot((), state.validation, state.chat_client, **state.evaluation_settings())
         payload["zeroshot"] = evaluation.as_dict()

@@ -69,13 +69,11 @@ def load_precomputed(path: Path | str) -> np.ndarray:
                 raise ProjectionError(f"{path}:{lineno}: non-numeric value") from exc
             if not all(map(math.isfinite, row)):
                 raise ProjectionError(f"{path}:{lineno}: non-finite value")
+            if rows and len(row) != len(rows[0]):
+                raise ProjectionError(f"{path}:{lineno}: expected {len(rows[0])} values, found {len(row)}")
             rows.append(row)
     if not rows:
         raise ProjectionError(f"{path}: no vectors found")
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ProjectionError(f"{path}:{i}: expected {width} values, found {len(row)}")
     return np.array(rows, dtype=np.float64)
 
 

@@ -103,7 +103,7 @@ def test_search_beats_random_draws_in_most_seeds(capsys):
         cfg = GAConfig(mu=20, lambda_=40, max_generations=15, genome_length=5, seed=seed)
         _, trace = evolve(pool, fitness, cfg)
         baseline = baseline_random(pool, shots=5, n_draws=3, fitness=fitness, seed=seed)
-        if trace.records[-1].best_fitness > baseline.mean:
+        if trace.records[-1].best_fitness > baseline["mean"]:
             wins += 1
     elapsed = time.perf_counter() - start
     announce(

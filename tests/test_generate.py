@@ -67,8 +67,8 @@ class TestGeneratePool:
         client = make_client(MockTransport(replies=[json.dumps(records(20))]))
         examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
         assert len(examples) == 20
-        assert report.parsed_ok == 20
-        assert report.rejected == 0
+        assert report["parsed_ok"] == 20
+        assert report["rejected"] == 0
         assert all(ex.provenance == "synthetic" for ex in examples)
         assert all(ex.is_positive for ex in examples)
 
@@ -77,8 +77,8 @@ class TestGeneratePool:
         transport = MockTransport(replies=[json.dumps(records(20)), json.dumps(records(20, positive=False))])
         examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
         assert transport.chat_calls == 2
-        assert report.per_stream["positive"].parsed_ok == 20
-        assert report.per_stream["negative"].parsed_ok == 20
+        assert report["per_stream"]["positive"]["parsed_ok"] == 20
+        assert report["per_stream"]["negative"]["parsed_ok"] == 20
         positives = [ex for ex in examples if ex.is_positive]
         assert len(positives) == 20
 
@@ -92,8 +92,8 @@ class TestGeneratePool:
         client = make_client(MockTransport(replies=[json.dumps(mixed)]))
         examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
         assert len(examples) == 1
-        assert report.rejection_reasons == {"stream-constraint": 1}
-        assert report.per_stream["negative"].rejected == 1
+        assert report["rejection_reasons"] == {"stream-constraint": 1}
+        assert report["per_stream"]["negative"]["rejected"] == 1
 
     def test_schema_rejections_tallied(self):
         cfg = GenerationConfig(n_total=3, batch_size=3, positive_fraction=1.0)
@@ -105,15 +105,15 @@ class TestGeneratePool:
         client = make_client(MockTransport(replies=[json.dumps(bad)]))
         examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
         assert len(examples) == 1
-        assert report.rejection_reasons == {"schema": 2}
-        assert report.parsed_ok + report.rejected == 3
+        assert report["rejection_reasons"] == {"schema": 2}
+        assert report["parsed_ok"] + report["rejected"] == 3
 
     def test_excess_records_rejected_not_dropped(self):
         cfg = GenerationConfig(n_total=2, batch_size=2, positive_fraction=1.0)
         client = make_client(MockTransport(replies=[json.dumps(records(5))]))
         examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
         assert len(examples) == 2
-        assert report.rejection_reasons == {"excess": 3}
+        assert report["rejection_reasons"] == {"excess": 3}
 
     def test_unparseable_batch_retried_once_then_tallied(self):
         cfg = GenerationConfig(n_total=2, batch_size=2, positive_fraction=1.0)
@@ -121,7 +121,7 @@ class TestGeneratePool:
         examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
         assert transport.chat_calls == 2
         assert len(examples) == 2
-        assert report.failed_batches == 0
+        assert report["failed_batches"] == 0
 
     def test_batch_failing_twice_is_skipped(self):
         cfg = GenerationConfig(n_total=4, batch_size=2, positive_fraction=1.0)
@@ -130,8 +130,8 @@ class TestGeneratePool:
         )
         examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
         assert len(examples) == 2
-        assert report.failed_batches == 1
-        assert report.batch_failure_reasons == {"parse-failure": 1}
+        assert report["failed_batches"] == 1
+        assert report["batch_failure_reasons"] == {"parse-failure": 1}
 
     def test_client_error_skips_batch(self):
         cfg = GenerationConfig(n_total=4, batch_size=2, positive_fraction=1.0)
@@ -140,14 +140,14 @@ class TestGeneratePool:
         )
         examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
         assert len(examples) == 2
-        assert report.batch_failure_reasons == {"client-error": 1}
+        assert report["batch_failure_reasons"] == {"client-error": 1}
 
     def test_malformed_reply_skips_batch(self):
         cfg = GenerationConfig(n_total=4, batch_size=2, positive_fraction=1.0)
         transport = MockTransport(replies=[MalformedResponseError("no content"), json.dumps(records(2))])
         examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
         assert len(examples) == 2
-        assert report.batch_failure_reasons == {"client-error": 1}
+        assert report["batch_failure_reasons"] == {"client-error": 1}
 
     def test_authentication_error_stops_generation(self):
         cfg = GenerationConfig(n_total=6, batch_size=2, positive_fraction=1.0)
@@ -157,6 +157,13 @@ class TestGeneratePool:
         with pytest.raises(AuthenticationError):
             generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
         assert transport.chat_calls == 2
+
+    def test_empty_batch_counts_as_success(self):
+        cfg = GenerationConfig(n_total=2, batch_size=2, positive_fraction=1.0)
+        examples, report = generate_pool(cfg, CHUNKS, make_client(MockTransport(replies=["[]"])), model="m", seed=0)
+        assert examples == []
+        assert report["failed_batches"] == 0
+        assert report["per_stream"] == {}
 
     def test_all_batches_failing_is_fatal(self):
         cfg = GenerationConfig(n_total=2, batch_size=2)
@@ -242,10 +249,10 @@ def test_generated_record_edge_cases(stream, record, expected):
     examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
     if isinstance(expected, str):
         assert examples == []
-        assert report.rejection_reasons == {expected: 1}
-        assert report.per_stream[stream].rejected == 1
+        assert report["rejection_reasons"] == {expected: 1}
+        assert report["per_stream"][stream]["rejected"] == 1
     else:
         (example,) = examples
         assert (example.text, dict(example.entities)) == expected
         assert example.is_positive == (stream == "positive")
-        assert report.rejected == 0
+        assert report["rejected"] == 0

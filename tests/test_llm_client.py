@@ -237,8 +237,11 @@ class TestEmbedBatch:
         path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
         before = path.read_bytes()
         service = WidthPerCall(2)
-        with pytest.raises(MalformedResponseError, match="dimension"):
+        with pytest.raises(MalformedResponseError, match="dimension") as raised:
             make_client(service, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y", "z"])
+        message = str(raised.value)
+        assert str(path) in message
+        assert "delete the cache file or use another model name" in message
         assert service.embed_calls == 0
         assert path.read_bytes() == before
 
@@ -370,6 +373,19 @@ class TestHttpTransport:
         client = make_client(transport, embedding_cache=EmbeddingCache(path))
         with pytest.raises(MalformedResponseError, match="asked for 2 embeddings, got 1"):
             client.embed_batch("e", ["a", "b"])
+        assert len(client.cache) == 0
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "indices", [[1, 1, 5], [0, 2, 3], [1, 2, 3], [0, 0, 1]], ids=["repeated-and-past-end", "gap", "from-one", "repeated"]
+    )
+    def test_embedding_indices_must_number_the_rows(self, monkeypatch, tmp_path, indices):
+        payload = {"data": [{"index": i, "embedding": [float(n), 1.0]} for n, i in enumerate(indices)]}
+        transport = self._patched(monkeypatch, FakeResponse(200, payload))
+        path = tmp_path / "embeddings.jsonl"
+        client = make_client(transport, embedding_cache=EmbeddingCache(path))
+        with pytest.raises(MalformedResponseError, match="index"):
+            client.embed_batch("e", ["a", "b", "c"])
         assert len(client.cache) == 0
         assert not path.exists()
 

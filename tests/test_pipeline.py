@@ -189,6 +189,10 @@ class TestConfig:
         ("client", {"backoff_cap_s": -1}),
         ("ga", 5),
         ("ga", {"seed": 12345}),
+        ("ga", {"min_relative_improvement": float("nan")}),
+        ("client", {"timeout_s": float("nan")}),
+        ("client", {"backoff_base_s": float("nan")}),
+        ("client", {"backoff_cap_s": float("nan")}),
     ],
 )
 @pytest.mark.parametrize("kind", ["bad-value", "unknown-field"])
@@ -763,3 +767,21 @@ def test_generated_pool_bytes_are_pinned(llm_config_path):
         "candidates.jsonl": "7bffc279e5bfd9b4e036313b08030a4df8af75af01532c27b9149ca2533c0214",
         "generation_report.json": "6b8b3d642e8124f23107be77ed94110db8fdc0c39bee0a00ca635623b532602c",
     }
+
+
+PINNED_BASELINES = {
+    "llm": "a7eb42ab370d9341e2419a9a805b0b5d43903c6f2727c05c4b49cfb3877a09c6",
+    "surrogate": "608972e003c65d59daca4b012ab46184092e6a53340fb7c855dbb190e1716f62",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_BASELINES))
+def test_baselines_bytes_are_pinned(tmp_path, small_pool_path, llm_config_path, mode):
+    # baselines.json is written from plain dicts; a refactor of its writer must not move a byte
+    if mode == "llm":
+        cfg = load_config(llm_config_path)
+        run_baselines(cfg, transport=TestLlmModeWithMockTransport().make_transport())
+    else:
+        cfg = load_config(write_config(tmp_path, small_pool_path))
+        run_baselines(cfg)
+    assert file_sha256(Path(cfg.output_dir) / "baseline" / "baselines.json") == PINNED_BASELINES[mode]

@@ -258,6 +258,12 @@ class TestPrecomputed:
         with pytest.raises(ProjectionError, match="expected 2"):
             load_precomputed(path)
 
+    def test_ragged_row_names_its_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "proj.txt"
+        path.write_text("1 2\n\n3\n", encoding="utf-8")
+        with pytest.raises(ProjectionError, match=r"proj\.txt:3: expected 2 values, found 1"):
+            load_precomputed(path)
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "proj.txt"
         path.write_text("1.0 x\n", encoding="utf-8")
