@@ -55,10 +55,6 @@ class Example:
             raise DatasetError(f"example {self.id!r}: provenance must be one of {_PROVENANCES}")
         object.__setattr__(self, "entities", _freeze_entities(self.entities))
 
-    @property
-    def is_positive(self) -> bool:
-        return len(self.entities) > 0
-
 
 @dataclass(frozen=True)
 class LabelSchema:

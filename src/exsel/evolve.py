@@ -90,10 +90,6 @@ class RunTrace:
                 raise ValueError("best fitness must be non-decreasing across generations")
             best = record.best_fitness
 
-    @property
-    def total_evaluations(self) -> int:
-        return sum(r.evaluations for r in self.records)
-
     def write_tsv(self, path: Path | str) -> None:
         """A header of TraceRecord field names, then one row per record, values as repr."""
         lines = ["\t".join(f.name for f in fields(TraceRecord))]

@@ -57,8 +57,6 @@ class EvaluationConfig:
     max_output_tokens: int = 512
 
     def __post_init__(self) -> None:
-        # env-interpolated YAML values arrive as strings
-        object.__setattr__(self, "max_output_tokens", int(self.max_output_tokens))
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
 

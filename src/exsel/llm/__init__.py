@@ -1,8 +1,8 @@
-"""Client for OpenAI-compatible chat and embedding services, plus offline mocks."""
+"""Client for OpenAI-compatible chat and embedding services, plus an offline hashing embedder."""
 
 from exsel.llm.cache import EmbeddingCache
 from exsel.llm.client import HttpTransport, LLMClient
-from exsel.llm.mock import HashingEmbeddingTransport, MockTransport
+from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.llm.transport import (
     AuthenticationError,
     ChatRequest,
@@ -23,7 +23,6 @@ __all__ = [
     "HttpTransport",
     "LLMClient",
     "MalformedResponseError",
-    "MockTransport",
     "RetryBudgetExceeded",
     "Transport",
     "TransportConfig",

@@ -1,11 +1,13 @@
-"""Content-addressed embedding cache persisted as JSONL, and the rule every stored vector keeps.
+"""Content-addressed embedding cache: raw float64 rows plus a JSONL index, and the rule every stored vector keeps.
 
 Keys are sha256 over (model, text), so a cache survives renames and can
-be shared between runs; re-running a 10k-example pipeline only pays for
-texts it has never embedded. Corrupt lines, and records whose vector
-fails `checked_rows`, are skipped on load rather than failing the run,
-so such a text is embedded again. A file whose last line was cut short
-by a crash gets its next record on a fresh line.
+be shared between runs. `put` appends a batch's rows as little-endian
+float64 to `<name>.f64`, then one `{"key", "width", "offset"}` line per
+row to `<name>.jsonl`: bytes a crash leaves without a line are never read.
+Load skips a line that is corrupt, whose bytes were cut short or written
+over after a cut, or whose row fails `checked_rows`, so that text is
+embedded again; the line after one cut short starts on a fresh line.
+Lines of the older format, which hold the `"vector"`, are still read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import numpy as np
 
 from exsel.llm.transport import MalformedResponseError
 
+_ROW_DTYPE = np.dtype("<f8")
+
 
 def cache_key(model: str, text: str) -> str:
     payload = model.encode("utf-8") + b"\x1f" + text.encode("utf-8")
@@ -26,12 +30,12 @@ def cache_key(model: str, text: str) -> str:
 
 
 def checked_rows(raw: object, n_rows: int) -> np.ndarray:
-    """Rows as an (n_rows, d) float64 matrix of finite numbers, d > 0.
+    """Rows as an (n_rows, d) float64 matrix of finite numbers, d > 0; a float64 array comes back uncopied.
 
     Anything else raises MalformedResponseError.
     """
     try:
-        rows = np.array(raw)
+        rows = np.asarray(raw)
     except ValueError as exc:  # rows of different lengths
         raise MalformedResponseError(f"embedding dimensions within one reply differ: {exc}") from None
     if rows.ndim != 2 or rows.dtype.kind not in "iuf":
@@ -47,28 +51,42 @@ def checked_rows(raw: object, n_rows: int) -> np.ndarray:
 
 
 class EmbeddingCache:
-    """In-memory map of float64 rows backed by an append-only JSONL file (optional)."""
+    """In-memory map of float64 rows backed by an append-only row file and its JSONL index (optional)."""
 
     def __init__(self, path: Path | str | None = None) -> None:
         self.path = Path(path) if path is not None else None
+        self.rows_path = self.path.with_suffix(".f64") if self.path is not None else None
         self._store: dict[str, np.ndarray] = {}
-        self._line_open = False  # the file ends inside a line
+        self._line_open = False  # the index ends inside a line
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        assert self.path is not None
+        assert self.path is not None and self.rows_path is not None
+        blob = self.rows_path.read_bytes() if self.rows_path.exists() else b""
+        entries = []  # (key, row of an older-format line, or (width, offset) of its bytes)
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 self._line_open = not line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
                 try:
                     record = json.loads(line)
-                    self._store[record["key"]] = checked_rows([record["vector"]], 1)[0]
-                except (json.JSONDecodeError, KeyError, TypeError, MalformedResponseError):
-                    continue  # TypeError: a record that is not an object, or a key that is not hashable
+                    if "vector" in record:
+                        entries.append((record["key"], checked_rows([record["vector"]], 1)[0]))
+                    elif int(record["width"]) > 0 and int(record["offset"]) >= 0:
+                        entries.append((record["key"], (int(record["width"]), int(record["offset"]))))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError, MalformedResponseError):
+                    continue  # TypeError: a record that is not an object
+        floor = len(blob)  # where the bytes of later lines start: a cut sidecar grows again from its new end
+        for key, row in reversed(entries):  # so the last line of a key wins
+            if isinstance(row, tuple):
+                width, offset = row
+                whole, floor = offset + width * _ROW_DTYPE.itemsize <= floor, min(floor, offset)
+                try:
+                    row = checked_rows(np.frombuffer(blob, _ROW_DTYPE, width, offset)[None], 1)[0] if whole else None
+                except MalformedResponseError:
+                    continue
+            if row is not None and isinstance(key, str):
+                self._store.setdefault(key, row)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -80,14 +98,22 @@ class EmbeddingCache:
         return self._store.get(key)
 
     def put(self, keys: Sequence[str], rows: np.ndarray) -> None:
-        """Store one batch of `checked_rows`, a row per key; those not yet cached go to the file in one append."""
+        """Store one batch of `checked_rows`, a row per key; those not yet cached go to the files in one append each."""
         fresh = {key: row for key, row in zip(keys, rows, strict=True) if key not in self._store}
         if not fresh:
             return
         self._store.update(fresh)
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            lines = "".join(json.dumps({"key": key, "vector": row.tolist()}) + "\n" for key, row in fresh.items())
+            block = np.array(list(fresh.values()), dtype=_ROW_DTYPE)
+            with self.rows_path.open("ab") as fh:
+                fh.write(block.tobytes())
+                fh.flush()
+                offset = fh.tell() - block.nbytes  # where the append landed, even after another writer's
+            lines = "".join(
+                f'{{"key": {json.dumps(key)}, "width": {block.shape[1]}, "offset": {offset + i * block[0].nbytes}}}\n'
+                for i, key in enumerate(fresh)
+            )
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write("\n" + lines if self._line_open else lines)
             self._line_open = False

@@ -83,5 +83,5 @@ class Transport(Protocol):
         ...
 
     def embed(self, model: str, texts: Sequence[str]) -> list[list[float]]:
-        """Return one raw vector per text, in input order."""
+        """Return one raw vector per text, in input order (lists, or the rows of an array)."""
         ...

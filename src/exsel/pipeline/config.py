@@ -9,11 +9,12 @@ independently reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, TypeVar, get_type_hints
 
 import yaml
 
@@ -77,9 +78,6 @@ class PipelineConfig:
     baseline_draws: int = 3
 
     def __post_init__(self) -> None:
-        # env-interpolated YAML values arrive as strings
-        for name in ("seed", "baseline_draws"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "pool_sizes", tuple(self.pool_sizes))
         if self.fitness_mode not in (MODE_SURROGATE, MODE_LLM):
             raise ConfigError(f"fitness_mode must be surrogate or llm, got {self.fitness_mode!r}")
@@ -160,13 +158,26 @@ def _fields(data: dict, name: str) -> dict:
     return dict(section)
 
 
-def _section(name: str, build: Callable[..., T], data: dict) -> T:
-    """Build one config section; a bad field or an unreadable template file raises ConfigError naming the section.
+def _int(where: str, value: object) -> int:
+    """An int that is not a bool, or a string that `int()` reads exactly (env-interpolated values are strings)."""
+    with contextlib.suppress(ValueError):
+        if type(value) is int or isinstance(value, str):
+            return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
-    A ConfigError from the section itself already names its field and passes unchanged.
-    """
+
+def _section(name: str, cls: type[T], data: dict, build: Callable[..., T] | None = None) -> T:
+    """Build section `name` as dataclass `cls` (through `build` if given); errors name the section, or the field."""
+    hints, data = get_type_hints(cls), dict(data)
+    for key, value in data.items():
+        if hints.get(key) is int:
+            data[key] = _int(f"{name}.{key}", value)
+        elif hints.get(key) == tuple[int, ...]:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name}.{key} must be a list of integers, got {value!r}")
+            data[key] = tuple(_int(f"{name}.{key}", item) for item in value)
     try:
-        return build(**data)
+        return (build or cls)(**data)
     except ConfigError:
         raise
     except (TypeError, ValueError, OSError) as exc:
@@ -189,7 +200,7 @@ def _generation(
 
 def _ga(seed: int = 0, **fields) -> GAConfig:
     """The `ga` section; the GA's seed is derived from the top-level seed for each k, so none is set here."""
-    if int(seed) != 0:
+    if seed != 0:
         raise ValueError(f"seed {seed} would be ignored; each k's GA seed is derived from the top-level seed")
     return GAConfig(**fields)
 
@@ -220,7 +231,7 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
         section = _fields(data, "generation")
         for key in ("positive_template_path", "negative_template_path"):
             section[key] = _resolve(base, section.get(key))
-        generation = _section("generation", _generation, section)
+        generation = _section("generation", GenerationConfig, section, _generation)
 
     projection = _fields(data, "projection")
     projection["precomputed_path"] = _resolve(base, projection.get("precomputed_path"))
@@ -247,8 +258,8 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
             generation=generation,
             projection=_section("projection", ProjectionConfig, projection),
             clustering=_section("clustering", ClusteringParams, _fields(data, "clustering")),
-            ga=_section("ga", _ga, ga),
+            ga=_section("ga", GAConfig, ga, _ga),
             transport=_section("client", TransportConfig, client),
-            evaluation=_section("evaluation", _evaluation, evaluation),
+            evaluation=_section("evaluation", EvaluationConfig, evaluation, _evaluation),
         ),
     )

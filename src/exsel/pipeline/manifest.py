@@ -64,9 +64,11 @@ class RunManifest:
         self.stages[stage] = {"key": key, "artifacts": hashed, "seconds": seconds}
 
     def save(self) -> None:
-        """Write only when contents changed, so clean reruns leave the file alone."""
+        """Write only when contents changed, so clean reruns leave it alone; a crash mid-write keeps the old file."""
         payload = json.dumps({"stages": self.stages}, indent=2, sort_keys=True) + "\n"
         if self.path.exists() and self.path.read_text(encoding="utf-8") == payload:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(payload, encoding="utf-8")
+        partial = self.path.with_name(self.path.name + ".tmp")
+        partial.write_text(payload, encoding="utf-8")
+        partial.replace(self.path)

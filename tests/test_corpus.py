@@ -55,10 +55,6 @@ class TestExample:
         with pytest.raises(DatasetError):
             Example(id="a", text="x", provenance="oracle")
 
-    def test_is_positive(self):
-        assert Example(id="a", text="x", entities={"person": ["Ann"]}).is_positive
-        assert not Example(id="b", text="x").is_positive
-
 
 class TestLabelSchema:
     def test_rejects_duplicates(self):

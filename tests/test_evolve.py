@@ -324,7 +324,7 @@ class TestEvolve:
 
         cfg = GAConfig(mu=10, lambda_=20, max_generations=8, genome_length=4, seed=1)
         _, trace = evolve(pool, counting_fitness, cfg)
-        assert trace.total_evaluations == len(seen)
+        assert sum(r.evaluations for r in trace.records) == len(seen)
 
     def test_fitness_failure_carries_partial_trace(self):
         pool = grid_pool(5, 5)
@@ -349,7 +349,7 @@ class TestEvolve:
             pool, lambda g: (unique.add(g), len({x.cluster for x in g}) / len(g))[1], cfg
         )
         assert trace.records[0].evaluations == 10
-        assert trace.total_evaluations == len(unique)
+        assert sum(r.evaluations for r in trace.records) == len(unique)
 
 
 class TestRunTrace:

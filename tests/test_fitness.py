@@ -15,8 +15,9 @@ from exsel.fitness import (
     render_prompt,
     resolve_examples,
 )
-from exsel.llm import LLMClient, MockTransport, TransportConfig
+from exsel.llm import LLMClient, TransportConfig
 from exsel.reduce.pooling import ClusteredPool
+from mock_transport import MockTransport
 
 
 def labeled_pool():

@@ -14,10 +14,10 @@ from exsel.llm import (
     AuthenticationError,
     LLMClient,
     MalformedResponseError,
-    MockTransport,
     TransportConfig,
     TransientServiceError,
 )
+from mock_transport import MockTransport
 
 
 def make_client(transport):
@@ -70,7 +70,7 @@ class TestGeneratePool:
         assert report["parsed_ok"] == 20
         assert report["rejected"] == 0
         assert all(ex.provenance == "synthetic" for ex in examples)
-        assert all(ex.is_positive for ex in examples)
+        assert all(ex.entities for ex in examples)
 
     def test_two_streams_balanced(self):
         cfg = GenerationConfig(n_total=40, batch_size=20, positive_fraction=0.5)
@@ -79,7 +79,7 @@ class TestGeneratePool:
         assert transport.chat_calls == 2
         assert report["per_stream"]["positive"]["parsed_ok"] == 20
         assert report["per_stream"]["negative"]["parsed_ok"] == 20
-        positives = [ex for ex in examples if ex.is_positive]
+        positives = [ex for ex in examples if ex.entities]
         assert len(positives) == 20
 
     def test_stream_constraint_rejections(self):
@@ -254,5 +254,5 @@ def test_generated_record_edge_cases(stream, record, expected):
     else:
         (example,) = examples
         assert (example.text, dict(example.entities)) == expected
-        assert example.is_positive == (stream == "positive")
+        assert bool(example.entities) == (stream == "positive")
         assert report["rejected"] == 0

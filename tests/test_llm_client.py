@@ -1,10 +1,15 @@
 """Tests for retry, caching, concurrency bounds, and transport behavior."""
 
+import hashlib
 import json
+import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exsel.llm import (
     AuthenticationError,
@@ -15,12 +20,13 @@ from exsel.llm import (
     HttpTransport,
     LLMClient,
     MalformedResponseError,
-    MockTransport,
     RetryBudgetExceeded,
     TransportConfig,
     TransientServiceError,
 )
+from exsel.llm import mock as hashing
 from exsel.llm.cache import cache_key
+from mock_transport import MockTransport
 
 CFG = TransportConfig(max_retries=3, max_in_flight=4)
 REQ = ChatRequest(model="m", system_prompt="s", user_prompt="u")
@@ -174,7 +180,7 @@ class TestEmbedBatch:
         path = tmp_path / "embeddings.jsonl"
         with pytest.raises(MalformedResponseError):
             make_client(ScriptedEmbeddings(reply), embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
-        assert not path.exists() or path.read_bytes() == b""
+        assert not path.exists() and not EmbeddingCache(path).rows_path.exists()
         healthy = ScriptedEmbeddings([[0.6, 0.8], [1.0, 0.0]])
         matrix = make_client(healthy, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
         assert healthy.embed_calls == 1
@@ -221,7 +227,7 @@ class TestEmbedBatch:
     def test_fresh_rows_must_match_the_width_of_cached_ones(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
         make_client(WidthPerCall(2), embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x"])
-        before = path.read_bytes()
+        before = path.read_bytes(), path.with_suffix(".f64").read_bytes()
         wider = WidthPerCall(3)
         with pytest.raises(MalformedResponseError, match="dimension must be 2, got 3") as raised:
             make_client(wider, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y"])
@@ -229,7 +235,7 @@ class TestEmbedBatch:
         assert str(path) in message
         assert "delete the cache file or use another model name" in message
         assert wider.embed_calls == 1
-        assert path.read_bytes() == before
+        assert (path.read_bytes(), path.with_suffix(".f64").read_bytes()) == before
 
     def test_cached_rows_of_two_widths_fail_before_any_call(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
@@ -281,6 +287,93 @@ class TestEmbedBatch:
             "a": [1.0, 2.0], "b": [1.0, 2.0], "c": [3.0, 4.0], "d": [5.0, 6.0],
         }
         assert path.read_bytes().startswith(b"".join(lines[:2]))
+
+
+class TestEmbeddingStore:
+    """Rows go to `<name>.f64` as little-endian float64 before their index lines reach `<name>.jsonl`."""
+
+    @staticmethod
+    def rows(cache):
+        return {key: cache.get(key).tolist() for key in "abcd" if key in cache}
+
+    def test_rows_are_raw_little_endian_float64_at_their_offsets(self, tmp_path):
+        cache = EmbeddingCache(tmp_path / "embeddings.jsonl")
+        cache.put(["a", "b"], np.array([[0.1, -2.0], [3.0, 1e-300]]))
+        assert cache.rows_path == tmp_path / "embeddings.f64"
+        assert cache.rows_path.read_bytes() == np.array([[0.1, -2.0], [3.0, 1e-300]], "<f8").tobytes()
+        lines = [json.loads(line) for line in cache.path.read_text(encoding="utf-8").splitlines()]
+        assert lines == [{"key": "a", "width": 2, "offset": 0}, {"key": "b", "width": 2, "offset": 16}]
+
+    def test_cut_inside_a_row_loses_only_that_row_and_later_bytes_do_not_revive_it(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put(list("abc"), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        rows_path = path.with_suffix(".f64")
+        rows_path.write_bytes(rows_path.read_bytes()[:40])  # c's row was bytes 32..48
+        cache = EmbeddingCache(path)
+        assert self.rows(cache) == {"a": [1.0, 2.0], "b": [3.0, 4.0]}
+        cache.put(["d"], np.array([[7.0, 8.0]]))  # lands at byte 40, inside c's old range
+        assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0], "b": [3.0, 4.0], "d": [7.0, 8.0]}
+        rows_path.write_bytes(rows_path.read_bytes()[:50])  # a second cut, inside d: c's old range is whole again
+        cache = EmbeddingCache(path)
+        assert self.rows(cache) == {"a": [1.0, 2.0], "b": [3.0, 4.0]}
+        cache.put(["c"], np.array([[9.0, 9.5]]))
+        assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [9.0, 9.5]}
+
+    def test_orphan_bytes_from_a_crash_before_the_index_are_never_read(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put(["a"], np.array([[1.0, 2.0]]))
+        with path.with_suffix(".f64").open("ab") as fh:
+            fh.write(np.array([[9.0, 9.0]], "<f8").tobytes()[:11])
+        cache = EmbeddingCache(path)
+        assert self.rows(cache) == {"a": [1.0, 2.0]}
+        cache.put(["b"], np.array([[3.0, 4.0]]))
+        assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0], "b": [3.0, 4.0]}
+
+    def test_index_line_past_the_end_of_the_rows_is_skipped(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put(["a"], np.array([[1.0, 2.0]]))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": "b", "width": 2, "offset": 16}) + "\n")
+            fh.write(json.dumps({"key": "c", "width": -1, "offset": 0}) + "\n")
+            fh.write(json.dumps({"key": "d", "width": 2, "offset": -16}) + "\n")
+        assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0]}
+
+    def test_old_format_file_loads_without_embed_calls_and_grows_in_the_new_format(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        old = [{"key": cache_key("e", "x"), "vector": [0.6, 0.8]}, {"key": cache_key("e", "y"), "vector": [1.0, 0.0]}]
+        path.write_text("".join(json.dumps(record) + "\n" for record in old), encoding="utf-8")
+        service = ScriptedEmbeddings([[0.0, 1.0]])
+        client = make_client(service, embedding_cache=EmbeddingCache(path))
+        assert client.embed_batch("e", ["x", "y"]).tolist() == [[0.6, 0.8], [1.0, 0.0]]
+        assert service.embed_calls == 0
+        assert not path.with_suffix(".f64").exists()
+        assert client.embed_batch("e", ["z", "x"]).tolist() == [[0.0, 1.0], [0.6, 0.8]]
+        assert service.embed_calls == 1
+        mixed = path.read_text(encoding="utf-8").splitlines()
+        assert [sorted(json.loads(line)) for line in mixed] == [["key", "vector"]] * 2 + [["key", "offset", "width"]]
+        again = make_client(ScriptedEmbeddings(None), embedding_cache=EmbeddingCache(path))
+        assert again.embed_batch("e", ["x", "y", "z"]).tolist() == [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]
+        assert again.transport.embed_calls == 0
+
+
+def oracle_vector(text, dimension, ngram):
+    """The hashing embedder's definition, one text and one gram at a time: the batch code must match it bit for bit."""
+    vec = [0.0] * dimension
+    padded = f" {text.lower()} "
+    for i in range(max(1, len(padded) - ngram + 1)):
+        digest = hashlib.blake2b(padded[i : i + ngram].encode("utf-8"), digest_size=8).digest()
+        vec[int.from_bytes(digest[:4], "big") % dimension] += 1.0 if digest[4] & 1 else -1.0
+    norm = math.sqrt(sum(v * v for v in vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return [v / norm for v in vec]
+
+
+texts_for_hashing = st.one_of(
+    st.text(max_size=16),
+    st.text(alphabet=" aAbİß\x00", max_size=8),  # double spaces, and "İ", whose lowercase is two code points
+)
 
 
 class TestConcurrencyBound:
@@ -405,7 +498,7 @@ class TestHttpTransport:
 class TestHashingEmbeddingTransport:
     def test_deterministic(self):
         t = HashingEmbeddingTransport(dimension=16)
-        assert t.embed("e", ["some text"]) == t.embed("e", ["some text"])
+        assert t.embed("e", ["some text"]).tobytes() == t.embed("e", ["some text"]).tobytes()
 
     def test_unit_norm(self):
         t = HashingEmbeddingTransport(dimension=16)
@@ -435,12 +528,41 @@ class TestHashingEmbeddingTransport:
         texts = ["quarterly revenue rose", "the cat sat", "quarterly revenue fell"]
         warm = HashingEmbeddingTransport(dimension=32)
         warm.embed("e", list(reversed(texts)))
-        assert warm.embed("e", texts) == HashingEmbeddingTransport(dimension=32).embed("e", texts)
+        assert warm.embed("e", texts).tobytes() == HashingEmbeddingTransport(dimension=32).embed("e", texts).tobytes()
 
     def test_repeated_text_gives_the_same_vector(self):
         t = HashingEmbeddingTransport(dimension=16)
         first, second = t.embed("e", ["repeat me", "repeat me"])
-        assert first == second == t.embed("e", ["repeat me"])[0]
+        assert first.tobytes() == second.tobytes() == t.embed("e", ["repeat me"])[0].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dimension=st.integers(2, 64),
+        ngram=st.integers(1, 6),
+        texts=st.lists(texts_for_hashing, min_size=1, max_size=12),
+        table=st.booleans(),
+    )
+    def test_batches_equal_the_per_text_oracle_bit_for_bit(self, data, dimension, ngram, texts, table):
+        batch = texts + data.draw(st.lists(st.sampled_from(texts), max_size=6), label="repeats")
+        split = data.draw(st.integers(0, len(batch)), label="split")
+        hasher = HashingEmbeddingTransport(dimension=dimension, ngram=ngram)
+        # table=False sends every batch down the path for alphabets too large for the lookup table
+        with mock.patch.object(hashing, "_GRAM_TABLE_MAX", hashing._GRAM_TABLE_MAX if table else 0):
+            got = np.vstack([hasher.embed("e", part) for part in (batch[:split], batch[split:])])
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([oracle_vector(t, dimension, ngram) for t in batch]).tobytes()
+
+    def test_a_short_text_never_shares_a_gram_id_with_a_whole_gram(self):
+        # at ngram 4, "a" pads to " a ", one gram shorter than 4, whose code runs on into the
+        # next text's leading space: the symbols of the whole gram " a  " of "a  b"
+        texts = ["a", "a  b", "a"]
+        got = HashingEmbeddingTransport(dimension=16, ngram=4).embed("e", texts)
+        assert got.tobytes() == np.array([oracle_vector(t, 16, 4) for t in texts]).tobytes()
+
+    def test_grams_that_cancel_give_the_first_axis(self):
+        # " aa " has two 3-grams; at dimension 2 their signs cancel
+        assert HashingEmbeddingTransport(dimension=2, ngram=3).embed("e", ["aa", "b"]).tolist()[0] == [1.0, 0.0]
 
     def test_text_shorter_than_ngram(self):
         # "a" pads to " a ", shorter than a 5-gram: one gram, the whole padded text

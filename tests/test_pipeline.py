@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import threading
 from pathlib import Path
@@ -15,7 +16,7 @@ from conftest import TOPIC_VOCAB, EchoService, surrogate_config_payload, write_y
 from exsel.corpus import load_examples
 from exsel.evolve import RunTrace, TraceRecord
 from exsel.generate import GenerationConfig
-from exsel.llm.mock import HashingEmbeddingTransport, MockTransport
+from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.pipeline import (
     STAGES,
     ConfigError,
@@ -30,6 +31,7 @@ from exsel.pipeline.manifest import file_sha256
 from exsel.pipeline.runner import _write_matrix
 from exsel.plotting import read_trace
 from exsel.reduce.projection import load_precomputed
+from mock_transport import MockTransport
 
 
 def write_config(tmp_path, pool_path, name="config.yaml", **overrides):
@@ -167,6 +169,29 @@ class TestConfig:
         assert (from_env.seed, from_env.evaluation.max_output_tokens) == (7, 64)
         assert from_env == literal
 
+    def test_env_string_reaches_an_integer_field_of_a_section(self, tmp_path, small_pool_path, monkeypatch):
+        monkeypatch.setenv("EXSEL_TEST_MU", "12")
+        from_env = load_config(write_config(tmp_path, small_pool_path, ga={"mu": "${EXSEL_TEST_MU}"}))
+        assert from_env == load_config(write_config(tmp_path, small_pool_path, name="literal.yaml"))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"ga": {"mu": 2.5}}, "ga.mu"),
+            ({"ga": {"mu": True}}, "ga.mu"),
+            ({"seed": 7.9}, "config.seed"),
+            ({"baseline_draws": 2.5}, "config.baseline_draws"),
+            ({"pool_sizes": [40.5, 120]}, "config.pool_sizes"),
+            ({"pool_sizes": 40}, "config.pool_sizes"),
+            ({"clustering": {"min_cluster_size": 9.5}}, "clustering.min_cluster_size"),
+            ({"projection": {"target_dimension": "20.5"}}, "projection.target_dimension"),
+        ],
+    )
+    def test_integer_field_takes_no_other_number(self, tmp_path, small_pool_path, overrides, field):
+        # int() would truncate 7.9 to 7, and a float reaching the GA crashed the run only in select
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be"):
+            load_config(write_config(tmp_path, small_pool_path, **overrides))
+
 
 @pytest.mark.parametrize(
     "section, bad",
@@ -249,6 +274,25 @@ class TestManifest:
         before = manifest.path.stat().st_mtime_ns
         manifest.save()
         assert manifest.path.stat().st_mtime_ns == before
+
+    def test_crash_inside_save_keeps_the_previous_manifest(self, tmp_path, small_pool_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, small_pool_path))
+        run_pipeline(cfg)
+        manifest = RunManifest.load(Path(cfg.output_dir))
+        before = manifest.path.read_bytes()
+
+        def cut_short(path, data, encoding=None):
+            with open(path, "w", encoding=encoding) as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        manifest.stages["report"]["seconds"] += 1.0
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "write_text", cut_short)
+            with pytest.raises(OSError, match="disk full"):
+                manifest.save()
+        assert manifest.path.read_bytes() == before
+        assert run_pipeline(cfg).skipped == list(STAGES)
 
 
 class TestSurrogateRuns:
@@ -416,11 +460,15 @@ def test_projection_text_matches_per_scalar_repr(tmp_path):
 
 
 def test_embedding_cache_bytes_are_pinned(tmp_path, small_pool_path):
-    # the hashing embedder is pure Python, so these bytes are the same on every platform
+    # the hashing embedder sums exact integers and rounds once per division, and
+    # the rows are little-endian, so these bytes are the same on every platform
     cfg = load_config(write_config(tmp_path, small_pool_path))
     run_pipeline(cfg, through="project")
-    digest = file_sha256(Path(cfg.output_dir) / "cache" / "embeddings.jsonl")
-    assert digest == "f6cefc01bc2b0e9a84ce81a3ecd58657c052c42618e53555ab995feaf82e7190"
+    cache = Path(cfg.output_dir) / "cache"
+    assert {name: file_sha256(cache / name) for name in ("embeddings.jsonl", "embeddings.f64")} == {
+        "embeddings.jsonl": "8707ef8302b1324f918d5058aa42851cd43b7d768d4fae00ebad0800f2bd3996",
+        "embeddings.f64": "f63fa087e9b749e3f448fcb52d85f573e0befb1a333a9452242f9e4f8ea8577e",
+    }
 
 
 def test_imported_projection_run_makes_no_embed_calls(tmp_path, small_pool_path):

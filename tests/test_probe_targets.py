@@ -12,8 +12,9 @@ import types
 from pathlib import Path
 
 from conftest import EchoService
-from exsel.llm.mock import HashingEmbeddingTransport, MockTransport
+from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.pipeline import STAGES, load_config, run_pipeline
+from mock_transport import MockTransport
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 

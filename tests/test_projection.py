@@ -9,7 +9,6 @@ import pytest
 
 from conftest import make_topic_examples, surrogate_config_payload, write_yaml_config
 from exsel.corpus import save_examples
-from exsel.llm.mock import MockTransport
 from exsel.pipeline import PipelineError, load_config, run_pipeline
 from exsel.reduce import projection
 from exsel.reduce.projection import (
@@ -20,6 +19,7 @@ from exsel.reduce.projection import (
     load_precomputed,
     project,
 )
+from mock_transport import MockTransport
 
 
 def pairwise(matrix):
