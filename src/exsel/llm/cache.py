@@ -3,7 +3,9 @@
 Keys are sha256 over (model, text), so a cache survives renames and can
 be shared between runs. `put` appends a batch's rows as little-endian
 float64 to `<name>.f64`, then one `{"key", "width", "offset"}` line per
-row to `<name>.jsonl`: bytes a crash leaves without a line are never read.
+row to `<name>.jsonl`, both under one lock on the row file, so writers
+sharing a cache keep the lines in the order of their bytes. Bytes a
+crash leaves without a line are never read.
 Load skips a line that is corrupt, whose bytes were cut short or written
 over after a cut, or whose row fails `checked_rows`, so that text is
 embedded again; the line after one cut short starts on a fresh line.
@@ -12,8 +14,10 @@ Lines of the older format, which hold the `"vector"`, are still read.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -56,8 +60,9 @@ class EmbeddingCache:
     def __init__(self, path: Path | str | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self.rows_path = self.path.with_suffix(".f64") if self.path is not None else None
+        if self.path is not None and self.rows_path == self.path:
+            raise ValueError(f"embedding cache {self.path} must not end in .f64: its rows are kept under that name")
         self._store: dict[str, np.ndarray] = {}
-        self._line_open = False  # the index ends inside a line
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -67,16 +72,15 @@ class EmbeddingCache:
         entries = []  # (key, row of an older-format line, or (width, offset) of its bytes)
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
-                self._line_open = not line.endswith("\n")
                 try:
                     record = json.loads(line)
                     if "vector" in record:
                         entries.append((record["key"], checked_rows([record["vector"]], 1)[0]))
                     elif int(record["width"]) > 0 and int(record["offset"]) >= 0:
                         entries.append((record["key"], (int(record["width"]), int(record["offset"]))))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, MalformedResponseError):
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, MalformedResponseError):
                     continue  # TypeError: a record that is not an object
-        floor = len(blob)  # where the bytes of later lines start: a cut sidecar grows again from its new end
+        floor = len(blob)  # where later lines' bytes start (`put` keeps lines in byte order): a cut file regrows from there
         for key, row in reversed(entries):  # so the last line of a key wins
             if isinstance(row, tuple):
                 width, offset = row
@@ -106,14 +110,15 @@ class EmbeddingCache:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             block = np.array(list(fresh.values()), dtype=_ROW_DTYPE)
-            with self.rows_path.open("ab") as fh:
-                fh.write(block.tobytes())
-                fh.flush()
-                offset = fh.tell() - block.nbytes  # where the append landed, even after another writer's
-            lines = "".join(
-                f'{{"key": {json.dumps(key)}, "width": {block.shape[1]}, "offset": {offset + i * block[0].nbytes}}}\n'
-                for i, key in enumerate(fresh)
-            )
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write("\n" + lines if self._line_open else lines)
-            self._line_open = False
+            with self.rows_path.open("ab") as rows, self.path.open("ab+") as index:
+                fcntl.flock(rows, fcntl.LOCK_EX)  # writers sharing the cache keep its lines in the order of its rows
+                rows.write(block.tobytes())
+                rows.flush()
+                offset = rows.tell() - block.nbytes
+                lines = "".join(
+                    f'{{"key": {json.dumps(key)}, "width": {block.shape[1]}, "offset": {offset + i * block[0].nbytes}}}\n'
+                    for i, key in enumerate(fresh)
+                )
+                end = index.seek(0, os.SEEK_END)
+                cut = end > 0 and os.pread(index.fileno(), 1, end - 1) != b"\n"  # a line a crash cut short
+                index.write(("\n" + lines if cut else lines).encode("utf-8"))

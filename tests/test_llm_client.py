@@ -1,5 +1,6 @@
 """Tests for retry, caching, concurrency bounds, and transport behavior."""
 
+import fcntl
 import hashlib
 import json
 import math
@@ -336,7 +337,41 @@ class TestEmbeddingStore:
             fh.write(json.dumps({"key": "b", "width": 2, "offset": 16}) + "\n")
             fh.write(json.dumps({"key": "c", "width": -1, "offset": 0}) + "\n")
             fh.write(json.dumps({"key": "d", "width": 2, "offset": -16}) + "\n")
+            fh.write('{"key": "b", "width": Infinity, "offset": 0}\n')  # json reads it; int() overflows
         assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0]}
+
+    def test_two_caches_on_one_path_interleave_their_puts(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        first, second = EmbeddingCache(path), EmbeddingCache(path)
+        first.put(["a"], np.array([[1.0, 2.0]]))
+        second.put(["b"], np.array([[3.0, 4.0]]))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "x", "wid')  # a third writer crashed inside its line
+        first.put(["c"], np.array([[5.0, 6.0]]))  # lands on a fresh line, after the other writers' bytes
+        second.put(["d"], np.array([[7.0, 8.0]]))
+        assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0], "d": [7.0, 8.0]}
+
+    def test_a_put_waits_for_a_writer_between_its_two_appends(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put(["a"], np.array([[1.0, 2.0]]))
+        cache = EmbeddingCache(path)
+        with path.with_suffix(".f64").open("ab") as other:
+            fcntl.flock(other, fcntl.LOCK_EX)  # the other writer holds the lock across its two appends
+            waiting = threading.Thread(target=cache.put, args=(["b"], np.array([[3.0, 4.0]])))
+            waiting.start()
+            waiting.join(0.2)
+            assert waiting.is_alive()
+            other.write(np.array([[5.0, 6.0]], "<f8").tobytes())
+            other.flush()
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"key": "c", "width": 2, "offset": 16}) + "\n")
+        waiting.join(5)
+        assert not waiting.is_alive()
+        assert self.rows(EmbeddingCache(path)) == {"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]}
+
+    def test_an_index_named_like_its_row_file_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="must not end in .f64"):
+            EmbeddingCache(tmp_path / "embeddings.f64")
 
     def test_old_format_file_loads_without_embed_calls_and_grows_in_the_new_format(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
