@@ -7,9 +7,9 @@ clustering (dropping noise), and search the clustered pool with a
 population diversity.
 """
 
-from exsel.corpus import DatasetSplit, Example, LabelSchema
+from exsel.corpus import Example, LabelSchema
 from exsel.evolve import GAConfig, Gene, Genome, RunTrace, evolve
-from exsel.metrics import ExtractionCounts, MetricReport, Prediction, aggregate, score_example
+from exsel.metrics import ExtractionCounts, aggregate, score_example
 from exsel.reduce import ClusteredPool, ClusteringParams, ProjectionConfig
 
 __version__ = "0.1.0"
@@ -17,15 +17,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusteredPool",
     "ClusteringParams",
-    "DatasetSplit",
     "Example",
     "ExtractionCounts",
     "GAConfig",
     "Gene",
     "Genome",
     "LabelSchema",
-    "MetricReport",
-    "Prediction",
     "ProjectionConfig",
     "RunTrace",
     "aggregate",

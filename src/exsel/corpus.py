@@ -81,19 +81,6 @@ class LabelSchema:
         return cls(tuple(seen))
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    """Candidate / validation partition; the id sets are disjoint."""
-
-    candidates: tuple[Example, ...]
-    validation: tuple[Example, ...] = ()
-
-    def __post_init__(self) -> None:
-        ids = [ex.id for part in (self.candidates, self.validation) for ex in part]
-        if len(set(ids)) != len(ids):
-            raise DatasetError("dataset splits share example ids")
-
-
 def example_to_record(example: Example) -> dict:
     """JSON-serializable record for one example; value sets become sorted lists."""
     return {
@@ -159,11 +146,14 @@ def save_examples(examples: Iterable[Example], path: Path | str) -> None:
             fh.write("\n")
 
 
-def split_dataset(examples: Sequence[Example], n_validation: int, seed: int) -> DatasetSplit:
-    """Randomly hold out `n_validation` examples; the rest become candidates.
+def split_dataset(examples: Sequence[Example], n_validation: int, seed: int) -> tuple[list[Example], list[Example]]:
+    """Randomly hold out `n_validation` examples: `(candidates, validation)`.
 
     Deterministic per seed; each split preserves the input's relative order.
+    Input ids must be unique, so the two splits never share one.
     """
+    if len({example.id for example in examples}) != len(examples):
+        raise DatasetError("examples to split repeat an example id")
     if n_validation < 0:
         raise DatasetError("n_validation must be >= 0")
     if n_validation >= len(examples):
@@ -172,9 +162,9 @@ def split_dataset(examples: Sequence[Example], n_validation: int, seed: int) -> 
     indices = list(range(len(examples)))
     rng.shuffle(indices)
     held_out = set(indices[:n_validation])
-    candidates = tuple(examples[i] for i in range(len(examples)) if i not in held_out)
-    validation = tuple(examples[i] for i in range(len(examples)) if i in held_out)
-    return DatasetSplit(candidates=candidates, validation=validation)
+    candidates = [examples[i] for i in range(len(examples)) if i not in held_out]
+    validation = [examples[i] for i in range(len(examples)) if i in held_out]
+    return candidates, validation
 
 
 def sample_chunks(text: str, chunk_size: int, n: int, seed: int) -> list[str]:

@@ -19,7 +19,7 @@ from exsel.corpus import Example, LabelSchema
 from exsel.evolve import Genome
 from exsel.llm.client import LLMClient
 from exsel.llm.transport import ChatRequest
-from exsel.metrics import MetricReport, Prediction, aggregate, score_example
+from exsel.metrics import aggregate, score_example
 from exsel.parsing import parse_label_map
 from exsel.reduce.pooling import ClusteredPool
 from exsel.templates import EXTRACTION_INSTRUCTION_TEMPLATE
@@ -63,15 +63,17 @@ class EvaluationConfig:
 
 @dataclass(frozen=True)
 class GenomeEvaluation:
-    report: MetricReport
+    """The `aggregate` metrics of one evaluation and its count of unparseable replies; fitness is micro-F1."""
+
+    metrics: dict
     n_unparseable: int
 
     @property
     def fitness(self) -> float:
-        return self.report.micro_f1
+        return self.metrics["micro_f1"]
 
     def as_dict(self) -> dict:
-        return {"fitness": self.fitness, "n_unparseable": self.n_unparseable, "metrics": self.report.as_dict()}
+        return {"fitness": self.fitness, "n_unparseable": self.n_unparseable, "metrics": self.metrics}
 
 
 def evaluate_fewshot(
@@ -105,20 +107,9 @@ def evaluate_fewshot(
         )
         for gold in validation
     ]
-    replies = client.chat_many(requests)
-    per_example = []
-    unparseable = 0
-    for gold, reply in zip(validation, replies):
-        label_map = parse_label_map(reply)
-        if label_map is None:
-            unparseable += 1
-            label_map = {}
-        prediction = Prediction(
-            example_id=gold.id,
-            entities={label: frozenset(values) for label, values in label_map.items()},
-        )
-        per_example.append(score_example(gold, prediction))
-    return GenomeEvaluation(report=aggregate(per_example), n_unparseable=unparseable)
+    label_maps = [parse_label_map(reply) for reply in client.chat_many(requests)]
+    per_example = (score_example(gold, label_map or {}) for gold, label_map in zip(validation, label_maps))
+    return GenomeEvaluation(metrics=aggregate(per_example), n_unparseable=label_maps.count(None))
 
 
 def evaluate_genome_llm(

@@ -10,22 +10,10 @@ All 0/0 ratios are defined as 0.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from exsel.corpus import Example
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Model output for one example: per-label sets of extracted values."""
-
-    example_id: str
-    entities: Mapping[str, frozenset[str]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        normalized = {label: _normalize(values) for label, values in self.entities.items()}
-        object.__setattr__(self, "entities", {k: v for k, v in normalized.items() if v})
 
 
 @dataclass(frozen=True)
@@ -53,47 +41,20 @@ class ExtractionCounts:
         return 2 * self.tp / denom if denom else 0.0
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregate scores: pooled micro P/R/F1 plus macro-F1 over observed labels."""
-
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
-    macro_f1: float
-    per_label: Mapping[str, ExtractionCounts]
-    n_examples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "n_examples": self.n_examples,
-            "per_label": {
-                label: {"tp": c.tp, "fp": c.fp, "fn": c.fn}
-                for label, c in sorted(self.per_label.items())
-            },
-        }
-
-
 def _normalize(values: Iterable[str]) -> frozenset[str]:
     return frozenset(v.strip() for v in values if v.strip())
 
 
-def score_example(gold: Example, prediction: Prediction) -> dict[str, ExtractionCounts]:
-    """Per-label set overlap between one example's gold values and a prediction.
+def score_example(gold: Example, predicted: Mapping[str, Iterable[str]]) -> dict[str, ExtractionCounts]:
+    """Per-label set overlap between one example's gold values and a predicted label -> values map.
 
     Returns counts only for labels present on either side; a label where
-    both sides are empty contributes nothing.
+    both sides are empty (after normalization) contributes nothing.
     """
-    if gold.id != prediction.example_id:
-        raise ValueError(f"prediction for {prediction.example_id!r} scored against example {gold.id!r}")
     counts: dict[str, ExtractionCounts] = {}
-    for label in set(gold.entities) | set(prediction.entities):
+    for label in set(gold.entities) | set(predicted):
         gold_values = _normalize(gold.entities.get(label, ()))
-        pred_values = prediction.entities.get(label, frozenset())
+        pred_values = _normalize(predicted.get(label, ()))
         if not gold_values and not pred_values:
             continue
         tp = len(gold_values & pred_values)
@@ -105,8 +66,9 @@ def score_example(gold: Example, prediction: Prediction) -> dict[str, Extraction
     return counts
 
 
-def aggregate(per_example: Iterable[Mapping[str, ExtractionCounts]]) -> MetricReport:
-    """Pool per-example counts into micro scores and an observed-label macro-F1."""
+def aggregate(per_example: Iterable[Mapping[str, ExtractionCounts]]) -> dict:
+    """Pool per-example counts into a report's `metrics` object: micro P/R/F1, observed-label macro-F1,
+    `n_examples`, and `per_label` as `{label: {"tp", "fp", "fn"}}` in label order."""
     totals: dict[str, ExtractionCounts] = {}
     n_examples = 0
     for example_counts in per_example:
@@ -116,11 +78,11 @@ def aggregate(per_example: Iterable[Mapping[str, ExtractionCounts]]) -> MetricRe
     pooled = sum(totals.values(), ExtractionCounts())
     observed = [c for c in totals.values() if c.tp + c.fp + c.fn > 0]
     macro = sum(c.f1 for c in observed) / len(observed) if observed else 0.0
-    return MetricReport(
-        micro_precision=pooled.precision,
-        micro_recall=pooled.recall,
-        micro_f1=pooled.f1,
-        macro_f1=macro,
-        per_label=totals,
-        n_examples=n_examples,
-    )
+    return {
+        "micro_precision": pooled.precision,
+        "micro_recall": pooled.recall,
+        "micro_f1": pooled.f1,
+        "macro_f1": macro,
+        "n_examples": n_examples,
+        "per_label": {label: {"tp": c.tp, "fp": c.fp, "fn": c.fn} for label, c in sorted(totals.items())},
+    }

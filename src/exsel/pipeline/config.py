@@ -158,24 +158,29 @@ def _fields(data: dict, name: str) -> dict:
     return dict(section)
 
 
-def _int(where: str, value: object) -> int:
-    """An int that is not a bool, or a string that `int()` reads exactly (env-interpolated values are strings)."""
-    with contextlib.suppress(ValueError):
-        if type(value) is int or isinstance(value, str):
-            return int(value)
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
+def _number(where: str, value: object, kind: type) -> int | float:
+    """An `int` field takes an int; a `float` field an int or a float, kept as it is. A bool is neither. A string
+    is read by `int()`, or for a `float` field by `float()` if not (env-interpolated values are strings)."""
+    kinds = (int,) if kind is int else (int, float)
+    if type(value) in kinds:
+        return value
+    if isinstance(value, str):
+        for parse in kinds:
+            with contextlib.suppress(ValueError):
+                return parse(value)
+    raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def _section(name: str, cls: type[T], data: dict, build: Callable[..., T] | None = None) -> T:
     """Build section `name` as dataclass `cls` (through `build` if given); errors name the section, or the field."""
     hints, data = get_type_hints(cls), dict(data)
     for key, value in data.items():
-        if hints.get(key) is int:
-            data[key] = _int(f"{name}.{key}", value)
+        if hints.get(key) in (int, float):
+            data[key] = _number(f"{name}.{key}", value, hints[key])
         elif hints.get(key) == tuple[int, ...]:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{name}.{key} must be a list of integers, got {value!r}")
-            data[key] = tuple(_int(f"{name}.{key}", item) for item in value)
+            data[key] = tuple(_number(f"{name}.{key}", item, int) for item in value)
     try:
         return (build or cls)(**data)
     except ConfigError:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 MANIFEST_NAME = "manifest.json"
+_PARTIAL_NAME = MANIFEST_NAME + ".tmp"
 
 
 def file_sha256(path: Path) -> str:
@@ -39,7 +40,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, root: Path) -> "RunManifest":
-        """The manifest under `root`; a missing, unreadable or keyless one loads empty."""
+        """The manifest under `root`, empty when missing, unreadable or keyless; drops a crashed save's partial file."""
+        (root / _PARTIAL_NAME).unlink(missing_ok=True)
         manifest = cls(root=root)
         try:
             stages = json.loads(manifest.path.read_text(encoding="utf-8"))["stages"]
@@ -69,6 +71,6 @@ class RunManifest:
         if self.path.exists() and self.path.read_text(encoding="utf-8") == payload:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        partial = self.path.with_name(self.path.name + ".tmp")
+        partial = self.root / _PARTIAL_NAME
         partial.write_text(payload, encoding="utf-8")
         partial.replace(self.path)

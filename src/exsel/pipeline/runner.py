@@ -142,9 +142,8 @@ def _pool_run(state: RunState) -> list[Path]:
             model=cfg.chat_model,
             seed=derive_seed(cfg.seed, "generate"),
         )
-    split = split_dataset(examples, cfg.corpus.n_validation, derive_seed(cfg.seed, "split"))
-    state.candidates = list(split.candidates)
-    state.validation = list(split.validation)
+    split_seed = derive_seed(cfg.seed, "split")
+    state.candidates, state.validation = split_dataset(examples, cfg.corpus.n_validation, split_seed)
     save_examples(state.candidates, out / "candidates.jsonl")
     save_examples(state.validation, out / "validation.jsonl")
     artifacts = [out / "candidates.jsonl", out / "validation.jsonl"]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from exsel.corpus import (
     DatasetError,
-    DatasetSplit,
     Example,
     LabelSchema,
     example_from_record,
@@ -151,10 +150,10 @@ def _numbered(n: int) -> list[Example]:
 class TestSplitDataset:
     def test_partition_is_disjoint_and_complete(self):
         examples = _numbered(20)
-        split = split_dataset(examples, n_validation=6, seed=3)
-        assert len(split.candidates) == 14
-        assert len(split.validation) == 6
-        combined = sorted(split.candidates + split.validation, key=lambda e: int(e.id[1:]))
+        candidates, validation = split_dataset(examples, n_validation=6, seed=3)
+        assert len(candidates) == 14
+        assert len(validation) == 6
+        combined = sorted(candidates + validation, key=lambda e: int(e.id[1:]))
         assert combined == examples
 
     def test_deterministic_per_seed(self):
@@ -163,12 +162,11 @@ class TestSplitDataset:
         b = split_dataset(examples, n_validation=10, seed=7)
         c = split_dataset(examples, n_validation=10, seed=8)
         assert a == b
-        assert {e.id for e in a.validation} != {e.id for e in c.validation}
+        assert {e.id for e in a[1]} != {e.id for e in c[1]}
 
     def test_preserves_relative_order(self):
         examples = _numbered(25)
-        split = split_dataset(examples, n_validation=9, seed=1)
-        for part in (split.candidates, split.validation):
+        for part in split_dataset(examples, n_validation=9, seed=1):
             indices = [int(e.id[1:]) for e in part]
             assert indices == sorted(indices)
 
@@ -176,10 +174,11 @@ class TestSplitDataset:
         with pytest.raises(DatasetError):
             split_dataset(_numbered(5), n_validation=5, seed=0)
 
-    def test_splits_reject_shared_ids(self):
-        a = Example(id="a", text="x")
-        with pytest.raises(DatasetError):
-            DatasetSplit(candidates=(a,), validation=(a,))
+    def test_duplicate_input_id_rejected(self):
+        # a repeated id could land on both sides, and the validation score would include a demonstration
+        examples = _numbered(6) + [Example(id="e2", text="again")]
+        with pytest.raises(DatasetError, match="example id"):
+            split_dataset(examples, n_validation=3, seed=0)
 
 
 class TestSampleChunks:

@@ -88,7 +88,7 @@ class TestEvaluateGenomeLLM:
         result = evaluate_genome_llm(GENOME, pool, validation, client, model="m")
         assert result.fitness == 0.0
         assert result.n_unparseable == len(validation)
-        assert result.report.micro_recall == 0.0
+        assert result.metrics["micro_recall"] == 0.0
 
     def test_half_correct_yields_two_thirds(self):
         # 10 single-value items, 5 echoed and 5 empty: P=1, R=0.5, F1=2/3
@@ -99,8 +99,8 @@ class TestEvaluateGenomeLLM:
         )
         client = make_client(MockTransport(chat_fn=lambda req: next(replies)))
         result = evaluate_genome_llm(GENOME, pool, validation, client, model="m")
-        assert result.report.micro_precision == 1.0
-        assert result.report.micro_recall == 0.5
+        assert result.metrics["micro_precision"] == 1.0
+        assert result.metrics["micro_recall"] == 0.5
         assert result.fitness == pytest.approx(2 / 3)
 
     def test_requests_are_deterministic_temperature_zero(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exsel.corpus import Example
-from exsel.metrics import ExtractionCounts, Prediction, aggregate, score_example
+from exsel.metrics import ExtractionCounts, aggregate, score_example
 
 LABELS = ["person", "org", "location", "date", "amount"]
 VALUES = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
@@ -62,8 +62,7 @@ def run_pipeline(pairs):
     per_example = []
     for i, (gold, pred) in enumerate(pairs):
         ex = Example(id=f"e{i}", text="t", entities={k: v for k, v in gold.items() if v})
-        pr = Prediction(example_id=f"e{i}", entities={k: frozenset(v) for k, v in pred.items()})
-        per_example.append(score_example(ex, pr))
+        per_example.append(score_example(ex, pred))
     return aggregate(per_example)
 
 
@@ -71,71 +70,72 @@ class TestScoreExample:
     def test_worked_case(self):
         # One hit, one spurious value, two misses: micro-F1 = 2/(2+1+2) = 0.4.
         gold = Example(id="e", text="t", entities={"person": ["Ann", "Bo", "Cy"]})
-        pred = Prediction(example_id="e", entities={"person": frozenset({"Ann", "Dee"})})
+        pred = {"person": ["Ann", "Dee"]}
         counts = score_example(gold, pred)["person"]
         assert (counts.tp, counts.fp, counts.fn) == (1, 1, 2)
         report = aggregate([{"person": counts}])
-        assert report.micro_f1 == pytest.approx(0.4, abs=1e-12)
-
-    def test_mismatched_ids_rejected(self):
-        gold = Example(id="a", text="t")
-        with pytest.raises(ValueError):
-            score_example(gold, Prediction(example_id="b"))
+        assert report["micro_f1"] == pytest.approx(0.4, abs=1e-12)
 
     def test_strip_only_normalization(self):
         gold = Example(id="e", text="t", entities={"org": ["Acme Corp"]})
-        pred = Prediction(example_id="e", entities={"org": frozenset({"  Acme Corp "})})
+        pred = {"org": ["  Acme Corp "]}
         counts = score_example(gold, pred)["org"]
         assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
 
     def test_case_is_not_folded(self):
         gold = Example(id="e", text="t", entities={"org": ["Acme"]})
-        pred = Prediction(example_id="e", entities={"org": frozenset({"acme"})})
+        pred = {"org": ["acme"]}
         counts = score_example(gold, pred)["org"]
         assert (counts.tp, counts.fp, counts.fn) == (0, 1, 1)
 
+    def test_predicted_values_are_stripped_and_blanks_dropped(self):
+        gold = Example(id="e", text="t", entities={"org": ["Acme"]})
+        counts = score_example(gold, {"org": [" Acme ", "", "  ", "Zeta "], "date": ["", " "]})
+        assert {label: (c.tp, c.fp, c.fn) for label, c in counts.items()} == {"org": (1, 1, 0)}
+
     def test_label_empty_on_both_sides_is_skipped(self):
         gold = Example(id="e", text="t")
-        pred = Prediction(example_id="e", entities={"org": frozenset({"  "})})
+        pred = {"org": ["  "]}
         assert score_example(gold, pred) == {}
 
 
 class TestAggregate:
     def test_empty_input(self):
         report = aggregate([])
-        assert report.micro_f1 == 0.0
-        assert report.macro_f1 == 0.0
-        assert report.n_examples == 0
+        assert report["micro_f1"] == 0.0
+        assert report["macro_f1"] == 0.0
+        assert report["n_examples"] == 0
 
     def test_perfect_prediction(self):
         gold = Example(id="e", text="t", entities={"a": ["x"], "b": ["y", "z"]})
-        pred = Prediction(example_id="e", entities={"a": frozenset({"x"}), "b": frozenset({"y", "z"})})
+        pred = {"a": ["x"], "b": ["y", "z"]}
         report = aggregate([score_example(gold, pred)])
-        assert report.micro_precision == 1.0
-        assert report.micro_recall == 1.0
-        assert report.micro_f1 == 1.0
-        assert report.macro_f1 == 1.0
+        assert report["micro_precision"] == 1.0
+        assert report["micro_recall"] == 1.0
+        assert report["micro_f1"] == 1.0
+        assert report["macro_f1"] == 1.0
 
     def test_all_misses(self):
         gold = Example(id="e", text="t", entities={"a": ["x"]})
-        report = aggregate([score_example(gold, Prediction(example_id="e"))])
-        assert report.micro_f1 == 0.0
-        assert report.micro_recall == 0.0
+        report = aggregate([score_example(gold, {})])
+        assert report["micro_f1"] == 0.0
+        assert report["micro_recall"] == 0.0
 
     def test_macro_ignores_unobserved_labels(self):
         # Label "b" never appears on either side; macro must average over {a} only.
         gold = Example(id="e", text="t", entities={"a": ["x", "y"]})
-        pred = Prediction(example_id="e", entities={"a": frozenset({"x"})})
+        pred = {"a": ["x"]}
         report = aggregate([score_example(gold, pred)])
-        assert report.macro_f1 == pytest.approx(2 * 1 / (2 * 1 + 0 + 1))
+        assert report["macro_f1"] == pytest.approx(2 * 1 / (2 * 1 + 0 + 1))
 
     def test_micro_pools_before_dividing(self):
         # Two labels with asymmetric counts: micro != mean of per-label F1.
         a = ExtractionCounts(tp=9, fp=0, fn=0)
         b = ExtractionCounts(tp=0, fp=1, fn=1)
         report = aggregate([{"a": a}, {"b": b}])
-        assert report.micro_f1 == pytest.approx(18 / 20)
-        assert report.macro_f1 == pytest.approx(0.5)
+        assert report["micro_f1"] == pytest.approx(18 / 20)
+        assert report["macro_f1"] == pytest.approx(0.5)
+        assert report["per_label"] == {"a": {"tp": 9, "fp": 0, "fn": 0}, "b": {"tp": 0, "fp": 1, "fn": 1}}
 
     def test_matches_oracle_on_randomized_instances(self):
         rng = random.Random(20260814)
@@ -143,10 +143,10 @@ class TestAggregate:
             pairs = random_instance(rng)
             report = run_pipeline(pairs)
             precision, recall, micro_f1, macro_f1 = oracle_scores(pairs)
-            assert report.micro_precision == pytest.approx(precision, abs=1e-12), trial
-            assert report.micro_recall == pytest.approx(recall, abs=1e-12), trial
-            assert report.micro_f1 == pytest.approx(micro_f1, abs=1e-12), trial
-            assert report.macro_f1 == pytest.approx(macro_f1, abs=1e-12), trial
+            assert report["micro_precision"] == pytest.approx(precision, abs=1e-12), trial
+            assert report["micro_recall"] == pytest.approx(recall, abs=1e-12), trial
+            assert report["micro_f1"] == pytest.approx(micro_f1, abs=1e-12), trial
+            assert report["macro_f1"] == pytest.approx(macro_f1, abs=1e-12), trial
 
 
 @settings(max_examples=200)
@@ -163,10 +163,10 @@ class TestAggregate:
 def test_aggregate_matches_oracle_property(pairs):
     report = run_pipeline(pairs)
     precision, recall, micro_f1, macro_f1 = oracle_scores(pairs)
-    assert report.micro_precision == pytest.approx(precision, abs=1e-12)
-    assert report.micro_recall == pytest.approx(recall, abs=1e-12)
-    assert report.micro_f1 == pytest.approx(micro_f1, abs=1e-12)
-    assert report.macro_f1 == pytest.approx(macro_f1, abs=1e-12)
+    assert report["micro_precision"] == pytest.approx(precision, abs=1e-12)
+    assert report["micro_recall"] == pytest.approx(recall, abs=1e-12)
+    assert report["micro_f1"] == pytest.approx(micro_f1, abs=1e-12)
+    assert report["macro_f1"] == pytest.approx(macro_f1, abs=1e-12)
 
 
 @settings(max_examples=100)

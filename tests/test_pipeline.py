@@ -6,6 +6,8 @@ import json
 import re
 import shutil
 import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be"):
             load_config(write_config(tmp_path, small_pool_path, **overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"clustering": {"cluster_selection_epsilon": True}}, "clustering.cluster_selection_epsilon"),
+            ({"ga": {"p_cx": True, "p_mut": 0.0}}, "ga.p_cx"),
+            ({"ga": {"min_relative_improvement": "a lot"}}, "ga.min_relative_improvement"),
+            ({"client": {"timeout_s": [30]}}, "client.timeout_s"),
+            ({"client": {"backoff_base_s": None}}, "client.backoff_base_s"),
+        ],
+    )
+    def test_float_field_takes_only_a_number(self, tmp_path, small_pool_path, overrides, field):
+        # a bool passed every range check, and epsilon reached the clusterer as True
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be a number, got "):
+            load_config(write_config(tmp_path, small_pool_path, **overrides))
+
+    def test_float_field_keeps_an_int_and_reads_an_env_string(self, tmp_path, small_pool_path, monkeypatch):
+        monkeypatch.setenv("EXSEL_TEST_EPS", "0.18")
+        monkeypatch.setenv("EXSEL_TEST_CAP", "30")
+        from_env = load_config(
+            write_config(
+                tmp_path, small_pool_path, name="env.yaml",
+                clustering={"cluster_selection_epsilon": "${EXSEL_TEST_EPS}"},
+                client={"backoff_cap_s": "${EXSEL_TEST_CAP}"},
+            )
+        )
+        literal = load_config(write_config(tmp_path, small_pool_path, client={"backoff_cap_s": 30}))
+        assert from_env == literal
+        assert type(literal.transport.backoff_cap_s) is int and type(from_env.transport.backoff_cap_s) is int
+
 
 @pytest.mark.parametrize(
     "section, bad",
@@ -292,7 +323,10 @@ class TestManifest:
             with pytest.raises(OSError, match="disk full"):
                 manifest.save()
         assert manifest.path.read_bytes() == before
+        partial = manifest.path.with_name("manifest.json.tmp")
+        assert partial.exists()
         assert run_pipeline(cfg).skipped == list(STAGES)
+        assert not partial.exists()
 
 
 class TestSurrogateRuns:
@@ -833,3 +867,77 @@ def test_baselines_bytes_are_pinned(tmp_path, small_pool_path, llm_config_path, 
         cfg = load_config(write_config(tmp_path, small_pool_path))
         run_baselines(cfg)
     assert file_sha256(Path(cfg.output_dir) / "baseline" / "baselines.json") == PINNED_BASELINES[mode]
+
+
+class GarbledService(PureService):
+    """PureService whose extraction replies are, by a digest of the request, unparseable or padded with blanks."""
+
+    def complete(self, request):
+        reply = super().complete(request)
+        if not request.user_prompt.endswith("Entities:"):
+            return reply
+        digest = hashlib.sha256(repr(request).encode("utf-8")).digest()
+        if digest[1] % 4 == 0:
+            return "No entities that I can see."
+        if digest[1] % 4 == 1:
+            return json.dumps({"term": [f"  {json.loads(reply)['term'][0]} ", " "], "other": ["x"]})
+        return reply
+
+
+PINNED_METRICS = {
+    "llm": {"metrics_k16.json": "ad393d3e0d967cdf4404357a3de3b3d56aa76e14fcee20702eb62321c10cbd03"},
+    "surrogate": {
+        "metrics_k40.json": "f0c213f5fd64b4075e97ce682609ef489bbe31130f5ad274469feb6f6c8ffa95",
+        "metrics_k120.json": "8fa44879e2e5a681e6eb91867fd8f77734a4725fdd49868348e8734945ca0278",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_METRICS))
+def test_metrics_bytes_are_pinned(tmp_path, small_pool_path, llm_config_path, mode):
+    # the report's metrics are written from plain dicts; in llm mode the replies hold unparseable and padded values
+    if mode == "llm":
+        cfg = load_config(llm_config_path)
+        run_pipeline(cfg, transport=GarbledService())
+    else:
+        cfg = load_config(write_config(tmp_path, small_pool_path))
+        run_pipeline(cfg)
+    root = Path(cfg.output_dir) / "report"
+    assert {name: file_sha256(root / name) for name in PINNED_METRICS[mode]} == PINNED_METRICS[mode]
+
+
+class Jittered:
+    """Passes calls on to `inner` after a 0-2 ms sleep drawn from the request's digest, and logs every request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests: list[object] = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        time.sleep(hashlib.sha256(repr(request).encode("utf-8")).digest()[0] % 3 / 1000)
+        return self.inner.complete(request)
+
+    def embed(self, model, texts):
+        self.requests.append((model, tuple(texts)))
+        return self.inner.embed(model, texts)
+
+
+def test_concurrency_moves_no_byte_and_no_request(tmp_path, llm_config_path):
+    # replies come back in a different order at each width; artifacts and the requests sent must not notice
+    cfg = load_config(llm_config_path)
+    runs = []
+    for width in (1, 2, 8):
+        transport = Jittered(GarbledService())
+        root = tmp_path / f"width{width}"
+        run_pipeline(
+            dataclasses.replace(
+                cfg, output_dir=str(root), transport=dataclasses.replace(cfg.transport, max_in_flight=width)
+            ),
+            transport=transport,
+        )
+        files = _files(root)
+        del files["manifest.json"]
+        runs.append((files, Counter(map(repr, transport.requests))))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
