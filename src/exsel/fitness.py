@@ -10,6 +10,7 @@ the whole evolutionary mechanism deterministically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -43,8 +44,8 @@ def render_fewshot_block(examples: Sequence[Example]) -> str:
     return "\n\n".join(parts)
 
 
-def render_prompt(examples: Sequence[Example], query_text: str) -> str:
-    block = render_fewshot_block(examples)
+def render_prompt(block: str, query_text: str) -> str:
+    """One query's prompt after a `render_fewshot_block` (empty for zero-shot)."""
     query = f"Text: {query_text}\nEntities:"
     return f"{block}\n\n{query}" if block else query
 
@@ -97,11 +98,12 @@ def evaluate_fewshot(
     if schema is None:
         schema = LabelSchema.from_examples(list(demos) + list(validation))
     system_prompt = settings.instruction_template.format(labels=", ".join(schema.labels))
+    block = render_fewshot_block(demos)
     requests = [
         ChatRequest(
             model=model,
             system_prompt=system_prompt,
-            user_prompt=render_prompt(demos, gold.text),
+            user_prompt=render_prompt(block, gold.text),
             temperature=0.0,
             max_output_tokens=settings.max_output_tokens,
         )
@@ -155,4 +157,6 @@ def evaluate_genome_surrogate(
 
 
 def make_surrogate_provider(pool: ClusteredPool, seed: int) -> Callable[[Genome], float]:
-    return lambda genome: evaluate_genome_surrogate(genome, pool, seed)
+    """`evaluate_genome_surrogate` over `pool`, hashing each example's quality once."""
+    quality = functools.cache(lambda example_id: example_quality(seed, example_id))
+    return lambda genome: evaluate_genome_surrogate(genome, pool, seed, quality)

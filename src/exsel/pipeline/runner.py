@@ -6,8 +6,9 @@ directory and records their hashes in the manifest, under a key over
 what the stage reads (`_stage_reads`) and the artifact hashes of every
 earlier stage. A stage whose key is unchanged and whose artifacts still
 hash-match is loaded instead of re-executed.
-Artifacts carry no timestamps and floats are written with repr, so a
-fixed seed reproduces files byte for byte.
+Artifacts carry no timestamps and floats are written exactly (repr, or
+raw float64 bytes in projection.f64), so a fixed seed reproduces files
+byte for byte.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ STAGES = ("pool", "project", "cluster", "pools", "select", "report")
 
 _SURROGATE_EMBED_DIM = 32
 _SURROGATE_EMBED_MODEL = "char-ngram-hash-32"
+_PROJECTION_DTYPE = np.dtype("<f8")
+# the project artifact before it was stored as bytes, holding the same floats; read where a manifest records it
+_LEGACY_PROJECTION = "reduce/projection.tsv"
 
 
 class PipelineError(RuntimeError):
@@ -71,6 +75,7 @@ class RunState:
     root: Path
     transport: Transport
     embedding_model: str
+    manifest: RunManifest
     candidates: list[Example] = field(default_factory=list)
     validation: list[Example] = field(default_factory=list)
     projected: np.ndarray | None = None
@@ -109,12 +114,6 @@ class RunState:
 
 def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    # one row at a time: a whole-matrix tolist() holds every float as a Python object at once
-    lines = ["\t".join(map(repr, row.tolist())) for row in matrix]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------- pool
@@ -181,15 +180,22 @@ def _project_run(state: RunState) -> list[Path]:
         texts = [ex.text for ex in state.candidates]
         matrix = state.embedding_client.embed_batch(state.embedding_model, texts)
         state.projected = project(matrix, cfg.projection)
-    path = out / "projection.tsv"
-    _write_matrix(path, state.projected)
+    path = out / "projection.f64"
+    path.write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
     return [path]
 
 
 def _project_load(state: RunState) -> None:
-    state.projected = load_precomputed(state.root / "reduce" / "projection.tsv")
-    if state.projected.shape[0] != len(state.candidates):
-        raise PipelineError("projection artifact does not match the candidate pool")
+    n, width = len(state.candidates), state.config.projection.target_dimension
+    if _LEGACY_PROJECTION in state.manifest.stages["project"]["artifacts"]:
+        state.projected = load_precomputed(state.root / _LEGACY_PROJECTION)
+        if state.projected.shape != (n, width):
+            raise PipelineError(f"projection artifact {_LEGACY_PROJECTION} does not match the candidate pool")
+        return
+    blob = (state.root / "reduce" / "projection.f64").read_bytes()
+    if len(blob) != n * width * _PROJECTION_DTYPE.itemsize:
+        raise PipelineError(f"projection artifact reduce/projection.f64 holds {len(blob)} bytes, not {n} x {width} x 8")
+    state.projected = np.frombuffer(blob, _PROJECTION_DTYPE).reshape(n, width)
 
 
 # ---------------------------------------------------------------- cluster
@@ -405,7 +411,7 @@ def run_pipeline(
         embedding_model = _SURROGATE_EMBED_MODEL
     elif transport is None:
         transport = HttpTransport(config.transport)
-    state = RunState(config=config, root=root, transport=transport, embedding_model=embedding_model)
+    state = RunState(config=config, root=root, transport=transport, embedding_model=embedding_model, manifest=manifest)
     reads = _stage_reads(config, embedding_model)
     upstream: list[tuple[str, str]] = []
     for stage in STAGES:

@@ -156,41 +156,42 @@ def mutual_reachability_mst(points: np.ndarray, core: np.ndarray) -> list[tuple[
     dead: list[int] = []
     current = 0
     edges: list[tuple[int, int, float]] = []
-    for _ in range(n - 1):
-        m = len(ids)
-        with np.errstate(over="ignore", invalid="ignore"):  # out-of-range estimates end as NaN
-            est = np.matmul(scaled, points[current], out=est_buf[:m])
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range estimates end as NaN
+        for _ in range(n - 1):
+            m = len(ids)
+            point = points[current]
+            est = np.matmul(scaled, point, out=est_buf[:m])
             est += half[current]
-        skip = np.greater_equal(est, bound, out=skip_buf[:m])
-        cand = np.flatnonzero(np.logical_not(skip, out=skip))
-        if cand.size:
-            rows = ids[cand]
-            delta = points[rows]
-            delta -= points[current]
-            reach = np.einsum("ij,ij->i", delta, delta)
-            np.sqrt(reach, out=reach)
-            np.maximum(reach, live_core[cand], out=reach)
-            np.maximum(reach, core[current], out=reach)
-            closer = reach < best[cand]
-            moved, reach = cand[closer], reach[closer]
-            best[moved] = reach
-            best_from[moved] = current
-            bound[moved] = (1.0 + slack) * (reach * reach) + _FLOOR - half[rows[closer]]
-        slot = int(np.argmin(best))
-        if not math.isfinite(best[slot]):
-            raise ValueError("mutual-reachability distances overflow to inf; scale the points down")
-        current = int(ids[slot])
-        edges.append((int(best_from[slot]), current, float(best[slot])))
-        best[slot] = np.inf
-        live_core[slot] = np.inf
-        bound[slot] = -np.inf
-        dead.append(slot)
-        if 16 * len(dead) > m - len(dead):
-            keep = np.ones(m, dtype=bool)
-            keep[dead] = False
-            ids, scaled, live_core = ids[keep], scaled[keep], live_core[keep]
-            best, best_from, bound = best[keep], best_from[keep], bound[keep]
-            dead.clear()
+            skip = np.greater_equal(est, bound, out=skip_buf[:m])
+            cand = np.logical_not(skip, out=skip).nonzero()[0]
+            if cand.size:
+                rows = ids[cand]
+                delta = points[rows]
+                delta -= point
+                reach = np.einsum("ij,ij->i", delta, delta)
+                np.sqrt(reach, out=reach)
+                np.maximum(reach, live_core[cand], out=reach)
+                np.maximum(reach, core[current], out=reach)
+                closer = reach < best[cand]
+                moved, reach = cand[closer], reach[closer]
+                best[moved] = reach
+                best_from[moved] = current
+                bound[moved] = (1.0 + slack) * (reach * reach) + _FLOOR - half[rows[closer]]
+            slot = int(best.argmin())
+            if not math.isfinite(best[slot]):
+                raise ValueError("mutual-reachability distances overflow to inf; scale the points down")
+            current = int(ids[slot])
+            edges.append((int(best_from[slot]), current, float(best[slot])))
+            best[slot] = np.inf
+            live_core[slot] = np.inf
+            bound[slot] = -np.inf
+            dead.append(slot)
+            if 16 * len(dead) > m - len(dead):
+                keep = np.ones(m, dtype=bool)
+                keep[dead] = False
+                ids, scaled, live_core = ids[keep], scaled[keep], live_core[keep]
+                best, best_from, bound = best[keep], best_from[keep], bound[keep]
+                dead.clear()
     return edges
 
 

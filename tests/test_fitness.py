@@ -57,8 +57,8 @@ class TestResolveAndRender:
         assert block.count("Text: ") == 2
 
     def test_prompt_ends_with_open_query(self):
-        prompt = render_prompt([], "What now?")
-        assert prompt == "Text: What now?\nEntities:"
+        assert render_prompt("", "What now?") == "Text: What now?\nEntities:"
+        assert render_prompt("Text: a\nEntities: {}", "b") == "Text: a\nEntities: {}\n\nText: b\nEntities:"
 
     def test_prompt_value_sets_serialized_sorted(self):
         ex = Example(id="a", text="t", entities={"X": ["b", "a"]})

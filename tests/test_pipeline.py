@@ -30,7 +30,6 @@ from exsel.pipeline import (
     run_pipeline,
 )
 from exsel.pipeline.manifest import file_sha256
-from exsel.pipeline.runner import _write_matrix
 from exsel.plotting import read_trace
 from exsel.reduce.projection import load_precomputed
 from mock_transport import MockTransport
@@ -337,7 +336,7 @@ class TestSurrogateRuns:
         for relpath in [
             "pool/candidates.jsonl",
             "pool/validation.jsonl",
-            "reduce/projection.tsv",
+            "reduce/projection.f64",
             "reduce/assignment.tsv",
             "pools/pool_k40.json",
             "pools/pool_k120.json",
@@ -421,7 +420,7 @@ class TestSurrogateRuns:
         cfg_b = load_config(write_config(tmp_path, small_pool_path, name="b.yaml", output_dir=str(tmp_path / "run_b")))
         run_pipeline(cfg_a)
         run_pipeline(cfg_b)
-        for relpath in ["select/trace_k40.tsv", "select/best_genome_k120.json", "reduce/projection.tsv"]:
+        for relpath in ["select/trace_k40.tsv", "select/best_genome_k120.json", "reduce/projection.f64"]:
             a = (tmp_path / "run_a" / relpath).read_bytes()
             b = (tmp_path / "run_b" / relpath).read_bytes()
             assert a == b, relpath
@@ -467,7 +466,7 @@ class TestSurrogateRuns:
         assert on_disk == payload
 
 
-def test_trace_and_projection_artifacts_round_trip(tmp_path):
+def test_trace_artifact_round_trips(tmp_path):
     records = (
         TraceRecord(0, 0.1 + 0.2, 0.7, 1.0, 0.05 + 0.65 * 1.0, 10),
         TraceRecord(1, 1 / 3, 0.7000000000000001, 0.4, 5e-324, 7),
@@ -477,20 +476,50 @@ def test_trace_and_projection_artifacts_round_trip(tmp_path):
     assert list(columns) == [field.name for field in dataclasses.fields(TraceRecord)]
     assert [tuple(row) for row in zip(*columns.values())] == [dataclasses.astuple(r) for r in records]
 
-    matrix = np.array([[-0.0, 5e-324, 0.1 + 0.2], [1e308, -1.5, 2 / 3]])
-    _write_matrix(tmp_path / "projection.tsv", matrix)
-    loaded = load_precomputed(tmp_path / "projection.tsv")
-    assert loaded.shape == matrix.shape
-    assert loaded.tobytes() == matrix.tobytes()
+
+def write_vectors(path, matrix):
+    """An import file for `precomputed-import`: one whitespace-separated row per line, floats by repr."""
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in matrix.tolist()), encoding="utf-8")
 
 
-def test_projection_text_matches_per_scalar_repr(tmp_path):
+def imported_projection_config(tmp_path, pool_path, matrix):
+    write_vectors(tmp_path / "vectors.txt", matrix)
+    projection = {
+        "method": "precomputed-import",
+        "precomputed_path": str(tmp_path / "vectors.txt"),
+        "target_dimension": matrix.shape[1],
+    }
+    return load_config(write_config(tmp_path, pool_path, projection=projection))
+
+
+def test_projection_artifact_round_trips_bit_for_bit(tmp_path, small_pool_path):
     rng = np.random.default_rng(3)
-    scaled = rng.standard_normal((40, 20)) * 10.0 ** rng.integers(-9, 7, size=(40, 20))
-    matrix = np.vstack([scaled, [[-0.0, 5e-324, 1e16, 0.1, 1e-9, 1e6, 0.1 + 0.2, 1 / 3] * 2 + [0.0, -1e16, 2.5, 1e22]]])
-    _write_matrix(tmp_path / "projection.tsv", matrix)
-    expected = "".join("\t".join(repr(float(v)) for v in row) + "\n" for row in matrix)
-    assert (tmp_path / "projection.tsv").read_text(encoding="utf-8") == expected
+    # one row per candidate: the small pool's 360 examples less 24 for validation
+    matrix = rng.standard_normal((336, 20)) * 10.0 ** rng.integers(-9, 7, size=(336, 20))
+    matrix[0, :5] = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 2 / 3]
+    cfg = imported_projection_config(tmp_path, small_pool_path, matrix)
+    assert run_pipeline(cfg, through="project").executed == ["pool", "project"]
+    artifact = Path(cfg.output_dir) / "reduce" / "projection.f64"
+    assert artifact.read_bytes() == matrix.astype("<f8").tobytes()
+    resumed = run_pipeline(cfg, through="project")
+    assert resumed.skipped == ["pool", "project"]
+    assert resumed.projected.shape == matrix.shape
+    assert resumed.projected.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("cut", [-8, 1])
+def test_wrong_size_projection_artifact_is_rejected(tmp_path, small_pool_path, cut):
+    cfg = load_config(write_config(tmp_path, small_pool_path))
+    run_pipeline(cfg, through="project")
+    root = Path(cfg.output_dir)
+    artifact = root / "reduce" / "projection.f64"
+    blob = artifact.read_bytes()
+    artifact.write_bytes(blob[:cut] if cut < 0 else blob + b"\0" * cut)
+    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"]["project"]["artifacts"]["reduce/projection.f64"] = file_sha256(artifact)
+    (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(PipelineError, match="reduce/projection.f64"):
+        run_pipeline(cfg, through="project")
 
 
 def test_embedding_cache_bytes_are_pinned(tmp_path, small_pool_path):
@@ -510,17 +539,15 @@ def test_imported_projection_run_makes_no_embed_calls(tmp_path, small_pool_path)
         write_config(tmp_path, small_pool_path, name="embedded.yaml", output_dir=str(tmp_path / "embedded"))
     )
     run_pipeline(embedded, through="project")
-    vectors = Path(embedded.output_dir) / "reduce" / "projection.tsv"
-    projection = {"method": "precomputed-import", "precomputed_path": str(vectors), "target_dimension": 20}
-    cfg = load_config(write_config(tmp_path, small_pool_path, projection=projection))
+    vectors = run_pipeline(embedded, through="project").projected  # read back from projection.f64
+    cfg = imported_projection_config(tmp_path, small_pool_path, vectors)
     transport = MockTransport()
     state = run_pipeline(cfg, transport=transport)
     assert state.executed == list(STAGES)
     assert (transport.embed_calls, transport.chat_calls) == (0, 0)
-    imported = load_precomputed(vectors)
-    written = load_precomputed(Path(cfg.output_dir) / "reduce" / "projection.tsv")
-    assert written.shape == imported.shape
-    assert written.tobytes() == imported.tobytes()
+    assert load_precomputed(tmp_path / "vectors.txt").tobytes() == vectors.tobytes()
+    written = Path(cfg.output_dir) / "reduce" / "projection.f64"
+    assert written.read_bytes() == (Path(embedded.output_dir) / "reduce" / "projection.f64").read_bytes()
 
 
 def hashing_transport(**hasher) -> MockTransport:
@@ -610,7 +637,7 @@ def test_changed_upstream_output_reruns_every_later_stage(tmp_path, small_pool_p
     cfg = load_config(write_config(tmp_path, small_pool_path))
     run_pipeline(cfg, transport=hashing_transport())
     root = Path(cfg.output_dir)
-    (root / "reduce" / "projection.tsv").unlink()
+    (root / "reduce" / "projection.f64").unlink()
     shutil.rmtree(root / "cache")
     state = run_pipeline(cfg, transport=hashing_transport(ngram=4))
     assert state.executed == list(STAGES[1:])
@@ -814,6 +841,22 @@ def test_rerun_after_a_crash_writes_the_bytes_of_an_uninterrupted_run(tmp_path, 
 PINNED_STAGE_KEYS = {
     "surrogate": {
         "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
+        "cluster": "ad1feb30ef65161727ac76439df05ebe1edaa142e68f64bf01f91ac9461fd568",
+        "pools": "69283563cc0b62ee1026d8f6e9c2498ae9f50ca85d94e784025f0fd8d262b0d2",
+        "select": "61623a200042c2a1a701bf667187dad48d9a8fa5aff886e07392fa386a3fc28d",
+    },
+    "llm": {
+        "project": "a506b7854b69b097dab43290316826525970d5a2a83dd2e3323fd4416f024c7b",
+        "cluster": "78ebe159fc5f000f0b15b76405e7f78249e28fa30155268137571cf0d3b707e7",
+        "pools": "7ca7fc9f79c22aa955febe759d8ad0c3cea7e7de41e8c134a86d38cac8b08467",
+        "select": "696134935e8d347c2fc1ea580ecdb9a674327bc3dd98fd9c0bdad3695bfcf6e3",
+    },
+}
+
+# the keys of run directories whose project stage wrote reduce/projection.tsv, one repr row per line
+LEGACY_PROJECTION_KEYS = {
+    "surrogate": {
+        "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
         "cluster": "ef449f45f6de8114c96bf92c6df7acd5891c4bbbdb99bc9bbb41ffda3c1ee0f0",
         "pools": "f6f9a6e374702283c71addd90aac1956a31c4dabbaee887e945c4f8ac5451348",
         "select": "fe369f3bc343750b97e47cca944b9524f2ecab4cb5f8ac584fdccf657de50cdd",
@@ -838,6 +881,37 @@ def test_stage_keys_are_pinned(tmp_path, small_pool_path, llm_config_path, mode)
         run_pipeline(cfg)
     stages = json.loads((Path(cfg.output_dir) / "manifest.json").read_text(encoding="utf-8"))["stages"]
     assert {stage: stages[stage]["key"] for stage in PINNED_STAGE_KEYS[mode]} == PINNED_STAGE_KEYS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(LEGACY_PROJECTION_KEYS))
+def test_run_directory_with_a_text_projection_resumes_without_rerunning(
+    tmp_path, small_pool_path, llm_config_path, mode
+):
+    # rewrite a finished run as an older version left it: the projection as text, the keys that text chains into
+    transport = TestLlmModeWithMockTransport().make_transport()
+    if mode == "llm":
+        cfg = load_config(llm_config_path)
+        run_pipeline(cfg, transport=transport)
+    else:
+        cfg = load_config(write_config(tmp_path, small_pool_path))
+        run_pipeline(cfg)
+    root = Path(cfg.output_dir)
+    rows = np.fromfile(root / "reduce" / "projection.f64", dtype="<f8").reshape(-1, cfg.projection.target_dimension)
+    (root / "reduce" / "projection.f64").unlink()
+    legacy = root / "reduce" / "projection.tsv"
+    legacy.write_text("\n".join("\t".join(map(repr, row)) for row in rows.tolist()) + "\n", encoding="utf-8")
+    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"]["project"]["artifacts"] = {"reduce/projection.tsv": file_sha256(legacy)}
+    for stage, key in LEGACY_PROJECTION_KEYS[mode].items():
+        manifest["stages"][stage]["key"] = key
+    (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    calls = (transport.embed_calls, transport.chat_calls)
+    # through select: the report key also hashes absolute paths, so it cannot be pinned
+    state = run_pipeline(cfg, through="select", transport=transport)
+    assert state.executed == []
+    assert state.skipped == list(STAGES[:5])
+    assert (transport.embed_calls, transport.chat_calls) == calls
+    assert state.projected.tobytes() == rows.tobytes()
 
 
 def test_generated_pool_bytes_are_pinned(llm_config_path):
