@@ -6,10 +6,10 @@ float64 to `<name>.f64`, then one `{"key", "width", "offset"}` line per
 row to `<name>.jsonl`, both under one lock on the row file, so writers
 sharing a cache keep the lines in the order of their bytes. Bytes a
 crash leaves without a line are never read.
-Load skips a line that is corrupt, whose bytes were cut short or written
-over after a cut, or whose row fails `checked_rows`, so that text is
-embedded again; the line after one cut short starts on a fresh line.
-Lines of the older format, which hold the `"vector"`, are still read.
+Load skips a line that is corrupt or of the older format (which held the
+`"vector"` itself), whose bytes were cut short or written over after a
+cut, or whose row fails `checked_rows`, so that text is embedded again;
+the line after one cut short starts on a fresh line.
 """
 
 from __future__ import annotations
@@ -69,28 +69,24 @@ class EmbeddingCache:
     def _load(self) -> None:
         assert self.path is not None and self.rows_path is not None
         blob = self.rows_path.read_bytes() if self.rows_path.exists() else b""
-        entries = []  # (key, row of an older-format line, or (width, offset) of its bytes)
+        entries = []  # (key, width, offset) of each line's row
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 try:
                     record = json.loads(line)
-                    if "vector" in record:
-                        entries.append((record["key"], checked_rows([record["vector"]], 1)[0]))
-                    elif int(record["width"]) > 0 and int(record["offset"]) >= 0:
-                        entries.append((record["key"], (int(record["width"]), int(record["offset"]))))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, MalformedResponseError):
+                    if int(record["width"]) > 0 and int(record["offset"]) >= 0:
+                        entries.append((record["key"], int(record["width"]), int(record["offset"])))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
                     continue  # TypeError: a record that is not an object
         floor = len(blob)  # where later lines' bytes start (`put` keeps lines in byte order): a cut file regrows from there
-        for key, row in reversed(entries):  # so the last line of a key wins
-            if isinstance(row, tuple):
-                width, offset = row
-                whole, floor = offset + width * _ROW_DTYPE.itemsize <= floor, min(floor, offset)
-                try:
-                    row = checked_rows(np.frombuffer(blob, _ROW_DTYPE, width, offset)[None], 1)[0] if whole else None
-                except MalformedResponseError:
-                    continue
-            if row is not None and isinstance(key, str):
-                self._store.setdefault(key, row)
+        for key, width, offset in reversed(entries):  # so the last line of a key wins
+            whole, floor = offset + width * _ROW_DTYPE.itemsize <= floor, min(floor, offset)
+            if not whole or not isinstance(key, str):
+                continue
+            try:
+                self._store.setdefault(key, checked_rows(np.frombuffer(blob, _ROW_DTYPE, width, offset)[None], 1)[0])
+            except MalformedResponseError:
+                continue
 
     def __len__(self) -> int:
         return len(self._store)

@@ -125,11 +125,14 @@ def _interpolate_env(node: object) -> object:
     return node
 
 
-def _resolve(base: Path, value: str | None) -> str | None:
-    if value is None:
+def _resolve(base: Path, section: str, fields: dict, key: str, optional: bool = True) -> str | None:
+    """`fields[key]`, a path string, made absolute against `base`; None or absent stays None where `optional`."""
+    value = fields.get(key)
+    if value is None and optional:
         return None
-    path = Path(value)
-    return str(path if path.is_absolute() else base / path)
+    if not isinstance(value, str):
+        raise ConfigError(f"{section}.{key} must be a path string, got {value!r}")
+    return str(base / value)  # an absolute value replaces base
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -227,19 +230,22 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
         raise ConfigError("output_dir is required")
 
     corpus = _fields(data, "corpus")
-    corpus["documents"] = tuple(_resolve(base, doc) for doc in corpus.get("documents", []))
+    documents = corpus.get("documents", [])
+    if not isinstance(documents, list) or not all(isinstance(doc, str) for doc in documents):
+        raise ConfigError(f"corpus.documents must be a list of path strings, got {documents!r}")
+    corpus["documents"] = tuple(str(base / doc) for doc in documents)
     for key in ("pool_path", "test_path"):
-        corpus[key] = _resolve(base, corpus.get(key))
+        corpus[key] = _resolve(base, "corpus", corpus, key)
 
     generation = None
     if data.get("generation") is not None:
         section = _fields(data, "generation")
         for key in ("positive_template_path", "negative_template_path"):
-            section[key] = _resolve(base, section.get(key))
+            section[key] = _resolve(base, "generation", section, key)
         generation = _section("generation", GenerationConfig, section, _generation)
 
     projection = _fields(data, "projection")
-    projection["precomputed_path"] = _resolve(base, projection.get("precomputed_path"))
+    projection["precomputed_path"] = _resolve(base, "projection", projection, "precomputed_path")
 
     ga = _fields(data, "ga")
     if "lambda" in ga:
@@ -247,18 +253,18 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
 
     client = _fields(data, "client")
     top = {key: data[key] for key in ("seed", "fitness_mode", "pool_sizes", "baseline_draws") if key in data}
-    top.update((key, client.pop(key)) for key in ("chat_model", "embedding_model") if key in client)
-    top["embedding_cache"] = _resolve(base, client.pop("embedding_cache", None))
+    top.update((key, client.pop(key)) for key in ("chat_model", "embedding_model", "embedding_cache") if key in client)
+    top["embedding_cache"] = _resolve(base, "client", top, "embedding_cache")
 
     evaluation = _fields(data, "evaluation")
-    evaluation["instruction_template_path"] = _resolve(base, evaluation.get("instruction_template_path"))
+    evaluation["instruction_template_path"] = _resolve(base, "evaluation", evaluation, "instruction_template_path")
 
     return _section(
         "config",
         PipelineConfig,
         dict(
             top,
-            output_dir=_resolve(base, data["output_dir"]),
+            output_dir=_resolve(base, "config", data, "output_dir", optional=False),
             corpus=_section("corpus", CorpusConfig, corpus),
             generation=generation,
             projection=_section("projection", ProjectionConfig, projection),

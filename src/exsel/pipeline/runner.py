@@ -59,7 +59,7 @@ STAGES = ("pool", "project", "cluster", "pools", "select", "report")
 _SURROGATE_EMBED_DIM = 32
 _SURROGATE_EMBED_MODEL = "char-ngram-hash-32"
 _PROJECTION_DTYPE = np.dtype("<f8")
-# the project artifact before it was stored as bytes, holding the same floats; read where a manifest records it
+# the project artifact before it was stored as bytes, same floats: read where a manifest records it, removed on rerun
 _LEGACY_PROJECTION = "reduce/projection.tsv"
 
 
@@ -182,6 +182,7 @@ def _project_run(state: RunState) -> list[Path]:
         state.projected = project(matrix, cfg.projection)
     path = out / "projection.f64"
     path.write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
+    (state.root / _LEGACY_PROJECTION).unlink(missing_ok=True)
     return [path]
 
 

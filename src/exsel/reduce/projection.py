@@ -1,34 +1,36 @@
 """Dimensionality reduction for embeddings.
 
 Two methods. `in-repo-linear` is a deterministic variance-maximizing
-linear map (center, SVD, keep the top directions), done by `project`;
+linear map (center, keep the top principal directions), done by `project`;
 it is not a manifold method and makes no attempt to be one, it exists so
 the pipeline runs self-contained. `precomputed-import` replaces both
 embedding and projection with vectors produced by any external projector
 (row order must match the examples file): the runner reads them with
 `load_precomputed` and checks their count and dimension.
 
-A small SVD, rows x columns x min(rows, columns) below 2**24, runs in one
-BLAS thread when numpy's BLAS is the OpenBLAS bundled in its wheel; the
-thread count is set automatically and restored after, and with any other
-BLAS nothing extra is done. Measured on 2 cores (`BENCH_project.json`,
-`widths`): the threaded call on 920 x 32 or 6,620 x 32 inputs sometimes
-stalls for up to 0.46 s, while one thread takes 0.01-0.02 s and gives the
-same bytes on every measured input up to 12,000 x 32. Larger SVDs keep
-OpenBLAS's own thread count, since there threads pay (6,620 x 1,536:
-3.5 s threaded, 5.1 s in one thread) and the threaded bytes already vary
-with the thread count.
+The linear map takes its directions from the eigenvectors of XᵀX (X the
+centered matrix), largest eigenvalue first: the right singular vectors of
+X, from a d x d problem instead of an n x d one (Golub & Van Loan, Matrix
+Computations, 4th ed., 2013). The Gram product, `eigh` and the final
+product run in one BLAS thread when numpy's BLAS is the OpenBLAS bundled
+in its wheel; the thread count is set automatically and restored after,
+so the bytes do not depend on it. They still depend on the BLAS build and
+CPU kernel. With any other BLAS the thread count is left as it is.
+Measured on 2 cores (`BENCH_project.json`, `widths`): 6,620 x 768 takes
+about 0.2 s and 6,620 x 1,536 about 1 s. An input with fewer rows than
+columns still solves the d x d problem: 64 x 1,536 takes 0.6 s.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -84,12 +86,8 @@ _THREAD_SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
 )
 
-# An SVD whose work, rows x columns x min(rows, columns), is below this runs
-# in one thread; larger ones keep OpenBLAS's own thread count.
-_ONE_THREAD_WORK = 1 << 24
-
-# the thread count is process-wide: one SVD at a time sets, uses and restores it
-_svd_lock = threading.Lock()
+# the thread count is process-wide: one projection at a time sets, uses and restores it
+_blas_lock = threading.Lock()
 
 
 def _openblas_paths() -> list[str]:
@@ -116,19 +114,15 @@ def _blas_thread_controls() -> tuple[Callable[[], int], Callable[[int], None]] |
     return None
 
 
-def _svd(centered: np.ndarray) -> np.ndarray:
-    """The right singular vectors of `centered`, in one OpenBLAS thread when the work is small."""
-    rows, cols = centered.shape
-    small = rows * cols * min(rows, cols) < _ONE_THREAD_WORK
-    controls = _blas_thread_controls() if small else None
-    with _svd_lock:
-        if controls is None:
-            return np.linalg.svd(centered, full_matrices=False)[2]
-        get, set_ = controls
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold `_blas_lock` and, when numpy's OpenBLAS thread controls are found, run the body in one thread."""
+    get, set_ = _blas_thread_controls() or (lambda: None, lambda threads: None)
+    with _blas_lock:
         previous = get()
         set_(1)
         try:
-            return np.linalg.svd(centered, full_matrices=False)[2]
+            yield
         finally:
             set_(previous)
 
@@ -143,14 +137,15 @@ def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
         raise ProjectionError(f"target_dimension {cfg.target_dimension} exceeds input dimension {dim}")
 
     centered = matrix - matrix.mean(axis=0, keepdims=True)
-    vt = _svd(centered)
-    # canonical sign: the largest-magnitude entry of each direction is positive
-    for row in vt:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
-    components = vt[: cfg.target_dimension]
-    projected = centered @ components.T
+    with _one_blas_thread():
+        # eigh lists eigenvalues in ascending order; like an SVD, keep at most min(n, d) directions
+        components = np.linalg.eigh(centered.T @ centered)[1][:, ::-1].T[: min(n, cfg.target_dimension)]
+        # canonical sign: the largest-magnitude entry of each direction is positive
+        for row in components:
+            pivot = np.argmax(np.abs(row))
+            if row[pivot] < 0:
+                row *= -1.0
+        projected = centered @ components.T
     if projected.shape[1] < cfg.target_dimension:
         # rank-deficient input: pad with zero variance directions
         pad = np.zeros((n, cfg.target_dimension - projected.shape[1]))

@@ -189,9 +189,10 @@ class TestEmbedBatch:
 
     def test_non_finite_or_empty_record_on_disk_is_fetched_again(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
+        path.with_suffix(".f64").write_bytes(np.array([float("nan"), 1.0], "<f8").tobytes())
         records = [
-            {"key": cache_key("e", "x"), "vector": [float("nan"), 1.0]},
-            {"key": cache_key("e", "y"), "vector": []},
+            {"key": cache_key("e", "x"), "width": 2, "offset": 0},
+            {"key": cache_key("e", "y"), "width": 0, "offset": 16},
         ]
         path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
         cache = EmbeddingCache(path)
@@ -202,10 +203,14 @@ class TestEmbedBatch:
         assert matrix.tolist() == [[0.6, 0.8], [1.0, 0.0]]
         assert EmbeddingCache(path).get(cache_key("e", "x")).tolist() == [0.6, 0.8]
 
-    @pytest.mark.parametrize("vector", [[[1.0, 2.0]], ["a", 1.0], "12", None], ids=["nested", "non-numeric", "string", "null"])
-    def test_record_on_disk_that_is_not_a_row_of_numbers_is_fetched_again(self, tmp_path, vector):
+    @pytest.mark.parametrize(
+        "width, offset", [([2], 0), ("a", 0), (2, None), (2, "x")], ids=["nested", "non-numeric", "null", "string"]
+    )
+    def test_record_on_disk_that_does_not_locate_a_row_of_numbers_is_fetched_again(self, tmp_path, width, offset):
         path = tmp_path / "embeddings.jsonl"
-        path.write_text(json.dumps({"key": cache_key("e", "x"), "vector": vector}) + "\n", encoding="utf-8")
+        path.with_suffix(".f64").write_bytes(np.array([1.0, 2.0], "<f8").tobytes())
+        record = {"key": cache_key("e", "x"), "width": width, "offset": offset}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         cache = EmbeddingCache(path)
         assert len(cache) == 0
         healthy = ScriptedEmbeddings([[0.6, 0.8]])
@@ -240,9 +245,9 @@ class TestEmbedBatch:
 
     def test_cached_rows_of_two_widths_fail_before_any_call(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
-        records = [{"key": cache_key("e", "x"), "vector": [1.0, 0.0]}, {"key": cache_key("e", "y"), "vector": [1.0, 0.0, 0.0]}]
-        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
-        before = path.read_bytes()
+        EmbeddingCache(path).put([cache_key("e", "x")], np.array([[1.0, 0.0]]))
+        EmbeddingCache(path).put([cache_key("e", "y")], np.array([[1.0, 0.0, 0.0]]))
+        before = path.read_bytes(), path.with_suffix(".f64").read_bytes()
         service = WidthPerCall(2)
         with pytest.raises(MalformedResponseError, match="dimension") as raised:
             make_client(service, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x", "y", "z"])
@@ -250,25 +255,28 @@ class TestEmbedBatch:
         assert str(path) in message
         assert "delete the cache file or use another model name" in message
         assert service.embed_calls == 0
-        assert path.read_bytes() == before
+        assert (path.read_bytes(), path.with_suffix(".f64").read_bytes()) == before
 
     def test_cache_key_depends_on_model(self):
         assert cache_key("m1", "t") != cache_key("m2", "t")
 
     def test_cache_skips_corrupt_lines(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        good = json.dumps({"key": "k", "vector": [1.0]})
-        path.write_text("not json\n" + good + "\n", encoding="utf-8")
+        EmbeddingCache(path).put(["k"], np.array([[1.0]]))
+        path.write_text("not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
         cache = EmbeddingCache(path)
         assert cache.get("k").tolist() == [1.0]
         assert len(cache) == 1
 
     @pytest.mark.parametrize(
-        "record", [{"key": ["k"], "vector": [1.0]}, ["k", [1.0]], {"vector": [1.0]}], ids=["list-key", "array", "no-key"]
+        "record",
+        [{"key": ["k"], "width": 1, "offset": 0}, ["k", 1, 0], {"width": 1, "offset": 0}],
+        ids=["list-key", "array", "no-key"],
     )
     def test_cache_skips_records_without_a_usable_key(self, tmp_path, record):
         path = tmp_path / "cache.jsonl"
-        good = json.dumps({"key": "k", "vector": [1.0]})
+        EmbeddingCache(path).put(["j", "k"], np.array([[2.0], [1.0]]))
+        good = path.read_text(encoding="utf-8").splitlines()[1]  # k's row at offset 8; the record points at j's
         path.write_text(json.dumps(record) + "\n" + good + "\n", encoding="utf-8")
         cache = EmbeddingCache(path)
         assert cache.get("k").tolist() == [1.0]
@@ -373,21 +381,18 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match="must not end in .f64"):
             EmbeddingCache(tmp_path / "embeddings.f64")
 
-    def test_old_format_file_loads_without_embed_calls_and_grows_in_the_new_format(self, tmp_path):
+    def test_old_format_line_is_skipped_and_its_text_embedded_again_once(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
-        old = [{"key": cache_key("e", "x"), "vector": [0.6, 0.8]}, {"key": cache_key("e", "y"), "vector": [1.0, 0.0]}]
-        path.write_text("".join(json.dumps(record) + "\n" for record in old), encoding="utf-8")
+        old = {"key": cache_key("e", "x"), "vector": [0.6, 0.8]}
+        path.write_text(json.dumps(old) + "\n", encoding="utf-8")
+        assert len(EmbeddingCache(path)) == 0
         service = ScriptedEmbeddings([[0.0, 1.0]])
-        client = make_client(service, embedding_cache=EmbeddingCache(path))
-        assert client.embed_batch("e", ["x", "y"]).tolist() == [[0.6, 0.8], [1.0, 0.0]]
-        assert service.embed_calls == 0
-        assert not path.with_suffix(".f64").exists()
-        assert client.embed_batch("e", ["z", "x"]).tolist() == [[0.0, 1.0], [0.6, 0.8]]
+        assert make_client(service, embedding_cache=EmbeddingCache(path)).embed_batch("e", ["x"]).tolist() == [[0.0, 1.0]]
         assert service.embed_calls == 1
-        mixed = path.read_text(encoding="utf-8").splitlines()
-        assert [sorted(json.loads(line)) for line in mixed] == [["key", "vector"]] * 2 + [["key", "offset", "width"]]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [sorted(json.loads(line)) for line in lines] == [["key", "vector"], ["key", "offset", "width"]]
         again = make_client(ScriptedEmbeddings(None), embedding_cache=EmbeddingCache(path))
-        assert again.embed_batch("e", ["x", "y", "z"]).tolist() == [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]
+        assert again.embed_batch("e", ["x"]).tolist() == [[0.0, 1.0]]
         assert again.transport.embed_calls == 0
 
 

@@ -258,6 +258,25 @@ def test_config_error_names_its_section(tmp_path, small_pool_path, section, bad,
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"corpus": {"test_path": 5}}, "corpus.test_path"),
+        ({"output_dir": 7}, "config.output_dir"),
+        ({"output_dir": None}, "config.output_dir"),
+        ({"projection": {"precomputed_path": [1]}}, "projection.precomputed_path"),
+        ({"corpus": {"documents": "a.txt"}}, "corpus.documents"),
+        ({"corpus": {"documents": ["a.txt", 5]}}, "corpus.documents"),
+        ({"client": {"embedding_cache": 3}}, "client.embedding_cache"),
+        ({"evaluation": {"instruction_template_path": {"file": "a.txt"}}}, "evaluation.instruction_template_path"),
+    ],
+)
+def test_path_field_takes_only_a_string(tmp_path, small_pool_path, overrides, field):
+    # a number escaped load as a bare TypeError, and a string for documents was read one character at a time
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be a (list of )?path strings?, got "):
+        load_config(write_config(tmp_path, small_pool_path, **overrides))
+
+
 @pytest.mark.parametrize("section", ["corpus", "generation", "projection", "clustering", "ga", "client", "evaluation"])
 def test_null_section_loads_as_if_absent(tmp_path, small_pool_path, section):
     absent = surrogate_config_payload(small_pool_path, tmp_path / "run")
@@ -841,15 +860,15 @@ def test_rerun_after_a_crash_writes_the_bytes_of_an_uninterrupted_run(tmp_path, 
 PINNED_STAGE_KEYS = {
     "surrogate": {
         "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
-        "cluster": "ad1feb30ef65161727ac76439df05ebe1edaa142e68f64bf01f91ac9461fd568",
-        "pools": "69283563cc0b62ee1026d8f6e9c2498ae9f50ca85d94e784025f0fd8d262b0d2",
-        "select": "61623a200042c2a1a701bf667187dad48d9a8fa5aff886e07392fa386a3fc28d",
+        "cluster": "9e5cecdb132ee68af2b6f3f68a7f3fbfa66930dc655c86b86a28bb5cb0e1b474",
+        "pools": "725e4ea1c3ee82aa8de12c8fbf90e1f016a2c5bcfb628af610b27217ede2d3b1",
+        "select": "d02c95301efafb2d4f4861b69251a88f2f1abad5c80cfc50604d0f793971b903",
     },
     "llm": {
         "project": "a506b7854b69b097dab43290316826525970d5a2a83dd2e3323fd4416f024c7b",
-        "cluster": "78ebe159fc5f000f0b15b76405e7f78249e28fa30155268137571cf0d3b707e7",
-        "pools": "7ca7fc9f79c22aa955febe759d8ad0c3cea7e7de41e8c134a86d38cac8b08467",
-        "select": "696134935e8d347c2fc1ea580ecdb9a674327bc3dd98fd9c0bdad3695bfcf6e3",
+        "cluster": "70329090b05461ca6fd91c92f8306e82b51db1a22bed15aef1ded01f9c00266e",
+        "pools": "e3fa0ba7a727b468ca8d492205ea5f079ca9eeab24a37d0d0032de18c33b82b2",
+        "select": "9219437f13220fd16b1b616287fc2dfedf1151405be0ffa07561ec2c4bad0f2a",
     },
 }
 
@@ -857,15 +876,15 @@ PINNED_STAGE_KEYS = {
 LEGACY_PROJECTION_KEYS = {
     "surrogate": {
         "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
-        "cluster": "ef449f45f6de8114c96bf92c6df7acd5891c4bbbdb99bc9bbb41ffda3c1ee0f0",
-        "pools": "f6f9a6e374702283c71addd90aac1956a31c4dabbaee887e945c4f8ac5451348",
-        "select": "fe369f3bc343750b97e47cca944b9524f2ecab4cb5f8ac584fdccf657de50cdd",
+        "cluster": "9c9e9f2cfb2041516deb63e867f12c839b1b71a60e4b74021d2c7e1bf6f600ef",
+        "pools": "b520ee92367fa3ceac8671ce0b2d100077b0c451a71708628233340aa87d3a87",
+        "select": "f687b746339aedbcf822ee417aa05052a9b8d402f7073900b63e83d3c45ef607",
     },
     "llm": {
         "project": "a506b7854b69b097dab43290316826525970d5a2a83dd2e3323fd4416f024c7b",
-        "cluster": "f13f89b2311b006c2ebfeafc7742c74111360bcd1e612699c70e6b6232dfea85",
-        "pools": "30a6826405c423c649212533585fbf4e4fdf30278399ef2024fd7665e39d2438",
-        "select": "03b449d916116170eab4a0b92c4401095f9c01530e2c4d9644fec7f08e52923b",
+        "cluster": "c8ce4fe2c72d3664c7e70f33c58c4e6d39df168f0471285ec05ec5c0d7f0f58d",
+        "pools": "e566e3ca450fa8c29dc98753cd230e8beb87d564c0e1f5b106154397768434ad",
+        "select": "8a83293c00a3abb18273a534b1b0682f0b1ced981f57ce5905992579cd137875",
     },
 }
 
@@ -883,17 +902,14 @@ def test_stage_keys_are_pinned(tmp_path, small_pool_path, llm_config_path, mode)
     assert {stage: stages[stage]["key"] for stage in PINNED_STAGE_KEYS[mode]} == PINNED_STAGE_KEYS[mode]
 
 
-@pytest.mark.parametrize("mode", sorted(LEGACY_PROJECTION_KEYS))
-def test_run_directory_with_a_text_projection_resumes_without_rerunning(
-    tmp_path, small_pool_path, llm_config_path, mode
-):
-    # rewrite a finished run as an older version left it: the projection as text, the keys that text chains into
-    transport = TestLlmModeWithMockTransport().make_transport()
+def write_text_projection_run(cfg, mode, transport):
+    """A finished run rewritten as an older version left it: the projection as text, the keys that text chains into.
+
+    Returns the projected rows the run computed.
+    """
     if mode == "llm":
-        cfg = load_config(llm_config_path)
         run_pipeline(cfg, transport=transport)
     else:
-        cfg = load_config(write_config(tmp_path, small_pool_path))
         run_pipeline(cfg)
     root = Path(cfg.output_dir)
     rows = np.fromfile(root / "reduce" / "projection.f64", dtype="<f8").reshape(-1, cfg.projection.target_dimension)
@@ -905,6 +921,20 @@ def test_run_directory_with_a_text_projection_resumes_without_rerunning(
     for stage, key in LEGACY_PROJECTION_KEYS[mode].items():
         manifest["stages"][stage]["key"] = key
     (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return rows
+
+
+def mode_config(tmp_path, small_pool_path, llm_config_path, mode):
+    return load_config(llm_config_path) if mode == "llm" else load_config(write_config(tmp_path, small_pool_path))
+
+
+@pytest.mark.parametrize("mode", sorted(LEGACY_PROJECTION_KEYS))
+def test_run_directory_with_a_text_projection_resumes_without_rerunning(
+    tmp_path, small_pool_path, llm_config_path, mode
+):
+    transport = TestLlmModeWithMockTransport().make_transport()
+    cfg = mode_config(tmp_path, small_pool_path, llm_config_path, mode)
+    rows = write_text_projection_run(cfg, mode, transport)
     calls = (transport.embed_calls, transport.chat_calls)
     # through select: the report key also hashes absolute paths, so it cannot be pinned
     state = run_pipeline(cfg, through="select", transport=transport)
@@ -912,6 +942,19 @@ def test_run_directory_with_a_text_projection_resumes_without_rerunning(
     assert state.skipped == list(STAGES[:5])
     assert (transport.embed_calls, transport.chat_calls) == calls
     assert state.projected.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("mode", sorted(LEGACY_PROJECTION_KEYS))
+def test_rerunning_the_project_stage_removes_the_text_projection(tmp_path, small_pool_path, llm_config_path, mode):
+    transport = TestLlmModeWithMockTransport().make_transport()
+    cfg = mode_config(tmp_path, small_pool_path, llm_config_path, mode)
+    write_text_projection_run(cfg, mode, transport)
+    state = run_pipeline(cfg, force=True, transport=transport)
+    assert "project" in state.executed
+    assert sorted(path.name for path in (Path(cfg.output_dir) / "reduce").iterdir()) == [
+        "assignment.tsv",
+        "projection.f64",
+    ]
 
 
 def test_generated_pool_bytes_are_pinned(llm_config_path):

@@ -88,6 +88,7 @@ class TestLinear:
         out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
         assert out.shape == (2, 4)
         assert np.allclose(pairwise(out), pairwise(data), atol=1e-9)
+        assert out[:, 2:].tobytes() == np.zeros((2, 2)).tobytes()  # two rows give at most two directions
 
 
 def _inputs():
@@ -98,6 +99,24 @@ def _inputs():
         "rank-deficient": (rng.normal(size=(400, 3)) @ rng.normal(size=(3, 16)), 8),
         "n-below-d": (rng.normal(size=(6, 20)), 12),
     }
+
+
+def svd_reference(data, target):
+    """The projection as an SVD of the centered matrix computes it: the oracle `project` must stay close to."""
+    centered = data - data.mean(axis=0, keepdims=True)
+    vt = np.linalg.svd(centered, full_matrices=False)[2][:target]
+    for row in vt:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return np.hstack([centered @ vt.T, np.zeros((len(data), target - len(vt)))])
+
+
+@pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d"])
+def test_matches_the_svd_reference(kind):
+    data, target = _inputs()[kind]
+    out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=target))
+    assert out.shape == (len(data), target)
+    assert np.abs(out - svd_reference(data, target)).max() <= 1e-10
 
 
 @pytest.fixture
@@ -127,70 +146,82 @@ class TestOneBlasThread:
         monkeypatch.setattr(projection, "_blas_thread_controls", lambda: None)
         assert np.array_equal(project(data, cfg), limited)
 
-    def test_svd_runs_in_one_thread_and_the_count_is_restored(self, monkeypatch, blas_threads):
+    def test_eigh_runs_in_one_thread_and_the_count_is_restored(self, monkeypatch, blas_threads):
         get, set_ = blas_threads
         set_(2)
         before = get()
         seen = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def counting_svd(*args, **kwargs):
+        def counting_eigh(*args, **kwargs):
             seen.append(get())
-            return svd(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         project(_inputs()["tall"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
         assert seen == [1]
         assert get() == before
 
-    def test_count_is_restored_when_the_svd_raises(self, monkeypatch, blas_threads):
+    def test_count_is_restored_when_eigh_raises(self, monkeypatch, blas_threads):
         get, set_ = blas_threads
         set_(2)
         before = get()
 
-        def failing_svd(*args, **kwargs):
+        def failing_eigh(*args, **kwargs):
             assert get() == 1
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(np.linalg.LinAlgError):
             project(_inputs()["rank-deficient"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
         assert get() == before
 
-    @pytest.mark.parametrize("rows, limited", [(4095, True), (4096, False)])
-    def test_only_svds_below_the_work_bound_run_in_one_thread(self, monkeypatch, blas_threads, rows, limited):
+    def test_inputs_on_both_sides_of_the_old_work_bound_run_in_one_thread(self, monkeypatch, blas_threads):
+        """4,095 x 64 x 64 was below 2**24 and ran in one thread; 4,096 x 64 x 64 kept OpenBLAS's count."""
         get, set_ = blas_threads
         set_(2)
-        assert (rows * 64 * 64 < projection._ONE_THREAD_WORK) == limited
         seen = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def counting_svd(*args, **kwargs):
+        def counting_eigh(*args, **kwargs):
             seen.append(get())
-            return svd(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        data = np.random.default_rng(9).normal(size=(rows, 64))
-        project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
-        assert seen == [1 if limited else 2]
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for rows in (4095, 4096):
+            data = np.random.default_rng(9).normal(size=(rows, 64))
+            project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        assert seen == [1, 1]
         assert get() == 2
+
+    def test_same_bytes_at_one_and_two_threads(self, blas_threads):
+        # above the old 2**24 work bound, where an SVD in OpenBLAS's own thread count gave other bytes at 2 threads;
+        # at this shape a final product outside the one-thread section does too
+        get, set_ = blas_threads
+        data = np.random.default_rng(0).normal(size=(210, 400))
+        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=20)
+        outputs = []
+        for threads in (1, 2):
+            set_(threads)
+            outputs.append(project(data, cfg).tobytes())
+        assert outputs[0] == outputs[1]
 
     def test_concurrent_calls_take_turns_and_restore_the_count(self, monkeypatch, blas_threads):
         get, set_ = blas_threads
         set_(2)
         active, overlaps = [], []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def slow_svd(*args, **kwargs):
+        def slow_eigh(*args, **kwargs):
             active.append(1)
             overlaps.append(len(active))
             time.sleep(0.01)
             try:
-                return svd(*args, **kwargs)
+                return eigh(*args, **kwargs)
             finally:
                 active.pop()
 
-        monkeypatch.setattr(np.linalg, "svd", slow_svd)
+        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
         data, target = _inputs()["rank-deficient"]
         cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=target)
         start = threading.Barrier(2)

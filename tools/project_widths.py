@@ -1,14 +1,13 @@
-"""Time the projection's SVD in one BLAS thread against OpenBLAS's own thread count, across input widths.
+"""Time the projection across input widths, and check that its bytes do not depend on the BLAS thread count.
 
     python3 tools/project_widths.py --out BENCH_project.json
 
 For each seeded (rows, columns) input, `reduce.projection.project` runs
-`--reps` times in each of two ways, alternating which goes first: with the
-thread count forced to one, and with numpy's thread controls hidden so the
-SVD runs as numpy would run it on its own. Per shape it records the median
-seconds of each way, whether their outputs have the same bytes, and which
-way `project` itself takes (one thread only below its work bound). Results
-go under `widths` in `--out`; the rest of the file is kept.
+`--reps` times with numpy's OpenBLAS thread count set to 1 before the call
+and `--reps` times with it set to 2, alternating which goes first. Per
+shape it records the median seconds at each count and whether every
+output has the same bytes. Results go under `widths` in `--out`; the rest
+of the file, and any other entry under `widths`, is kept.
 """
 
 from __future__ import annotations
@@ -28,58 +27,54 @@ import numpy as np  # noqa: E402
 from exsel.reduce import projection  # noqa: E402
 from exsel.reduce.projection import ProjectionConfig, project  # noqa: E402
 
-SHAPES = (
-    (920, 32), (6620, 32), (12000, 32), (64, 1536), (1024, 128),
-    (16384, 32), (6620, 64), (6620, 128), (6620, 768), (6620, 1536),
-)
+SHAPES = "920x32,6620x32,12000x32,64x1536,1024x128,16384x32,6620x64,6620x128,6620x768,6620x1536"
+THREADS = (1, 2)
 
 
-def time_shape(rows: int, cols: int, reps: int) -> dict:
+def time_shape(rows: int, cols: int, reps: int, set_threads) -> dict:
     data = np.random.default_rng(0).normal(size=(rows, cols))
-    cfg = ProjectionConfig(target_dimension=20)
-    controls, bound = projection._blas_thread_controls, projection._ONE_THREAD_WORK
-    ways = {"one_thread": (controls, float("inf")), "threaded": (lambda: None, bound)}
-    seconds: dict[str, list[float]] = {way: [] for way in ways}
-    outputs: dict[str, np.ndarray] = {}
-    try:
-        for rep in range(reps):
-            for way in sorted(ways, reverse=rep % 2 == 1):
-                projection._blas_thread_controls, projection._ONE_THREAD_WORK = ways[way]
-                start = time.perf_counter()
-                outputs[way] = project(data, cfg)
-                seconds[way].append(time.perf_counter() - start)
-    finally:
-        projection._blas_thread_controls, projection._ONE_THREAD_WORK = controls, bound
+    cfg = ProjectionConfig(target_dimension=min(20, cols))
+    seconds: dict[int, list[float]] = {threads: [] for threads in THREADS}
+    outputs = set()
+    for rep in range(reps):
+        for threads in sorted(THREADS, reverse=rep % 2 == 1):
+            set_threads(threads)
+            start = time.perf_counter()
+            outputs.add(project(data, cfg).tobytes())
+            seconds[threads].append(time.perf_counter() - start)
     return {
         "rows": rows,
         "columns": cols,
-        "work": rows * cols * min(rows, cols),
-        "project_uses_one_thread": rows * cols * min(rows, cols) < bound,
-        **{f"{way}_s": round(statistics.median(s), 4) for way, s in seconds.items()},
-        "same_bytes": bool(np.array_equal(outputs["one_thread"], outputs["threaded"])),
+        **{f"threads_{threads}_s": round(statistics.median(s), 4) for threads, s in seconds.items()},
+        "same_bytes": len(outputs) == 1,
     }
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> list[dict]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--reps", type=int, default=5)
-    args = parser.parse_args()
+    parser.add_argument("--shapes", default=SHAPES, help="comma-separated ROWSxCOLUMNS")
+    args = parser.parse_args(argv)
     controls = projection._blas_thread_controls()
     if controls is None:
         raise SystemExit("project_widths: numpy's BLAS exposes no OpenBLAS thread controls")
-    rows = [time_shape(r, c, args.reps) for r, c in SHAPES]
-    widths = {
-        "command": "python3 tools/project_widths.py --reps %d" % args.reps,
-        "env": {"numpy": np.__version__, "nproc": os.cpu_count(), "openblas_threads": controls[0]()},
-        "bound": projection._ONE_THREAD_WORK,
-        "shapes": rows,
-    }
+    get, set_ = controls
+    original = get()
+    try:
+        rows = [time_shape(*map(int, shape.split("x")), args.reps, set_) for shape in args.shapes.split(",")]
+    finally:
+        set_(original)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    doc["widths"] = widths
+    doc.setdefault("widths", {}).update(
+        command=f"python3 tools/project_widths.py --reps {args.reps} --shapes {args.shapes}",
+        env={"numpy": np.__version__, "nproc": os.cpu_count(), "openblas_threads": original},
+        shapes=rows,
+    )
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for row in rows:
         print(json.dumps(row))
+    return rows
 
 
 if __name__ == "__main__":
