@@ -126,11 +126,11 @@ def _interpolate_env(node: object) -> object:
 
 
 def _resolve(base: Path, section: str, fields: dict, key: str, optional: bool = True) -> str | None:
-    """`fields[key]`, a path string, made absolute against `base`; None or absent stays None where `optional`."""
+    """`fields[key]`, a path string or PathLike, made absolute against `base`; None or absent stays None where `optional`."""
     value = fields.get(key)
     if value is None and optional:
         return None
-    if not isinstance(value, str):
+    if not isinstance(value, (str, os.PathLike)):
         raise ConfigError(f"{section}.{key} must be a path string, got {value!r}")
     return str(base / value)  # an absolute value replaces base
 
@@ -146,9 +146,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    raw = _interpolate_env(raw)
-    base = path.parent
-    return config_from_dict(raw, base)
+    return config_from_dict(_interpolate_env(raw), path.parent)
 
 
 def _fields(data: dict, name: str) -> dict:
@@ -231,7 +229,7 @@ def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
 
     corpus = _fields(data, "corpus")
     documents = corpus.get("documents", [])
-    if not isinstance(documents, list) or not all(isinstance(doc, str) for doc in documents):
+    if not isinstance(documents, (list, tuple)) or not all(isinstance(doc, (str, os.PathLike)) for doc in documents):
         raise ConfigError(f"corpus.documents must be a list of path strings, got {documents!r}")
     corpus["documents"] = tuple(str(base / doc) for doc in documents)
     for key in ("pool_path", "test_path"):

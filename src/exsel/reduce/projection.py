@@ -9,16 +9,17 @@ embedding and projection with vectors produced by any external projector
 `load_precomputed` and checks their count and dimension.
 
 The linear map takes its directions from the eigenvectors of XᵀX (X the
-centered matrix), largest eigenvalue first: the right singular vectors of
-X, from a d x d problem instead of an n x d one (Golub & Van Loan, Matrix
-Computations, 4th ed., 2013). The Gram product, `eigh` and the final
-product run in one BLAS thread when numpy's BLAS is the OpenBLAS bundled
-in its wheel; the thread count is set automatically and restored after,
-so the bytes do not depend on it. They still depend on the BLAS build and
-CPU kernel. With any other BLAS the thread count is left as it is.
-Measured on 2 cores (`BENCH_project.json`, `widths`): 6,620 x 768 takes
-about 0.2 s and 6,620 x 1,536 about 1 s. An input with fewer rows than
-columns still solves the d x d problem: 64 x 1,536 takes 0.6 s.
+centered n x d matrix), largest eigenvalue first: the right singular
+vectors of X, from a symmetric eigenproblem on the smaller side instead of
+an SVD (Golub & Van Loan, Matrix Computations, 4th ed., 2013). With at
+least as many rows as columns that is the d x d XᵀX itself. With fewer
+rows it is the n x n R Rᵀ, where Xᵀ = Q R, and Q maps its eigenvectors
+back; the input's shape picks the side. The factorization, `eigh` and the
+final product run in one BLAS thread when numpy's BLAS is the OpenBLAS
+bundled in its wheel; the thread count is set automatically and restored
+after, so the bytes do not depend on it. They still depend on the BLAS
+build and CPU kernel. With any other BLAS the thread count is left as it
+is. Seconds on 2 cores are in `BENCH_project.json`, under `widths`.
 """
 
 from __future__ import annotations
@@ -137,17 +138,17 @@ def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
         raise ProjectionError(f"target_dimension {cfg.target_dimension} exceeds input dimension {dim}")
 
     centered = matrix - matrix.mean(axis=0, keepdims=True)
+    kept = min(n, cfg.target_dimension)  # like an SVD, at most min(n, d) directions
+    projected = np.zeros((n, cfg.target_dimension))  # a rank-deficient input keeps zero-variance columns
     with _one_blas_thread():
-        # eigh lists eigenvalues in ascending order; like an SVD, keep at most min(n, d) directions
-        components = np.linalg.eigh(centered.T @ centered)[1][:, ::-1].T[: min(n, cfg.target_dimension)]
+        # eigh lists eigenvalues in ascending order
+        if n < dim:
+            # the n x n problem: with centered.T = Q R, XᵀX = Q (R Rᵀ) Qᵀ, so Q maps R Rᵀ's eigenvectors to XᵀX's
+            basis, triangle = np.linalg.qr(centered.T)
+            components = (basis @ np.linalg.eigh(triangle @ triangle.T)[1][:, ::-1][:, :kept]).T
+        else:
+            components = np.linalg.eigh(centered.T @ centered)[1][:, ::-1].T[:kept]
         # canonical sign: the largest-magnitude entry of each direction is positive
-        for row in components:
-            pivot = np.argmax(np.abs(row))
-            if row[pivot] < 0:
-                row *= -1.0
-        projected = centered @ components.T
-    if projected.shape[1] < cfg.target_dimension:
-        # rank-deficient input: pad with zero variance directions
-        pad = np.zeros((n, cfg.target_dimension - projected.shape[1]))
-        projected = np.hstack([projected, pad])
+        components *= np.sign(components[np.arange(kept), np.abs(components).argmax(axis=1)])[:, None]
+        projected[:, :kept] = centered @ components.T
     return projected

@@ -25,6 +25,7 @@ from exsel.pipeline import (
     PipelineConfig,
     PipelineError,
     RunManifest,
+    config_from_dict,
     load_config,
     run_baselines,
     run_pipeline,
@@ -275,6 +276,22 @@ def test_path_field_takes_only_a_string(tmp_path, small_pool_path, overrides, fi
     # a number escaped load as a bare TypeError, and a string for documents was read one character at a time
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be a (list of )?path strings?, got "):
         load_config(write_config(tmp_path, small_pool_path, **overrides))
+
+
+def test_path_field_takes_a_path_object_and_documents_a_tuple(tmp_path, small_pool_path):
+    # config_from_dict is public: a caller building the dict in Python may pass Path values
+    as_strings = surrogate_config_payload(small_pool_path, tmp_path / "run", corpus={"documents": [str(small_pool_path)]})
+    as_strings["client"] = {"embedding_cache": str(tmp_path / "cache.jsonl")}
+    as_paths = {
+        **as_strings,
+        "output_dir": tmp_path / "run",
+        "corpus": {**as_strings["corpus"], "pool_path": Path(small_pool_path), "documents": (Path(small_pool_path),)},
+        "client": {"embedding_cache": tmp_path / "cache.jsonl"},
+    }
+    cfg = config_from_dict(as_paths, tmp_path)
+    assert cfg == config_from_dict(as_strings, tmp_path)
+    assert (cfg.output_dir, cfg.corpus.pool_path) == (str(tmp_path / "run"), str(small_pool_path))
+    assert cfg.corpus.documents == (str(small_pool_path),)
 
 
 @pytest.mark.parametrize("section", ["corpus", "generation", "projection", "clustering", "ga", "client", "evaluation"])

@@ -98,6 +98,7 @@ def _inputs():
         "tall": (rng.normal(size=(3000, 32)), 20),
         "rank-deficient": (rng.normal(size=(400, 3)) @ rng.normal(size=(3, 16)), 8),
         "n-below-d": (rng.normal(size=(6, 20)), 12),
+        "wide-rank-deficient": (rng.normal(size=(30, 3)) @ rng.normal(size=(3, 100)), 20),
     }
 
 
@@ -111,12 +112,27 @@ def svd_reference(data, target):
     return np.hstack([centered @ vt.T, np.zeros((len(data), target - len(vt)))])
 
 
-@pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d"])
+@pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d", "wide-rank-deficient"])
 def test_matches_the_svd_reference(kind):
     data, target = _inputs()[kind]
     out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=target))
     assert out.shape == (len(data), target)
     assert np.abs(out - svd_reference(data, target)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape, side", [((30, 100), 30), ((100, 30), 30), ((40, 40), 40)])
+def test_eigh_solves_the_smaller_side(monkeypatch, shape, side):
+    # a d x d problem for a short, wide input took 0.6 s at 64 x 1,536 and 5.5 s at 920 x 3,072
+    sides = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix, *args, **kwargs):
+        sides.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    project(np.random.default_rng(4).normal(size=shape), ProjectionConfig(method=METHOD_LINEAR, target_dimension=20))
+    assert sides == [(side, side)]
 
 
 @pytest.fixture
@@ -138,7 +154,7 @@ class TestOneBlasThread:
             pytest.skip("numpy is not built against OpenBLAS")
         assert projection._blas_thread_controls() is not None
 
-    @pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d"])
+    @pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d", "wide-rank-deficient"])
     def test_same_bytes_with_and_without_the_thread_limit(self, monkeypatch, kind):
         data, target = _inputs()[kind]
         cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=target)
@@ -161,6 +177,21 @@ class TestOneBlasThread:
         project(_inputs()["tall"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
         assert seen == [1]
         assert get() == before
+
+    def test_qr_of_a_wide_input_runs_in_one_thread(self, monkeypatch, blas_threads):
+        get, set_ = blas_threads
+        set_(2)
+        seen = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            seen.append(get())
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        project(_inputs()["wide-rank-deficient"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        assert seen == [1]
+        assert get() == 2
 
     def test_count_is_restored_when_eigh_raises(self, monkeypatch, blas_threads):
         get, set_ = blas_threads

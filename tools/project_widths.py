@@ -27,7 +27,10 @@ import numpy as np  # noqa: E402
 from exsel.reduce import projection  # noqa: E402
 from exsel.reduce.projection import ProjectionConfig, project  # noqa: E402
 
-SHAPES = "920x32,6620x32,12000x32,64x1536,1024x128,16384x32,6620x64,6620x128,6620x768,6620x1536"
+SHAPES = (
+    "920x32,6620x32,12000x32,64x1536,1024x128,16384x32,6620x64,6620x128,"
+    "920x768,920x1536,920x3072,6620x768,6620x1536,6620x3072"
+)
 THREADS = (1, 2)
 
 
