@@ -74,10 +74,11 @@ class EmbeddingCache:
             for line in fh:
                 try:
                     record = json.loads(line)
-                    if int(record["width"]) > 0 and int(record["offset"]) >= 0:
-                        entries.append((record["key"], int(record["width"]), int(record["offset"])))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+                    key, width, offset = record["key"], record["width"], record["offset"]
+                except (json.JSONDecodeError, KeyError, TypeError):
                     continue  # TypeError: a record that is not an object
+                if type(width) is int and type(offset) is int and width > 0 and offset >= 0:  # a bool or 2.9 is no int
+                    entries.append((key, width, offset))
         floor = len(blob)  # where later lines' bytes start (`put` keeps lines in byte order): a cut file regrows from there
         for key, width, offset in reversed(entries):  # so the last line of a key wins
             whole, floor = offset + width * _ROW_DTYPE.itemsize <= floor, min(floor, offset)

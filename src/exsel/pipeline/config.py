@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar, get_type_hints
+from typing import Callable, TypeVar, get_args, get_type_hints
 
 import yaml
 
@@ -103,10 +103,15 @@ class PipelineConfig:
                 raise ConfigError("llm mode requires corpus.n_validation >= 1")
         if self.corpus.pool_path is None and self.generation is None:
             raise ConfigError("generation section is required when generating from documents")
-        optional = (self.corpus.pool_path, self.corpus.test_path, self.projection.precomputed_path)
-        for path in (*self.corpus.documents, *filter(None, optional)):
-            if not Path(path).exists():
-                raise ConfigError(f"referenced path does not exist: {path}")
+        inputs = [("corpus", path) for path in (*self.corpus.documents, self.corpus.pool_path, self.corpus.test_path)]
+        for section, path in [*inputs, ("projection", self.projection.precomputed_path)]:
+            if path is not None and not Path(path).is_file():
+                raise ConfigError(f"{section}: no such file: {path}")
+        if Path(self.output_dir).is_file():
+            raise ConfigError(f"output_dir {self.output_dir} is a file, not a directory")
+        cache = self.embedding_cache  # checked here, not where the project stage opens it after the paid pool stage
+        if cache is not None and (Path(cache).is_dir() or Path(cache).suffix == ".f64"):
+            raise ConfigError(f"client.embedding_cache {cache} must name a file not ending in .f64")
 
 
 def _interpolate_env(node: object) -> object:
@@ -125,16 +130,6 @@ def _interpolate_env(node: object) -> object:
     return node
 
 
-def _resolve(base: Path, section: str, fields: dict, key: str, optional: bool = True) -> str | None:
-    """`fields[key]`, a path string or PathLike, made absolute against `base`; None or absent stays None where `optional`."""
-    value = fields.get(key)
-    if value is None and optional:
-        return None
-    if not isinstance(value, (str, os.PathLike)):
-        raise ConfigError(f"{section}.{key} must be a path string, got {value!r}")
-    return str(base / value)  # an absolute value replaces base
-
-
 def load_config(path: Path | str) -> PipelineConfig:
     """Parse, env-interpolate, and validate a pipeline config file."""
     path = Path(path)
@@ -142,6 +137,8 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
@@ -159,29 +156,45 @@ def _fields(data: dict, name: str) -> dict:
     return dict(section)
 
 
-def _number(where: str, value: object, kind: type) -> int | float:
-    """An `int` field takes an int; a `float` field an int or a float, kept as it is. A bool is neither. A string
-    is read by `int()`, or for a `float` field by `float()` if not (env-interpolated values are strings)."""
-    kinds = (int,) if kind is int else (int, float)
+_PATHS = {  # the path fields, named as in errors
+    "config.output_dir", "corpus.documents", "corpus.pool_path", "corpus.test_path", "projection.precomputed_path",
+    "generation.positive_template_path", "generation.negative_template_path", "client.embedding_cache",
+    "evaluation.instruction_template_path",
+}
+
+
+def _typed(where: str, hint: object, value: object, base: Path) -> object:
+    """Field `where`'s `value`, read by the rule for its annotation `hint` (README "Config"); under any other hint,
+    a nested section, it passes through. A field in `_PATHS` holds paths, each made absolute against `base`."""
+    noun = "path string" if where in _PATHS else "string"
+    if hint in (tuple[int, ...], tuple[str, ...]):
+        item = get_args(hint)[0]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list of {'integer' if item is int else noun}s, got {value!r}")
+        return tuple(_typed(where, item, each, base) for each in value)
+    if hint in (str, str | None):
+        if value is None and hint != str:
+            return None
+        if not isinstance(value, (str, os.PathLike)):
+            raise ConfigError(f"{where} must be a {noun}, got {value!r}")
+        return str(base / value) if where in _PATHS else os.fspath(value)  # an absolute value replaces base
+    if hint not in (int, float):
+        return value
+    kinds = (int,) if hint is int else (int, float)  # a bool is neither
     if type(value) in kinds:
         return value
-    if isinstance(value, str):
+    if isinstance(value, str):  # env-interpolated values are strings
         for parse in kinds:
             with contextlib.suppress(ValueError):
                 return parse(value)
-    raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    raise ConfigError(f"{where} must be {'an integer' if hint is int else 'a number'}, got {value!r}")
 
 
-def _section(name: str, cls: type[T], data: dict, build: Callable[..., T] | None = None) -> T:
-    """Build section `name` as dataclass `cls` (through `build` if given); errors name the section, or the field."""
-    hints, data = get_type_hints(cls), dict(data)
-    for key, value in data.items():
-        if hints.get(key) in (int, float):
-            data[key] = _number(f"{name}.{key}", value, hints[key])
-        elif hints.get(key) == tuple[int, ...]:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name}.{key} must be a list of integers, got {value!r}")
-            data[key] = tuple(_number(f"{name}.{key}", item, int) for item in value)
+def _section(name: str, cls: type[T], data: dict, base: Path, build: Callable[..., T] | None = None) -> T:
+    """Build section `name` as dataclass `cls` (through `build` if given) from `data`, each field read by `_typed`
+    with its annotation in `cls` or `build`; errors name the section, or the field."""
+    hints = get_type_hints(cls) | (get_type_hints(build) if build else {})
+    data = {key: _typed(f"{name}.{key}", hints.get(key), value, base) for key, value in data.items()}
     try:
         return (build or cls)(**data)
     except ConfigError:
@@ -218,57 +231,39 @@ def _evaluation(instruction_template_path: str | None = None, **fields) -> Evalu
 
 def config_from_dict(raw: dict, base: Path) -> PipelineConfig:
     data = dict(raw)
-    unknown = set(data) - {
-        "seed", "output_dir", "fitness_mode", "corpus", "generation", "projection",
-        "clustering", "pool_sizes", "ga", "client", "evaluation", "baseline_draws",
-    }
+    sections = ("corpus", "generation", "projection", "clustering", "ga", "client", "evaluation")
+    unknown = set(data) - {*sections, "seed", "output_dir", "fitness_mode", "pool_sizes", "baseline_draws"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "output_dir" not in data:
         raise ConfigError("output_dir is required")
 
-    corpus = _fields(data, "corpus")
-    documents = corpus.get("documents", [])
-    if not isinstance(documents, (list, tuple)) or not all(isinstance(doc, (str, os.PathLike)) for doc in documents):
-        raise ConfigError(f"corpus.documents must be a list of path strings, got {documents!r}")
-    corpus["documents"] = tuple(str(base / doc) for doc in documents)
-    for key in ("pool_path", "test_path"):
-        corpus[key] = _resolve(base, "corpus", corpus, key)
-
     generation = None
     if data.get("generation") is not None:
-        section = _fields(data, "generation")
-        for key in ("positive_template_path", "negative_template_path"):
-            section[key] = _resolve(base, "generation", section, key)
-        generation = _section("generation", GenerationConfig, section, _generation)
-
-    projection = _fields(data, "projection")
-    projection["precomputed_path"] = _resolve(base, "projection", projection, "precomputed_path")
+        generation = _section("generation", GenerationConfig, _fields(data, "generation"), base, _generation)
 
     ga = _fields(data, "ga")
     if "lambda" in ga:
         ga["lambda_"] = ga.pop("lambda")
 
     client = _fields(data, "client")
-    top = {key: data[key] for key in ("seed", "fitness_mode", "pool_sizes", "baseline_draws") if key in data}
-    top.update((key, client.pop(key)) for key in ("chat_model", "embedding_model", "embedding_cache") if key in client)
-    top["embedding_cache"] = _resolve(base, "client", top, "embedding_cache")
-
-    evaluation = _fields(data, "evaluation")
-    evaluation["instruction_template_path"] = _resolve(base, "evaluation", evaluation, "instruction_template_path")
+    # three PipelineConfig fields that YAML writes under client; build=dict returns them typed and resolved
+    moved = {key: client.pop(key) for key in ("chat_model", "embedding_model", "embedding_cache") if key in client}
+    top = {key: value for key, value in data.items() if key not in sections}
+    top.update(_section("client", PipelineConfig, moved, base, dict))
 
     return _section(
         "config",
         PipelineConfig,
         dict(
             top,
-            output_dir=_resolve(base, "config", data, "output_dir", optional=False),
-            corpus=_section("corpus", CorpusConfig, corpus),
+            corpus=_section("corpus", CorpusConfig, _fields(data, "corpus"), base),
             generation=generation,
-            projection=_section("projection", ProjectionConfig, projection),
-            clustering=_section("clustering", ClusteringParams, _fields(data, "clustering")),
-            ga=_section("ga", GAConfig, ga, _ga),
-            transport=_section("client", TransportConfig, client),
-            evaluation=_section("evaluation", EvaluationConfig, evaluation, _evaluation),
+            projection=_section("projection", ProjectionConfig, _fields(data, "projection"), base),
+            clustering=_section("clustering", ClusteringParams, _fields(data, "clustering"), base),
+            ga=_section("ga", GAConfig, ga, base, _ga),
+            transport=_section("client", TransportConfig, client, base),
+            evaluation=_section("evaluation", EvaluationConfig, _fields(data, "evaluation"), base, _evaluation),
         ),
+        base,
     )

@@ -77,6 +77,18 @@ def test_missing_config_is_config_error(tmp_path):
     assert cli.main(["run-all", "--config", str(tmp_path / "nope.yaml")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    # reading it raised IsADirectoryError or UnicodeDecodeError, exit 3, although no stage ran
+    config = tmp_path / "config.yaml"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b"seed: \xff\n")
+    assert cli.main(["run-all", "--config", str(config)]) == cli.EXIT_CONFIG
+    assert f"error: {config}: cannot read config" in capsys.readouterr().err
+
+
 def test_unset_env_var_is_config_error(tmp_path, small_pool_path, monkeypatch, capsys):
     monkeypatch.delenv("EXSEL_MISSING", raising=False)
     config = write_config(tmp_path, small_pool_path, output_dir="${EXSEL_MISSING}/run")

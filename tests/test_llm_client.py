@@ -204,11 +204,14 @@ class TestEmbedBatch:
         assert EmbeddingCache(path).get(cache_key("e", "x")).tolist() == [0.6, 0.8]
 
     @pytest.mark.parametrize(
-        "width, offset", [([2], 0), ("a", 0), (2, None), (2, "x")], ids=["nested", "non-numeric", "null", "string"]
+        "width, offset",
+        [([2], 0), ("a", 0), (2, None), (2, "x"), (2.9, 8.5), (True, 0)],
+        ids=["nested", "non-numeric", "null", "string", "float", "bool"],
     )
     def test_record_on_disk_that_does_not_locate_a_row_of_numbers_is_fetched_again(self, tmp_path, width, offset):
+        # int() read 2.9 and 8.5 as a row of two floats at byte 8, and true as a row of one
         path = tmp_path / "embeddings.jsonl"
-        path.with_suffix(".f64").write_bytes(np.array([1.0, 2.0], "<f8").tobytes())
+        path.with_suffix(".f64").write_bytes(np.array([1.0, 2.0, 3.0], "<f8").tobytes())
         record = {"key": cache_key("e", "x"), "width": width, "offset": offset}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         cache = EmbeddingCache(path)

@@ -5,20 +5,26 @@ import hashlib
 import json
 import re
 import shutil
+import tempfile
 import threading
 import time
 from collections import Counter
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TOPIC_VOCAB, EchoService, surrogate_config_payload, write_yaml_config
 from exsel.corpus import load_examples
-from exsel.evolve import RunTrace, TraceRecord
+from exsel.evolve import GAConfig, RunTrace, TraceRecord
+from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
 from exsel.llm.mock import HashingEmbeddingTransport
+from exsel.llm.transport import TransportConfig
 from exsel.pipeline import (
     STAGES,
     ConfigError,
@@ -30,9 +36,12 @@ from exsel.pipeline import (
     run_baselines,
     run_pipeline,
 )
+from exsel.pipeline import config as config_module
+from exsel.pipeline.config import CorpusConfig
 from exsel.pipeline.manifest import file_sha256
 from exsel.plotting import read_trace
-from exsel.reduce.projection import load_precomputed
+from exsel.reduce.density import ClusteringParams
+from exsel.reduce.projection import ProjectionConfig, load_precomputed
 from mock_transport import MockTransport
 
 
@@ -249,6 +258,11 @@ class TestConfig:
         ("client", {"timeout_s": float("nan")}),
         ("client", {"backoff_base_s": float("nan")}),
         ("client", {"backoff_cap_s": float("nan")}),
+        ("generation", {"n_total": 10, "labels": "term"}),
+        ("client", {"chat_model": 5}),
+        ("client", {"endpoint_url": 7}),
+        ("client", {"api_key_env": ["A"]}),
+        ("projection", {"method": 3}),
     ],
 )
 @pytest.mark.parametrize("kind", ["bad-value", "unknown-field"])
@@ -308,6 +322,109 @@ def test_null_section_loads_as_if_absent(tmp_path, small_pool_path, section):
                 load_config(path)
     else:
         assert load_config(paths[1]) == load_config(paths[0])
+
+
+def test_readme_config_block_loads(tmp_path, monkeypatch):
+    # a renamed field, or a value the typed-field rule refuses, fails here instead of leaving the README out of date
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Config\n.*?^```yaml\n(.*?)^```", readme, re.DOTALL | re.MULTILINE).group(1)
+    raw = yaml.safe_load(block)
+    inputs = [*raw["corpus"]["documents"], raw["corpus"]["test_path"], raw["evaluation"]["instruction_template_path"]]
+    for name in inputs:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("Extract {labels}.", encoding="utf-8")
+    monkeypatch.setenv("LLM_ENDPOINT", "http://localhost:8000/v1")
+    cfg = load_config(write_yaml_config(tmp_path / "config.yaml", raw))
+    assert (cfg.fitness_mode, cfg.transport.endpoint_url) == ("llm", "http://localhost:8000/v1")
+    assert cfg.evaluation.instruction_template == "Extract {labels}."
+
+
+# each owner of annotations the loader reads, and the section YAML writes its fields under ("" is the top level)
+LOADED = [
+    (PipelineConfig, ""), (CorpusConfig, "corpus"), (GenerationConfig, "generation"),
+    (config_module._generation, "generation"), (ProjectionConfig, "projection"), (ClusteringParams, "clustering"),
+    (GAConfig, "ga"), (config_module._ga, "ga"), (TransportConfig, "client"), (EvaluationConfig, "evaluation"),
+    (config_module._evaluation, "evaluation"),
+]
+# every loaded annotation but a nested section's (a dataclass, or None), which its own _section call types
+LOADED_FIELDS = [
+    pytest.param(section, name, hint, id=f"{owner.__name__}.{name}")
+    for owner, section in LOADED
+    for name, hint in get_type_hints(owner).items()
+    if name != "return" and not all(map(dataclasses.is_dataclass, set(get_args(hint) or [hint]) - {type(None)}))
+]
+
+
+@pytest.mark.parametrize("section, name, hint", LOADED_FIELDS)
+def test_every_annotation_the_loader_reads_is_typed_by_the_rule(section, name, hint):
+    # a bool, dict or float | None field would reach its section unchecked until the rule covers it
+    with pytest.raises(ConfigError, match=rf"^x\.{name} must be "):
+        config_module._typed(f"x.{name}", hint, object(), Path())
+
+
+def yaml_field(section: str, name: str) -> tuple[str, str]:
+    """Where YAML writes a loaded field: under client for three PipelineConfig fields, as `lambda` for `lambda_`."""
+    if not section and name in ("chat_model", "embedding_model", "embedding_cache"):
+        return "client", name
+    return section, "lambda" if name == "lambda_" else name
+
+
+CONFIG_FIELDS = list(dict.fromkeys(yaml_field(*field.values[:2]) for field in LOADED_FIELDS))
+# sizes the run allocates or loops over, or threads it starts: these draw no huge ints
+SMALL_FIELDS = {
+    ("ga", "mu"), ("ga", "lambda"), ("ga", "tournament_size"), ("ga", "max_generations"), ("ga", "genome_length"),
+    ("client", "max_in_flight"),
+}
+
+
+def drawn_values(small: bool):
+    ints = st.integers(-3, 12) if small else st.one_of(st.integers(-3, 400), st.sampled_from([10**6, 2**63, 10**30]))
+    strings = ["", ".", "0", "7", "-3", "2.5", "nan", "inf", "1e3", "true", "null", "term", "x.f64", "pool.jsonl"]
+    return st.one_of(
+        ints,
+        st.sampled_from([0.0, 0.5, 2.5, -1.5, 1e-9, 1e30, float("nan"), float("inf"), float("-inf")]),
+        st.booleans(),
+        st.sampled_from(strings),
+        st.lists(ints, max_size=3),
+        st.lists(st.sampled_from(strings), max_size=2),
+        st.none(),
+    )
+
+
+# PipelineErrors that a run may end in: conditions of the data a config asks for, not of its types
+DATA_CONDITIONS = ("must be smaller than the pool size", "exceeds input dimension", "pool has no clusters")
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=st.sampled_from(CONFIG_FIELDS).flatmap(lambda f: st.tuples(st.just(f), drawn_values(f in SMALL_FIELDS))))
+@example(case=(("corpus", "pool_path"), ""))  # the config directory: a raw IsADirectoryError before any stage
+@example(case=(("corpus", "documents"), ["."]))
+@example(case=(("", "output_dir"), "pool.jsonl"))  # a raw FileExistsError
+@example(case=(("client", "embedding_cache"), ""))  # these two failed in the project stage, after the pool stage
+@example(case=(("client", "embedding_cache"), "x.f64"))
+def test_a_config_that_loads_runs(small_pool_path, case):
+    # each drawn value ends in a ConfigError naming its section, a finished run, or a PipelineError of the data;
+    # before the rule, `generation.labels: term` or `client.chat_model: 5` loaded and failed only at a request
+    (section, key), value = case
+    with tempfile.TemporaryDirectory() as scratch:
+        shutil.copy(small_pool_path, Path(scratch) / "pool.jsonl")
+        payload = surrogate_config_payload("pool.jsonl", "run")
+        if not section:
+            payload[key] = value
+        else:
+            payload[section] = {**payload.get(section, {}), key: value}
+        path = write_yaml_config(Path(scratch) / "config.yaml", payload)
+        try:
+            cfg = load_config(path)
+        except ConfigError as exc:
+            assert re.search(rf"\b{section or key}\b", str(exc)), exc
+            return
+        try:
+            run_pipeline(cfg, through="report")
+        except PipelineError as exc:
+            assert any(condition in str(exc) for condition in DATA_CONDITIONS), exc
 
 
 class TestManifest:
