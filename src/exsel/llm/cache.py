@@ -70,13 +70,13 @@ class EmbeddingCache:
         assert self.path is not None and self.rows_path is not None
         blob = self.rows_path.read_bytes() if self.rows_path.exists() else b""
         entries = []  # (key, width, offset) of each line's row
-        with self.path.open("r", encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             for line in fh:
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode("utf-8"))
                     key, width, offset = record["key"], record["width"], record["offset"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # TypeError: a record that is not an object
+                except (ValueError, KeyError, TypeError):
+                    continue  # ValueError: not UTF-8 or not JSON; TypeError: a record that is not an object
                 if type(width) is int and type(offset) is int and width > 0 and offset >= 0:  # a bool or 2.9 is no int
                     entries.append((key, width, offset))
         floor = len(blob)  # where later lines' bytes start (`put` keeps lines in byte order): a cut file regrows from there

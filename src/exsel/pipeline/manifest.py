@@ -19,7 +19,7 @@ MANIFEST_NAME = "manifest.json"
 _PARTIAL_NAME = MANIFEST_NAME + ".tmp"
 
 
-def file_sha256(path: Path) -> str:
+def file_sha256(path: Path | str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):
@@ -63,6 +63,9 @@ class RunManifest:
 
     def record_stage(self, stage: str, key: str, artifacts: list[Path], seconds: float) -> None:
         hashed = {str(path.relative_to(self.root)): file_sha256(path) for path in artifacts}
+        for name in self.stages.get(stage, {}).get("artifacts", {}).keys() - hashed.keys():  # a k no longer in pool_sizes
+            if (self.root / name).resolve().is_relative_to(self.root.resolve()):  # never a file outside the run
+                (self.root / name).unlink(missing_ok=True)
         self.stages[stage] = {"key": key, "artifacts": hashed, "seconds": seconds}
 
     def save(self) -> None:

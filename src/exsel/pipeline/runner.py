@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from exsel.llm.client import HttpTransport, LLMClient
 from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.llm.transport import ClientError, Transport
 from exsel.pipeline.baselines import baseline_random
-from exsel.pipeline.config import MODE_LLM, MODE_SURROGATE, ConfigError, PipelineConfig
+from exsel.pipeline.config import _PATHS, MODE_LLM, MODE_SURROGATE, ConfigError, PipelineConfig
 from exsel.pipeline.manifest import RunManifest, file_sha256
 from exsel.reduce.density import cluster
 from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
@@ -59,8 +59,8 @@ STAGES = ("pool", "project", "cluster", "pools", "select", "report")
 _SURROGATE_EMBED_DIM = 32
 _SURROGATE_EMBED_MODEL = "char-ngram-hash-32"
 _PROJECTION_DTYPE = np.dtype("<f8")
-# the project artifact before it was stored as bytes, same floats: read where a manifest records it, removed on rerun
-_LEGACY_PROJECTION = "reduce/projection.tsv"
+
+T = TypeVar("T")
 
 
 class PipelineError(RuntimeError):
@@ -75,7 +75,6 @@ class RunState:
     root: Path
     transport: Transport
     embedding_model: str
-    manifest: RunManifest
     candidates: list[Example] = field(default_factory=list)
     validation: list[Example] = field(default_factory=list)
     projected: np.ndarray | None = None
@@ -182,17 +181,11 @@ def _project_run(state: RunState) -> list[Path]:
         state.projected = project(matrix, cfg.projection)
     path = out / "projection.f64"
     path.write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
-    (state.root / _LEGACY_PROJECTION).unlink(missing_ok=True)
     return [path]
 
 
 def _project_load(state: RunState) -> None:
     n, width = len(state.candidates), state.config.projection.target_dimension
-    if _LEGACY_PROJECTION in state.manifest.stages["project"]["artifacts"]:
-        state.projected = load_precomputed(state.root / _LEGACY_PROJECTION)
-        if state.projected.shape != (n, width):
-            raise PipelineError(f"projection artifact {_LEGACY_PROJECTION} does not match the candidate pool")
-        return
     blob = (state.root / "reduce" / "projection.f64").read_bytes()
     if len(blob) != n * width * _PROJECTION_DTYPE.itemsize:
         raise PipelineError(f"projection artifact reduce/projection.f64 holds {len(blob)} bytes, not {n} x {width} x 8")
@@ -365,26 +358,27 @@ _STAGE_FNS: dict[str, tuple[Callable[[RunState], list[Path]], Callable[[RunState
 
 
 def _stage_reads(cfg: PipelineConfig, embedding_model: str) -> dict[str, tuple]:
-    """What each stage reads besides earlier stages' artifacts, in STAGES order.
-
-    Sections are listed whole and input files by content digest, so an
-    in-place edit of a pool, document, imported-vector or test file counts.
-    """
-    corpus = cfg.corpus
+    """What each stage reads besides earlier stages' artifacts, in STAGES order: sections whole, their path fields
+    by content (`_contents`), never by location, so an edited input reruns its readers and a moved tree nothing."""
+    corpus = _contents("corpus", cfg.corpus)
     llm = cfg.fitness_mode == MODE_LLM
+    generating = (cfg.generation, cfg.chat_model) if cfg.corpus.pool_path is None else ()
     evaluating = (cfg.chat_model, *dataclasses.astuple(cfg.evaluation)) if llm else ()
     return {
-        "pool": (cfg.seed, corpus, cfg.generation, cfg.chat_model, _digests(corpus.pool_path, *corpus.documents)),
-        "project": (cfg.projection, embedding_model, _digests(cfg.projection.precomputed_path)),
+        "pool": (cfg.seed, dataclasses.replace(corpus, test_path=None), generating),  # report alone reads the test file
+        "project": (_contents("projection", cfg.projection), embedding_model),
         "cluster": (cfg.clustering,),
         "pools": (cfg.pool_sizes,),
         "select": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, cfg.ga, evaluating),
-        "report": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, corpus, evaluating, _digests(corpus.test_path)),
+        "report": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, evaluating, corpus.test_path if llm else None),
     }
 
 
-def _digests(*paths: str | None) -> list[str]:
-    return [file_sha256(Path(path)) for path in paths if path]
+def _contents(name: str, section: T) -> T:
+    """Section `name` with each path field (config._PATHS) as the sha256 of its file, a list as a tuple in order."""
+    paths = {f.name: getattr(section, f.name) for f in dataclasses.fields(section) if f"{name}.{f.name}" in _PATHS}
+    digests = {k: tuple(map(file_sha256, v)) if isinstance(v, tuple) else v and file_sha256(v) for k, v in paths.items()}
+    return dataclasses.replace(section, **digests)
 
 
 def run_pipeline(
@@ -412,7 +406,7 @@ def run_pipeline(
         embedding_model = _SURROGATE_EMBED_MODEL
     elif transport is None:
         transport = HttpTransport(config.transport)
-    state = RunState(config=config, root=root, transport=transport, embedding_model=embedding_model, manifest=manifest)
+    state = RunState(config=config, root=root, transport=transport, embedding_model=embedding_model)
     reads = _stage_reads(config, embedding_model)
     upstream: list[tuple[str, str]] = []
     for stage in STAGES:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import shutil
 
 import pytest
 import yaml
@@ -87,6 +88,17 @@ def surrogate_config_payload(pool_path, default_output_dir, **overrides) -> dict
         else:
             payload[key] = value
     return payload
+
+
+def write_run_tree(tree, pool_source):
+    """`tree/config.yaml`, the surrogate config naming its pool file, test file and run directory relative to itself,
+    so the whole tree can be copied elsewhere; returns the config path. The test file is the pool's first 20 lines."""
+    tree.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(pool_source, tree / "pool.jsonl")
+    head = pool_source.read_text(encoding="utf-8").splitlines(keepends=True)[:20]
+    (tree / "test.jsonl").write_text("".join(head), encoding="utf-8")
+    payload = surrogate_config_payload("pool.jsonl", "run", corpus={"test_path": "test.jsonl"})
+    return write_yaml_config(tree / "config.yaml", payload)
 
 
 class EchoService:

@@ -263,13 +263,21 @@ class TestEmbedBatch:
     def test_cache_key_depends_on_model(self):
         assert cache_key("m1", "t") != cache_key("m2", "t")
 
-    def test_cache_skips_corrupt_lines(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt, loaded",
+        [
+            (lambda lines: [b"not json\n", *lines], {"j": [2.0], "k": [1.0]}),
+            (lambda lines: [lines[0], b"\xff\xfe" + lines[1]], {"j": [2.0]}),
+        ],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_cache_skips_corrupt_lines(self, tmp_path, corrupt, loaded):
         path = tmp_path / "cache.jsonl"
-        EmbeddingCache(path).put(["k"], np.array([[1.0]]))
-        path.write_text("not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        EmbeddingCache(path).put(["j", "k"], np.array([[2.0], [1.0]]))
+        path.write_bytes(b"".join(corrupt(path.read_bytes().splitlines(keepends=True))))
         cache = EmbeddingCache(path)
-        assert cache.get("k").tolist() == [1.0]
-        assert len(cache) == 1
+        assert {key: cache.get(key).tolist() for key in "jk" if key in cache} == loaded
+        assert len(cache) == len(loaded)
 
     @pytest.mark.parametrize(
         "record",

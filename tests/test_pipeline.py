@@ -18,7 +18,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOPIC_VOCAB, EchoService, surrogate_config_payload, write_yaml_config
+from conftest import TOPIC_VOCAB, EchoService, surrogate_config_payload, write_run_tree, write_yaml_config
 from exsel.corpus import load_examples
 from exsel.evolve import GAConfig, RunTrace, TraceRecord
 from exsel.fitness import EvaluationConfig
@@ -451,6 +451,18 @@ class TestManifest:
         assert again.stages["pool"]["seconds"] == 0.5
         assert not again.can_skip("pool", "k2")
 
+    def test_rerecord_removes_only_files_the_old_record_alone_lists_inside_the_run(self, tmp_path):
+        root = tmp_path / "run"
+        root.mkdir()
+        kept, dropped, outside = root / "kept.txt", root / "dropped.txt", tmp_path / "outside.txt"
+        for path in (kept, dropped, outside):
+            path.write_text("payload", encoding="utf-8")
+        manifest = RunManifest.load(root)
+        manifest.stages["pools"] = {"key": "k1", "artifacts": {"kept.txt": "", "dropped.txt": "", "../outside.txt": ""}}
+        manifest.record_stage("pools", "k2", [kept], seconds=0.5)
+        assert (kept.exists(), dropped.exists(), outside.exists()) == (True, False, True)
+        assert list(manifest.stages["pools"]["artifacts"]) == ["kept.txt"]
+
     def test_save_leaves_unchanged_file_alone(self, tmp_path):
         manifest = RunManifest.load(tmp_path)
         manifest.save()
@@ -725,10 +737,20 @@ def _copied_run(cfg, tmp_path):
     return dataclasses.replace(cfg, output_dir=str(tmp_path / "copy"))
 
 
-def _pool_file_edited_in_place(cfg, tmp_path):
-    path = Path(cfg.corpus.pool_path)
-    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]), encoding="utf-8")
-    return cfg
+def _moved_tree(cfg, tmp_path):
+    shutil.copytree(tmp_path / "tree", tmp_path / "moved")
+    return load_config(tmp_path / "moved" / "config.yaml")
+
+
+def _edited_in_place(name):
+    """The input file that corpus field `name` names, its last line dropped in place."""
+
+    def change(cfg, tmp_path):
+        path = Path(getattr(cfg.corpus, name))
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]), encoding="utf-8")
+        return cfg
+
+    return change
 
 
 def _llm_mode(cfg, tmp_path):
@@ -738,20 +760,24 @@ def _llm_mode(cfg, tmp_path):
 # one row per top-level PipelineConfig field at least: sections are keyed whole
 SKIP_MATRIX = [
     pytest.param("output_dir", _copied_run, [], id="output_dir"),
+    # keys hold the inputs' contents, not their locations
+    pytest.param("output_dir", _moved_tree, [], id="tree-moved-config-loaded-by-absolute-path"),
     pytest.param("seed", _setting("seed", 8), list(STAGES), id="seed"),
-    # llm mode needs both models; chat_model is read by pool, embedding_model by project
-    pytest.param("fitness_mode", _llm_mode, ["pool", "project", "select", "report"], id="fitness_mode"),
+    # llm mode needs both models; embedding_model is read by project, which writes the same bytes
+    pytest.param("fitness_mode", _llm_mode, ["project", "select", "report"], id="fitness_mode"),
     pytest.param("corpus", _setting("corpus.n_validation", 30), list(STAGES), id="corpus.n_validation"),
-    pytest.param("corpus", _pool_file_edited_in_place, list(STAGES), id="pool-file-edited-in-place"),
-    # pool reruns, but the pool file's examples come out byte for byte the same
-    pytest.param("generation", _setting("generation", GenerationConfig(n_total=10)), ["pool"], id="generation"),
+    pytest.param("corpus", _edited_in_place("pool_path"), list(STAGES), id="pool-file-edited-in-place"),
+    # only report reads the test file, and only in llm mode
+    pytest.param("corpus", _edited_in_place("test_path"), [], id="test-file-edited-surrogate-mode"),
+    # pool reads generation and chat_model only when it generates from documents
+    pytest.param("generation", _setting("generation", GenerationConfig(n_total=10)), [], id="generation"),
     pytest.param("projection", _setting("projection.target_dimension", 16), list(STAGES[1:]), id="projection"),
     # the same labels come out, so nothing downstream reruns
     pytest.param("clustering", _setting("clustering.cluster_selection_epsilon", 0.181), ["cluster"], id="clustering"),
     pytest.param("pool_sizes", _setting("pool_sizes", (40, 100)), ["pools", "select", "report"], id="pool_sizes"),
     pytest.param("ga", _setting("ga.mu", 13), ["select", "report"], id="ga.mu"),
     pytest.param("transport", _setting("transport.max_in_flight", 1), [], id="client.max_in_flight"),
-    pytest.param("chat_model", _setting("chat_model", "chat"), ["pool"], id="chat_model"),
+    pytest.param("chat_model", _setting("chat_model", "chat"), [], id="chat_model"),
     # the same caller transport answers to any model name with the same vectors
     pytest.param("embedding_model", _setting("embedding_model", "embed"), ["project"], id="embedding_model"),
     pytest.param(
@@ -773,9 +799,7 @@ SKIP_MATRIX = [
 
 @pytest.mark.parametrize("field_name, change, expected", SKIP_MATRIX)
 def test_a_change_reruns_the_stages_that_read_it(tmp_path, small_pool_path, field_name, change, expected):
-    pool_path = tmp_path / "pool.jsonl"
-    shutil.copyfile(small_pool_path, pool_path)
-    cfg = load_config(write_config(tmp_path, pool_path))
+    cfg = load_config(write_run_tree(tmp_path / "tree", small_pool_path))
     run_pipeline(cfg, transport=hashing_transport())
     state = run_pipeline(change(cfg, tmp_path), transport=hashing_transport())
     assert state.executed == expected
@@ -990,38 +1014,38 @@ def test_rerun_after_a_crash_writes_the_bytes_of_an_uninterrupted_run(tmp_path, 
     assert [name for name in want if got[name] != want[name]] == []
 
 
-# run directories written by earlier versions must keep matching these; pool and report keys hold absolute paths
+def test_moved_llm_tree_reruns_nothing_and_makes_no_call(tmp_path, llm_config_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    shutil.copyfile(tmp_path / "corpus.txt", tree / "corpus.txt")
+    payload = yaml.safe_load(llm_config_path.read_text(encoding="utf-8"))
+    payload["output_dir"], payload["corpus"]["documents"] = "run", ["corpus.txt"]
+    run_pipeline(load_config(write_yaml_config(tree / "config.yaml", payload)), transport=PureService())
+    shutil.copytree(tree, tmp_path / "moved")
+    log = CallLog(PureService(), tmp_path / "moved")
+    state = run_pipeline(load_config(tmp_path / "moved" / "config.yaml"), transport=log)
+    assert (state.executed, log.calls) == ([], [])
+
+
+# run directories written by earlier versions must keep matching these
 PINNED_STAGE_KEYS = {
     "surrogate": {
-        "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
+        "pool": "a3cd0902756706fbb736cc18d860b03078884057746abf8833b251476e46d8a1",
+        "project": "469c84e8a17d67033dbca3417973f800c1a7abd9db1d69f8314499b04a6505f7",
         "cluster": "9e5cecdb132ee68af2b6f3f68a7f3fbfa66930dc655c86b86a28bb5cb0e1b474",
         "pools": "725e4ea1c3ee82aa8de12c8fbf90e1f016a2c5bcfb628af610b27217ede2d3b1",
         "select": "d02c95301efafb2d4f4861b69251a88f2f1abad5c80cfc50604d0f793971b903",
+        "report": "a3297434355f72fa770da4d92e0efe9c8859dce9340d967a14e5bf8bbf344edb",
     },
     "llm": {
-        "project": "a506b7854b69b097dab43290316826525970d5a2a83dd2e3323fd4416f024c7b",
+        "pool": "6465c949feede116849dae2c3198d4a5b4a511fbb181b13e8f1f880fec7f721f",
+        "project": "b8898f0b450719ab9ffe487e26adf676cf951094d010f9608b434b96f8f93af5",
         "cluster": "70329090b05461ca6fd91c92f8306e82b51db1a22bed15aef1ded01f9c00266e",
         "pools": "e3fa0ba7a727b468ca8d492205ea5f079ca9eeab24a37d0d0032de18c33b82b2",
         "select": "9219437f13220fd16b1b616287fc2dfedf1151405be0ffa07561ec2c4bad0f2a",
+        "report": "0cd1c37a4fdefd6a8ee0a0ffc0dd218edec113a30526f64aa79e1536d6ae5f33",
     },
 }
-
-# the keys of run directories whose project stage wrote reduce/projection.tsv, one repr row per line
-LEGACY_PROJECTION_KEYS = {
-    "surrogate": {
-        "project": "b0a5fea30596bf8bff5d2a73861bcdfe0e506a6859705e7e9b60f145943570ae",
-        "cluster": "9c9e9f2cfb2041516deb63e867f12c839b1b71a60e4b74021d2c7e1bf6f600ef",
-        "pools": "b520ee92367fa3ceac8671ce0b2d100077b0c451a71708628233340aa87d3a87",
-        "select": "f687b746339aedbcf822ee417aa05052a9b8d402f7073900b63e83d3c45ef607",
-    },
-    "llm": {
-        "project": "a506b7854b69b097dab43290316826525970d5a2a83dd2e3323fd4416f024c7b",
-        "cluster": "c8ce4fe2c72d3664c7e70f33c58c4e6d39df168f0471285ec05ec5c0d7f0f58d",
-        "pools": "e566e3ca450fa8c29dc98753cd230e8beb87d564c0e1f5b106154397768434ad",
-        "select": "8a83293c00a3abb18273a534b1b0682f0b1ced981f57ce5905992579cd137875",
-    },
-}
-
 
 @pytest.mark.parametrize("mode", sorted(PINNED_STAGE_KEYS))
 def test_stage_keys_are_pinned(tmp_path, small_pool_path, llm_config_path, mode):
@@ -1034,61 +1058,6 @@ def test_stage_keys_are_pinned(tmp_path, small_pool_path, llm_config_path, mode)
         run_pipeline(cfg)
     stages = json.loads((Path(cfg.output_dir) / "manifest.json").read_text(encoding="utf-8"))["stages"]
     assert {stage: stages[stage]["key"] for stage in PINNED_STAGE_KEYS[mode]} == PINNED_STAGE_KEYS[mode]
-
-
-def write_text_projection_run(cfg, mode, transport):
-    """A finished run rewritten as an older version left it: the projection as text, the keys that text chains into.
-
-    Returns the projected rows the run computed.
-    """
-    if mode == "llm":
-        run_pipeline(cfg, transport=transport)
-    else:
-        run_pipeline(cfg)
-    root = Path(cfg.output_dir)
-    rows = np.fromfile(root / "reduce" / "projection.f64", dtype="<f8").reshape(-1, cfg.projection.target_dimension)
-    (root / "reduce" / "projection.f64").unlink()
-    legacy = root / "reduce" / "projection.tsv"
-    legacy.write_text("\n".join("\t".join(map(repr, row)) for row in rows.tolist()) + "\n", encoding="utf-8")
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    manifest["stages"]["project"]["artifacts"] = {"reduce/projection.tsv": file_sha256(legacy)}
-    for stage, key in LEGACY_PROJECTION_KEYS[mode].items():
-        manifest["stages"][stage]["key"] = key
-    (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    return rows
-
-
-def mode_config(tmp_path, small_pool_path, llm_config_path, mode):
-    return load_config(llm_config_path) if mode == "llm" else load_config(write_config(tmp_path, small_pool_path))
-
-
-@pytest.mark.parametrize("mode", sorted(LEGACY_PROJECTION_KEYS))
-def test_run_directory_with_a_text_projection_resumes_without_rerunning(
-    tmp_path, small_pool_path, llm_config_path, mode
-):
-    transport = TestLlmModeWithMockTransport().make_transport()
-    cfg = mode_config(tmp_path, small_pool_path, llm_config_path, mode)
-    rows = write_text_projection_run(cfg, mode, transport)
-    calls = (transport.embed_calls, transport.chat_calls)
-    # through select: the report key also hashes absolute paths, so it cannot be pinned
-    state = run_pipeline(cfg, through="select", transport=transport)
-    assert state.executed == []
-    assert state.skipped == list(STAGES[:5])
-    assert (transport.embed_calls, transport.chat_calls) == calls
-    assert state.projected.tobytes() == rows.tobytes()
-
-
-@pytest.mark.parametrize("mode", sorted(LEGACY_PROJECTION_KEYS))
-def test_rerunning_the_project_stage_removes_the_text_projection(tmp_path, small_pool_path, llm_config_path, mode):
-    transport = TestLlmModeWithMockTransport().make_transport()
-    cfg = mode_config(tmp_path, small_pool_path, llm_config_path, mode)
-    write_text_projection_run(cfg, mode, transport)
-    state = run_pipeline(cfg, force=True, transport=transport)
-    assert "project" in state.executed
-    assert sorted(path.name for path in (Path(cfg.output_dir) / "reduce").iterdir()) == [
-        "assignment.tsv",
-        "projection.f64",
-    ]
 
 
 def test_generated_pool_bytes_are_pinned(llm_config_path):
