@@ -7,7 +7,7 @@ clustering (dropping noise), and search the clustered pool with a
 population diversity.
 """
 
-from exsel.corpus import Example, LabelSchema
+from exsel.corpus import Example
 from exsel.evolve import GAConfig, Gene, Genome, RunTrace, evolve
 from exsel.metrics import ExtractionCounts, aggregate, score_example
 from exsel.reduce import ClusteredPool, ClusteringParams, ProjectionConfig
@@ -22,7 +22,6 @@ __all__ = [
     "GAConfig",
     "Gene",
     "Genome",
-    "LabelSchema",
     "ProjectionConfig",
     "RunTrace",
     "aggregate",

@@ -56,29 +56,12 @@ class Example:
         object.__setattr__(self, "entities", _freeze_entities(self.entities))
 
 
-@dataclass(frozen=True)
-class LabelSchema:
-    """Ordered list of distinct entity label names."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise DatasetError("label schema must contain at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise DatasetError("label schema contains duplicate names")
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @classmethod
-    def from_examples(cls, examples: Iterable[Example]) -> "LabelSchema":
-        """Collect the label universe observed across examples, in first-seen order."""
-        seen: dict[str, None] = {}
-        for ex in examples:
-            for label in ex.entities:
-                seen.setdefault(label, None)
-        if not seen:
-            raise DatasetError("no entity labels observed in examples")
-        return cls(tuple(seen))
+def observed_labels(examples: Iterable[Example]) -> tuple[str, ...]:
+    """The entity labels observed across examples, in first-seen order: the list an extraction prompt names."""
+    labels = tuple(dict.fromkeys(label for example in examples for label in example.entities))
+    if not labels:
+        raise DatasetError("no entity labels observed in examples")
+    return labels
 
 
 def example_to_record(example: Example) -> dict:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from exsel.corpus import Example, LabelSchema
+from exsel.corpus import Example
 from exsel.evolve import Genome
 from exsel.llm.client import LLMClient
 from exsel.llm.transport import ChatRequest
@@ -83,21 +83,21 @@ def evaluate_fewshot(
     client: LLMClient,
     *,
     model: str,
-    schema: LabelSchema | None = None,
+    labels: Sequence[str],
     settings: EvaluationConfig = EvaluationConfig(),
 ) -> GenomeEvaluation:
     """Score a fixed demonstration set against the validation set.
 
-    Queries run at temperature 0.0. A reply that does not parse as a
-    label->values object becomes an empty prediction and is tallied,
-    so malformed output lowers fitness instead of crashing the run.
-    An empty `demos` is the zero-shot case.
+    The system prompt names `labels`, the run's one label list, so every
+    demonstration set is scored under the same prompt. Queries run at
+    temperature 0.0. A reply that does not parse as a label->values
+    object becomes an empty prediction and is tallied, so malformed
+    output lowers fitness instead of crashing the run. An empty `demos`
+    is the zero-shot case.
     """
     if not validation:
         raise ValueError("validation set must be non-empty")
-    if schema is None:
-        schema = LabelSchema.from_examples(list(demos) + list(validation))
-    system_prompt = settings.instruction_template.format(labels=", ".join(schema.labels))
+    system_prompt = settings.instruction_template.format(labels=", ".join(labels))
     block = render_fewshot_block(demos)
     requests = [
         ChatRequest(
@@ -121,12 +121,12 @@ def evaluate_genome_llm(
     client: LLMClient,
     *,
     model: str,
-    schema: LabelSchema | None = None,
+    labels: Sequence[str],
     settings: EvaluationConfig = EvaluationConfig(),
 ) -> GenomeEvaluation:
     """Score one genome's examples with `evaluate_fewshot`; fitness is micro-F1."""
     return evaluate_fewshot(
-        resolve_examples(genome, pool), validation, client, model=model, schema=schema, settings=settings
+        resolve_examples(genome, pool), validation, client, model=model, labels=labels, settings=settings
     )
 
 
@@ -136,27 +136,20 @@ def example_quality(seed: int, example_id: str) -> float:
     return int.from_bytes(digest, "big") / 2**64
 
 
-def evaluate_genome_surrogate(
-    genome: Genome,
-    pool: ClusteredPool,
-    seed: int,
-    quality: Callable[[str], float] | None = None,
-) -> float:
-    """Deterministic offline fitness: half cluster coverage, half mean quality.
+def make_surrogate_provider(
+    pool: ClusteredPool, seed: int, quality: Callable[[str], float] | None = None
+) -> Callable[[Genome], float]:
+    """Deterministic offline fitness over `pool`: half cluster coverage, half mean quality.
 
-    Order-independent in the genes. `quality` is injectable for tests;
-    the default hashes (seed, example id).
+    Order-independent in the genes. `quality` is injectable for tests; the
+    default hashes (seed, example id), once per example.
     """
     if quality is None:
-        quality = lambda example_id: example_quality(seed, example_id)
-    examples = resolve_examples(genome, pool)
-    distinct = len({gene.cluster for gene in genome})
-    coverage = distinct / len(genome)
-    mean_quality = sum(quality(ex.id) for ex in examples) / len(examples)
-    return 0.5 * coverage + 0.5 * mean_quality
+        quality = functools.cache(lambda example_id: example_quality(seed, example_id))
 
+    def fitness(genome: Genome) -> float:
+        coverage = len({gene.cluster for gene in genome}) / len(genome)
+        mean_quality = sum(quality(ex.id) for ex in resolve_examples(genome, pool)) / len(genome)
+        return 0.5 * coverage + 0.5 * mean_quality
 
-def make_surrogate_provider(pool: ClusteredPool, seed: int) -> Callable[[Genome], float]:
-    """`evaluate_genome_surrogate` over `pool`, hashing each example's quality once."""
-    quality = functools.cache(lambda example_id: example_quality(seed, example_id))
-    return lambda genome: evaluate_genome_surrogate(genome, pool, seed, quality)
+    return fitness

@@ -73,13 +73,8 @@ class GenerationConfig:
 
 def draw_temperature(cfg: GenerationConfig, seed: int, batch_index: int) -> float:
     """Uniform in [base - jitter, base + jitter], fixed per (seed, batch index)."""
-    if cfg.temperature_jitter == 0.0:
-        return cfg.base_temperature
-    rng = derive_rng(seed, "temperature", batch_index)
-    return rng.uniform(
-        cfg.base_temperature - cfg.temperature_jitter,
-        cfg.base_temperature + cfg.temperature_jitter,
-    )
+    base, jitter = cfg.base_temperature, cfg.temperature_jitter
+    return derive_rng(seed, "temperature", batch_index).uniform(base - jitter, base + jitter)
 
 
 def _plan_batches(cfg: GenerationConfig) -> list[tuple[str, int]]:

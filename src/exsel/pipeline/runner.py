@@ -27,8 +27,8 @@ import numpy as np
 from exsel.corpus import (
     DatasetError,
     Example,
-    LabelSchema,
     load_examples,
+    observed_labels,
     sample_chunks,
     save_examples,
     split_dataset,
@@ -95,14 +95,14 @@ class RunState:
     def chat_client(self) -> LLMClient:
         return LLMClient(self.transport, self.config.transport)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The labels every extraction prompt names: those of the candidates, then validation, in first-seen order."""
+        return observed_labels(self.candidates + self.validation)
+
     def evaluation_settings(self) -> dict:
         """Keyword settings shared by every llm evaluation: GA fitness, report and zero-shot baseline."""
-        cfg = self.config
-        return {
-            "model": cfg.chat_model,
-            "schema": LabelSchema.from_examples(self.candidates + self.validation),
-            "settings": cfg.evaluation,
-        }
+        return {"model": self.config.chat_model, "labels": self.labels, "settings": self.config.evaluation}
 
     def fitness_provider(self, pool: ClusteredPool) -> Callable[[Genome], float]:
         if self.config.fitness_mode == MODE_SURROGATE:
@@ -362,10 +362,11 @@ def _stage_reads(cfg: PipelineConfig, embedding_model: str) -> dict[str, tuple]:
     by content (`_contents`), never by location, so an edited input reruns its readers and a moved tree nothing."""
     corpus = _contents("corpus", cfg.corpus)
     llm = cfg.fitness_mode == MODE_LLM
-    generating = (cfg.generation, cfg.chat_model) if cfg.corpus.pool_path is None else ()
     evaluating = (cfg.chat_model, *dataclasses.astuple(cfg.evaluation)) if llm else ()
+    # report alone reads the test file; a pool file is split as it is, its documents and their chunking unread
+    generating = (cfg.seed, dataclasses.replace(corpus, test_path=None), (cfg.generation, cfg.chat_model))
     return {
-        "pool": (cfg.seed, dataclasses.replace(corpus, test_path=None), generating),  # report alone reads the test file
+        "pool": generating if corpus.pool_path is None else (cfg.seed, corpus.pool_path, corpus.n_validation),
         "project": (_contents("projection", cfg.projection), embedding_model),
         "cluster": (cfg.clustering,),
         "pools": (cfg.pool_sizes,),

@@ -91,13 +91,16 @@ def surrogate_config_payload(pool_path, default_output_dir, **overrides) -> dict
 
 
 def write_run_tree(tree, pool_source):
-    """`tree/config.yaml`, the surrogate config naming its pool file, test file and run directory relative to itself,
-    so the whole tree can be copied elsewhere; returns the config path. The test file is the pool's first 20 lines."""
+    """`tree/config.yaml`, the surrogate config naming its pool file, test file, document and run directory relative
+    to itself, so the whole tree can be copied elsewhere; returns the config path. The test file is the pool's first
+    20 lines. The document goes unread, since a pool file is given."""
     tree.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(pool_source, tree / "pool.jsonl")
     head = pool_source.read_text(encoding="utf-8").splitlines(keepends=True)[:20]
     (tree / "test.jsonl").write_text("".join(head), encoding="utf-8")
-    payload = surrogate_config_payload("pool.jsonl", "run", corpus={"test_path": "test.jsonl"})
+    (tree / "doc.txt").write_text("ledger audit invoice\naccrual dividend equity\n", encoding="utf-8")
+    corpus = {"test_path": "test.jsonl", "documents": ["doc.txt"]}
+    payload = surrogate_config_payload("pool.jsonl", "run", corpus=corpus)
     return write_yaml_config(tree / "config.yaml", payload)
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from exsel.corpus import (
     DatasetError,
     Example,
-    LabelSchema,
     example_from_record,
     example_to_record,
     load_examples,
+    observed_labels,
     sample_chunks,
     save_examples,
     split_dataset,
@@ -55,21 +55,17 @@ class TestExample:
             Example(id="a", text="x", provenance="oracle")
 
 
-class TestLabelSchema:
-    def test_rejects_duplicates(self):
-        with pytest.raises(DatasetError):
-            LabelSchema(("a", "a"))
-
-    def test_from_examples_first_seen_order(self):
+class TestObservedLabels:
+    def test_first_seen_order(self):
         exs = [
             Example(id="1", text="x", entities={"org": ["A"]}),
             Example(id="2", text="y", entities={"person": ["B"], "org": ["C"]}),
         ]
-        assert LabelSchema.from_examples(exs).labels == ("org", "person")
+        assert observed_labels(exs) == ("org", "person")
 
-    def test_from_examples_requires_some_labels(self):
-        with pytest.raises(DatasetError):
-            LabelSchema.from_examples([Example(id="1", text="x")])
+    def test_requires_some_labels(self):
+        with pytest.raises(DatasetError, match="no entity labels observed"):
+            observed_labels([Example(id="1", text="x")])
 
 
 class TestJsonlRoundTrip:

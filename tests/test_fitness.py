@@ -7,8 +7,8 @@ import pytest
 from exsel.corpus import Example
 from exsel.evolve import Gene
 from exsel.fitness import (
+    EvaluationConfig,
     evaluate_genome_llm,
-    evaluate_genome_surrogate,
     example_quality,
     make_surrogate_provider,
     render_fewshot_block,
@@ -42,6 +42,7 @@ def make_client(transport):
 
 
 GENOME = (Gene(0, 0), Gene(1, 1))
+LABELS = ("Revenue", "Costs", "Profit")
 
 
 class TestResolveAndRender:
@@ -77,7 +78,7 @@ class TestEvaluateGenomeLLM:
             return json.dumps({label: sorted(vals) for label, vals in ex.entities.items()})
 
         client = make_client(MockTransport(chat_fn=echo))
-        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m")
+        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m", labels=LABELS)
         assert result.fitness == 1.0
         assert result.n_unparseable == 0
 
@@ -85,7 +86,7 @@ class TestEvaluateGenomeLLM:
         pool = labeled_pool()
         validation = validation_set()
         client = make_client(MockTransport(chat_fn=lambda req: "sorry, no idea"))
-        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m")
+        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m", labels=LABELS)
         assert result.fitness == 0.0
         assert result.n_unparseable == len(validation)
         assert result.metrics["micro_recall"] == 0.0
@@ -98,7 +99,7 @@ class TestEvaluateGenomeLLM:
             [json.dumps({"Revenue": [str(i)]}) for i in range(5)] + ["{}"] * 5
         )
         client = make_client(MockTransport(chat_fn=lambda req: next(replies)))
-        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m")
+        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m", labels=LABELS)
         assert result.metrics["micro_precision"] == 1.0
         assert result.metrics["micro_recall"] == 0.5
         assert result.fitness == pytest.approx(2 / 3)
@@ -107,7 +108,7 @@ class TestEvaluateGenomeLLM:
         pool = labeled_pool()
         transport = MockTransport(chat_fn=lambda req: "{}")
         client = make_client(transport)
-        evaluate_genome_llm(GENOME, pool, validation_set(3), client, model="m")
+        evaluate_genome_llm(GENOME, pool, validation_set(3), client, model="m", labels=LABELS)
         assert all(req.temperature == 0.0 for req in transport.chat_requests)
         assert all("Revenue was 10." in req.user_prompt for req in transport.chat_requests)
 
@@ -116,38 +117,49 @@ class TestEvaluateGenomeLLM:
         validation = validation_set(1)
         reply = '```json\n{"Revenue": ["0"]}\n```'
         client = make_client(MockTransport(chat_fn=lambda req: reply))
-        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m")
+        result = evaluate_genome_llm(GENOME, pool, validation, client, model="m", labels=LABELS)
         assert result.fitness == 1.0
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_genome_llm(GENOME, labeled_pool(), [], make_client(MockTransport()), model="m")
+            evaluate_genome_llm(GENOME, labeled_pool(), [], make_client(MockTransport()), model="m", labels=LABELS)
+
+
+    def test_every_genome_is_scored_under_the_labels_passed_in(self):
+        # p0 shows Revenue and p3 Profit, so the two gene orders see the labels first in opposite orders
+        pool = labeled_pool()
+        transport = MockTransport(chat_fn=lambda req: "{}")
+        client = make_client(transport)
+        labels = ("Profit", "Costs", "Revenue")
+        for genome in (GENOME, GENOME[::-1]):
+            evaluate_genome_llm(genome, pool, validation_set(2), client, model="m", labels=labels)
+        expected = EvaluationConfig().instruction_template.format(labels="Profit, Costs, Revenue")
+        assert {req.system_prompt for req in transport.chat_requests} == {expected}
+        assert len(transport.chat_requests) == 4
 
 
 class TestSurrogate:
     def test_distinct_clusters_and_unit_quality(self):
         pool = labeled_pool()
-        fitness = evaluate_genome_surrogate(GENOME, pool, seed=0, quality=lambda _id: 1.0)
-        assert fitness == 1.0
+        fitness = make_surrogate_provider(pool, seed=0, quality=lambda _id: 1.0)
+        assert fitness(GENOME) == 1.0
 
     def test_single_cluster_zero_quality(self):
         examples = tuple(Example(id=f"e{i}", text="t") for i in range(5))
         pool = ClusteredPool(examples=examples, assignment=(0,) * 5)
         genome = tuple(Gene(0, i) for i in range(5))
-        fitness = evaluate_genome_surrogate(genome, pool, seed=0, quality=lambda _id: 0.0)
-        assert fitness == pytest.approx(0.1)
+        fitness = make_surrogate_provider(pool, seed=0, quality=lambda _id: 0.0)
+        assert fitness(genome) == pytest.approx(0.1)
 
     def test_gene_order_invariant(self):
-        pool = labeled_pool()
+        fitness = make_surrogate_provider(labeled_pool(), seed=9)
         genome = (Gene(0, 0), Gene(1, 1), Gene(0, 1))
         shuffled = (Gene(1, 1), Gene(0, 1), Gene(0, 0))
-        assert evaluate_genome_surrogate(genome, pool, seed=9) == evaluate_genome_surrogate(
-            shuffled, pool, seed=9
-        )
+        assert fitness(genome) == fitness(shuffled)
 
     def test_seed_changes_quality(self):
         pool = labeled_pool()
-        values = {evaluate_genome_surrogate(GENOME, pool, seed=s) for s in range(8)}
+        values = {make_surrogate_provider(pool, seed=s)(GENOME) for s in range(8)}
         assert len(values) > 1
 
     def test_quality_hash_in_unit_interval(self):
@@ -155,7 +167,7 @@ class TestSurrogate:
             for i in range(200):
                 assert 0.0 <= example_quality(seed, f"id-{i}") < 1.0
 
-    def test_provider_matches_direct_call(self):
+    def test_default_quality_hashes_seed_and_example_id(self):
         pool = labeled_pool()
-        provider = make_surrogate_provider(pool, seed=4)
-        assert provider(GENOME) == evaluate_genome_surrogate(GENOME, pool, seed=4)
+        hashed = make_surrogate_provider(pool, seed=4, quality=lambda example_id: example_quality(4, example_id))
+        assert make_surrogate_provider(pool, seed=4)(GENOME) == hashed(GENOME)

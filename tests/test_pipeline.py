@@ -339,6 +339,19 @@ def test_readme_config_block_loads(tmp_path, monkeypatch):
     assert cfg.evaluation.instruction_template == "Extract {labels}."
 
 
+def test_readme_library_recipe_runs(small_pool_path):
+    # a deleted or renamed library name fails here instead of leaving the README recipe stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Library use\n(.*?)(?=^## |\Z)", readme, re.DOTALL | re.MULTILINE).group(1)
+    recipe, *others = re.findall(r"^```python\n(.*?)^```", section, re.DOTALL | re.MULTILINE)
+    namespace: dict = {}
+    exec(recipe.replace("data/pool.jsonl", str(small_pool_path)), namespace)
+    assert len(namespace["best"]) == GAConfig().genome_length
+    imports = [line for block in others for line in block.splitlines() if line.startswith(("from ", "import "))]
+    assert len(imports) >= 2
+    exec("\n".join(imports), {})
+
+
 # each owner of annotations the loader reads, and the section YAML writes its fields under ("" is the top level)
 LOADED = [
     (PipelineConfig, ""), (CorpusConfig, "corpus"), (GenerationConfig, "generation"),
@@ -743,10 +756,11 @@ def _moved_tree(cfg, tmp_path):
 
 
 def _edited_in_place(name):
-    """The input file that corpus field `name` names, its last line dropped in place."""
+    """The input file that corpus field `name` names (the first, for a list), its last line dropped in place."""
 
     def change(cfg, tmp_path):
-        path = Path(getattr(cfg.corpus, name))
+        named = getattr(cfg.corpus, name)
+        path = Path(named[0] if isinstance(named, tuple) else named)
         path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]), encoding="utf-8")
         return cfg
 
@@ -767,6 +781,9 @@ SKIP_MATRIX = [
     pytest.param("fitness_mode", _llm_mode, ["project", "select", "report"], id="fitness_mode"),
     pytest.param("corpus", _setting("corpus.n_validation", 30), list(STAGES), id="corpus.n_validation"),
     pytest.param("corpus", _edited_in_place("pool_path"), list(STAGES), id="pool-file-edited-in-place"),
+    # pool reads a pool file, its seed and n_validation; the documents and their chunking go unread
+    pytest.param("corpus", _edited_in_place("documents"), [], id="document-edited-pool-file-mode"),
+    pytest.param("corpus", _setting("corpus.chunk_size", 100), [], id="corpus.chunk_size-pool-file-mode"),
     # only report reads the test file, and only in llm mode
     pytest.param("corpus", _edited_in_place("test_path"), [], id="test-file-edited-surrogate-mode"),
     # pool reads generation and chat_model only when it generates from documents
@@ -1030,7 +1047,7 @@ def test_moved_llm_tree_reruns_nothing_and_makes_no_call(tmp_path, llm_config_pa
 # run directories written by earlier versions must keep matching these
 PINNED_STAGE_KEYS = {
     "surrogate": {
-        "pool": "a3cd0902756706fbb736cc18d860b03078884057746abf8833b251476e46d8a1",
+        "pool": "2c75d14f34a3e3d42847b0bf32f419001e4cc9272e7b827777998504fb664d0f",
         "project": "469c84e8a17d67033dbca3417973f800c1a7abd9db1d69f8314499b04a6505f7",
         "cluster": "9e5cecdb132ee68af2b6f3f68a7f3fbfa66930dc655c86b86a28bb5cb0e1b474",
         "pools": "725e4ea1c3ee82aa8de12c8fbf90e1f016a2c5bcfb628af610b27217ede2d3b1",

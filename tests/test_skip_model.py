@@ -34,7 +34,7 @@ FIELDS = {
     "client.max_in_flight": (4, 1),
 }
 
-INPUTS = ("pool.jsonl", "test.jsonl")
+INPUTS = ("pool.jsonl", "test.jsonl", "doc.txt")
 
 # the model: the stages that read each field and input file, in surrogate mode with a pool file
 READERS = {
@@ -47,6 +47,7 @@ READERS = {
     "client.max_in_flight": set(),
     "pool.jsonl": {"pool"},
     "test.jsonl": set(),
+    "doc.txt": set(),
 }
 
 
