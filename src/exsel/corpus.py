@@ -25,11 +25,15 @@ class DatasetError(ValueError):
 
 
 def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
+    """Label -> frozenset of values, from a mapping of each label to a list, tuple, set or frozenset of strings."""
+    if not isinstance(entities, Mapping):
+        raise DatasetError("entities must be an object mapping label to a list of values")
     frozen: dict[str, frozenset[str]] = {}
     for label, values in entities.items():
+        if not isinstance(values, (list, tuple, set, frozenset)):  # a string or dict would be split into its items
+            raise DatasetError(f"entities[{label!r}] must be a list of strings")
         if not isinstance(label, str) or not label:
             raise DatasetError(f"entity label must be a non-empty string, got {label!r}")
-        values = tuple(values)
         for value in values:  # checked before hashing: a list or object value is unhashable
             if not isinstance(value, str) or not value.strip():
                 raise DatasetError(f"entity value for label {label!r} must be a non-empty string, got {value!r}")
@@ -80,16 +84,10 @@ def example_from_record(record: object) -> Example:
     unknown = set(record) - {"id", "text", "entities", "provenance"}
     if unknown:
         raise DatasetError(f"record has unknown fields: {sorted(unknown)}")
-    entities = record.get("entities", {})
-    if not isinstance(entities, dict):
-        raise DatasetError("entities must be an object mapping label to a list of values")
-    for label, values in entities.items():
-        if not isinstance(values, list):
-            raise DatasetError(f"entities[{label!r}] must be a list of strings")
     return Example(
         id=record.get("id", ""),
         text=record.get("text", ""),
-        entities={label: values for label, values in entities.items()},
+        entities=record.get("entities", {}),
         provenance=record.get("provenance", PROVENANCE_SYNTHETIC),
     )
 

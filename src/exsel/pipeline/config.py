@@ -23,7 +23,7 @@ from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
 from exsel.llm.transport import TransportConfig
 from exsel.reduce.density import ClusteringParams
-from exsel.reduce.projection import METHOD_PRECOMPUTED, ProjectionConfig
+from exsel.reduce.projection import ProjectionConfig
 from exsel.templates import (
     EXTRACTION_INSTRUCTION_TEMPLATE,
     NEGATIVE_GENERATION_TEMPLATE,
@@ -97,8 +97,8 @@ class PipelineConfig:
         if self.fitness_mode == MODE_LLM:
             if not self.chat_model:
                 raise ConfigError("llm mode requires client.chat_model")
-            if not self.embedding_model and self.projection.method != METHOD_PRECOMPUTED:
-                raise ConfigError("llm mode requires client.embedding_model unless projection is precomputed-import")
+            if not self.embedding_model and self.projection.precomputed_path is None:
+                raise ConfigError("llm mode requires client.embedding_model unless projection.precomputed_path is set")
             if self.corpus.n_validation < 1:
                 raise ConfigError("llm mode requires corpus.n_validation >= 1")
         if self.corpus.pool_path is None and self.generation is None:

@@ -51,7 +51,7 @@ from exsel.pipeline.config import _PATHS, MODE_LLM, MODE_SURROGATE, ConfigError,
 from exsel.pipeline.manifest import RunManifest, file_sha256
 from exsel.reduce.density import cluster
 from exsel.reduce.pooling import ClusteredPool, build_pool, filter_noise
-from exsel.reduce.projection import METHOD_PRECOMPUTED, ProjectionError, load_precomputed, project
+from exsel.reduce.projection import ProjectionError, load_precomputed, project
 from exsel.seeding import derive_seed
 
 STAGES = ("pool", "project", "cluster", "pools", "select", "report")
@@ -165,7 +165,7 @@ def _project_run(state: RunState) -> list[Path]:
         raise PipelineError("no candidate examples to project")
     out = state.root / "reduce"
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.projection.method == METHOD_PRECOMPUTED:
+    if cfg.projection.precomputed_path is not None:
         # imported vectors replace embedding and projection; no embedding call is made
         state.projected = load_precomputed(cfg.projection.precomputed_path)
         rows, width = state.projected.shape
@@ -359,19 +359,24 @@ _STAGE_FNS: dict[str, tuple[Callable[[RunState], list[Path]], Callable[[RunState
 
 def _stage_reads(cfg: PipelineConfig, embedding_model: str) -> dict[str, tuple]:
     """What each stage reads besides earlier stages' artifacts, in STAGES order: sections whole, their path fields
-    by content (`_contents`), never by location, so an edited input reruns its readers and a moved tree nothing."""
-    corpus = _contents("corpus", cfg.corpus)
-    llm = cfg.fitness_mode == MODE_LLM
+    by content (`_contents`), never by location, so an edited input reruns its readers and a moved tree nothing.
+    Only the files some key holds are hashed."""
+    corpus, llm = cfg.corpus, cfg.fitness_mode == MODE_LLM
     evaluating = (cfg.chat_model, *dataclasses.astuple(cfg.evaluation)) if llm else ()
-    # report alone reads the test file; a pool file is split as it is, its documents and their chunking unread
-    generating = (cfg.seed, dataclasses.replace(corpus, test_path=None), (cfg.generation, cfg.chat_model))
+    # a pool file is split as it is, its documents and their chunking unread; report alone reads the test file
+    if corpus.pool_path is not None:
+        pool = (cfg.seed, file_sha256(corpus.pool_path), corpus.n_validation)
+    else:
+        documents = _contents("corpus", dataclasses.replace(corpus, test_path=None))
+        pool = (cfg.seed, documents, (cfg.generation, cfg.chat_model))
+    test = file_sha256(corpus.test_path) if llm and corpus.test_path is not None else None
     return {
-        "pool": generating if corpus.pool_path is None else (cfg.seed, corpus.pool_path, corpus.n_validation),
+        "pool": pool,
         "project": (_contents("projection", cfg.projection), embedding_model),
         "cluster": (cfg.clustering,),
         "pools": (cfg.pool_sizes,),
         "select": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, cfg.ga, evaluating),
-        "report": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, evaluating, corpus.test_path if llm else None),
+        "report": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, evaluating, test),
     }
 
 

@@ -1,11 +1,11 @@
 """Dimensionality reduction for embeddings.
 
-Two methods. `in-repo-linear` is a deterministic variance-maximizing
-linear map (center, keep the top principal directions), done by `project`;
-it is not a manifold method and makes no attempt to be one, it exists so
-the pipeline runs self-contained. `precomputed-import` replaces both
-embedding and projection with vectors produced by any external projector
-(row order must match the examples file): the runner reads them with
+`project` is the in-repo map: a deterministic variance-maximizing linear
+map (center, keep the top principal directions). It is not a manifold
+method and makes no attempt to be one; it exists so the pipeline runs
+self-contained. When `precomputed_path` names a file, its vectors,
+produced by any external projector (row order must match the examples
+file), replace both embedding and projection: the runner reads them with
 `load_precomputed` and checks their count and dimension.
 
 The linear map takes its directions from the eigenvectors of XᵀX (X the
@@ -35,9 +35,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-METHOD_LINEAR = "in-repo-linear"
-METHOD_PRECOMPUTED = "precomputed-import"
-
 
 class ProjectionError(ValueError):
     """Raised for invalid projection configs or mismatched precomputed files."""
@@ -45,17 +42,12 @@ class ProjectionError(ValueError):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    method: str = METHOD_LINEAR
     target_dimension: int = 20
-    precomputed_path: str | None = None
+    precomputed_path: str | None = None  # set: import these vectors; None: embed and `project`
 
     def __post_init__(self) -> None:
-        if self.method not in (METHOD_LINEAR, METHOD_PRECOMPUTED):
-            raise ProjectionError(f"unknown projection method {self.method!r}")
         if self.target_dimension < 2:
             raise ProjectionError("target_dimension must be >= 2")
-        if self.method == METHOD_PRECOMPUTED and not self.precomputed_path:
-            raise ProjectionError("precomputed-import requires precomputed_path")
 
 
 def load_precomputed(path: Path | str) -> np.ndarray:
@@ -80,12 +72,8 @@ def load_precomputed(path: Path | str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-# (get, set) thread-count symbols of the OpenBLAS that numpy wheels bundle:
-# scipy-openblas64 from numpy 2.0 on, openblas64_ in numpy 1.x
-_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
+# (get, set) thread-count symbols of the scipy-openblas64 that numpy 2 wheels bundle
+_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 # the thread count is process-wide: one projection at a time sets, uses and restores it
 _blas_lock = threading.Lock()
@@ -106,12 +94,11 @@ def _blas_thread_controls() -> tuple[Callable[[], int], Callable[[int], None]] |
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        get, set_ = (getattr(lib, name, None) for name in _THREAD_SYMBOLS)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

@@ -11,9 +11,9 @@ ab_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_bench)
 
 METRICS = [
-    {"name": "wall_s", "better": "lower"},
-    {"name": "paid_calls", "better": "lower"},
-    {"name": "ok_ops", "better": "higher"},
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "paid_calls", "better": "lower", "bound": 0.05},
+    {"name": "ok_ops", "better": "higher", "bound": 0.1},
 ]
 
 
@@ -70,3 +70,31 @@ def test_single_pair_has_degenerate_quartiles():
     wall = ab_bench.summarize([row(0, "parent", 3.0), row(0, "change", 2.0)], METRICS)["wall_s"]
     assert wall["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert wall["change_wins"] == 1
+
+
+def paired(parent_walls, change_walls, change_ok_ops=1.0):
+    return [r for pair, (a, b) in enumerate(zip(parent_walls, change_walls))
+            for r in (row(pair, "parent", a), row(pair, "change", b, ok_ops=change_ok_ops))]
+
+
+@pytest.mark.parametrize(
+    "runs, wall_verdict",
+    [
+        pytest.param(canned(), "within_bound", id="faster"),
+        pytest.param(paired([2.0, 2.0, 2.0], [2.5, 2.5, 2.5]), "within_bound", id="worse-by-the-bound-exactly"),
+        pytest.param(paired([2.0, 2.0, 2.0], [2.6, 2.4, 2.6]), "exceeds_bound", id="worse-past-the-bound"),
+        # the parent's quartiles 1.75-3.25 span 60% of its median 2.5, past the 25% bound
+        pytest.param(paired([1.0, 2.0, 3.0, 4.0], [0.9, 1.0, 1.1, 1.2]), "unresolved", id="parent-spread-too-wide"),
+        pytest.param(paired([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.9]), "within_bound", id="every-change-run-better"),
+    ],
+)
+def test_verdict_holds_each_metric_to_its_bound(runs, wall_verdict):
+    summary = ab_bench.summarize(runs, METRICS)
+    assert summary["wall_s"]["verdict"] == wall_verdict
+    assert summary["paid_calls"]["verdict"] == "within_bound"
+
+
+def test_verdict_reads_higher_as_better_where_declared():
+    summary = ab_bench.summarize(paired([2.0, 2.0, 2.0], [2.0, 2.0, 2.0], change_ok_ops=0.89), METRICS)
+    assert summary["ok_ops"]["verdict"] == "exceeds_bound"
+    assert ab_bench.summarize(canned(), METRICS)["ok_ops"]["verdict"] == "within_bound"

@@ -54,6 +54,28 @@ class TestExample:
         with pytest.raises(DatasetError):
             Example(id="a", text="x", provenance="oracle")
 
+    @pytest.mark.parametrize("values", [("Ann", "Bo"), {"Ann", "Bo"}, frozenset({"Ann", "Bo"})])
+    def test_takes_any_collection_of_values(self, values):
+        ex = Example(id="a", text="x", entities={"person": values})
+        assert ex.entities == {"person": frozenset({"Ann", "Bo"})}
+
+    @pytest.mark.parametrize(
+        "entities",
+        [
+            pytest.param({"Revenue": "12"}, id="string-value"),  # was split into {"1", "2"}
+            pytest.param({"Revenue": {"12": 1}}, id="dict-value"),  # was its keys
+            pytest.param({"Revenue": 5}, id="int-value"),  # was a bare TypeError
+        ],
+    )
+    def test_constructor_takes_only_a_collection_of_values(self, entities):
+        with pytest.raises(DatasetError, match=r"^entities\['Revenue'\] must be a list of strings$"):
+            Example(id="a", text="t", entities=entities)
+
+    @pytest.mark.parametrize("entities", ["x", ["Revenue"]], ids=["string", "list"])  # "x" was a bare AttributeError
+    def test_constructor_takes_only_a_mapping_of_entities(self, entities):
+        with pytest.raises(DatasetError, match="^entities must be an object mapping label to a list of values$"):
+            Example(id="a", text="t", entities=entities)
+
 
 class TestObservedLabels:
     def test_first_seen_order(self):

@@ -37,6 +37,7 @@ from exsel.pipeline import (
     run_pipeline,
 )
 from exsel.pipeline import config as config_module
+from exsel.pipeline import runner as runner_module
 from exsel.pipeline.config import CorpusConfig
 from exsel.pipeline.manifest import file_sha256
 from exsel.plotting import read_trace
@@ -161,7 +162,7 @@ class TestConfig:
     def test_llm_mode_with_imported_projection_needs_no_embedding_model(self, tmp_path, small_pool_path):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("0.0 1.0\n", encoding="utf-8")
-        projection = {"method": "precomputed-import", "precomputed_path": str(vectors), "target_dimension": 2}
+        projection = {"precomputed_path": str(vectors), "target_dimension": 2}
         path = write_config(
             tmp_path, small_pool_path, fitness_mode="llm", client={"chat_model": "c"}, projection=projection
         )
@@ -262,7 +263,7 @@ class TestConfig:
         ("client", {"chat_model": 5}),
         ("client", {"endpoint_url": 7}),
         ("client", {"api_key_env": ["A"]}),
-        ("projection", {"method": 3}),
+        ("projection", {"precomputed_path": "missing.txt"}),
     ],
 )
 @pytest.mark.parametrize("kind", ["bad-value", "unknown-field"])
@@ -270,6 +271,14 @@ def test_config_error_names_its_section(tmp_path, small_pool_path, section, bad,
     fields = bad if kind == "bad-value" else {"no_such_field": 1}
     path = write_config(tmp_path, small_pool_path, **{section: fields})
     with pytest.raises(ConfigError, match=rf"^{section}\b"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("method", ["in-repo-linear", "precomputed-import"])
+def test_projection_method_is_an_unknown_field(tmp_path, small_pool_path, method):
+    # whether projection.precomputed_path is set is the one statement of import or project
+    path = write_config(tmp_path, small_pool_path, projection={"method": method})
+    with pytest.raises(ConfigError, match=r"^projection: .*'method'"):
         load_config(path)
 
 
@@ -656,17 +665,13 @@ def test_trace_artifact_round_trips(tmp_path):
 
 
 def write_vectors(path, matrix):
-    """An import file for `precomputed-import`: one whitespace-separated row per line, floats by repr."""
+    """An import file for `projection.precomputed_path`: one whitespace-separated row per line, floats by repr."""
     path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in matrix.tolist()), encoding="utf-8")
 
 
 def imported_projection_config(tmp_path, pool_path, matrix):
     write_vectors(tmp_path / "vectors.txt", matrix)
-    projection = {
-        "method": "precomputed-import",
-        "precomputed_path": str(tmp_path / "vectors.txt"),
-        "target_dimension": matrix.shape[1],
-    }
+    projection = {"precomputed_path": str(tmp_path / "vectors.txt"), "target_dimension": matrix.shape[1]}
     return load_config(write_config(tmp_path, pool_path, projection=projection))
 
 
@@ -820,6 +825,20 @@ def test_a_change_reruns_the_stages_that_read_it(tmp_path, small_pool_path, fiel
     run_pipeline(cfg, transport=hashing_transport())
     state = run_pipeline(change(cfg, tmp_path), transport=hashing_transport())
     assert state.executed == expected
+
+
+def test_keys_hash_only_the_files_they_hold(tmp_path, small_pool_path, monkeypatch):
+    # the tree's config lists a document and a test file too; a surrogate pool-file run reads neither
+    cfg = load_config(write_run_tree(tmp_path / "tree", small_pool_path))
+    hashed = []
+
+    def recording(path):
+        hashed.append(Path(path).name)
+        return file_sha256(path)
+
+    monkeypatch.setattr(runner_module, "file_sha256", recording)
+    run_pipeline(cfg)
+    assert hashed == ["pool.jsonl"]
 
 
 def test_skip_matrix_has_a_row_for_every_config_field():
@@ -1048,7 +1067,7 @@ def test_moved_llm_tree_reruns_nothing_and_makes_no_call(tmp_path, llm_config_pa
 PINNED_STAGE_KEYS = {
     "surrogate": {
         "pool": "2c75d14f34a3e3d42847b0bf32f419001e4cc9272e7b827777998504fb664d0f",
-        "project": "469c84e8a17d67033dbca3417973f800c1a7abd9db1d69f8314499b04a6505f7",
+        "project": "38fe2401fdc26bbdfaa4539be493ee4859342d718f032dfe3d35e57e4925d7a6",
         "cluster": "9e5cecdb132ee68af2b6f3f68a7f3fbfa66930dc655c86b86a28bb5cb0e1b474",
         "pools": "725e4ea1c3ee82aa8de12c8fbf90e1f016a2c5bcfb628af610b27217ede2d3b1",
         "select": "d02c95301efafb2d4f4861b69251a88f2f1abad5c80cfc50604d0f793971b903",
@@ -1056,7 +1075,7 @@ PINNED_STAGE_KEYS = {
     },
     "llm": {
         "pool": "6465c949feede116849dae2c3198d4a5b4a511fbb181b13e8f1f880fec7f721f",
-        "project": "b8898f0b450719ab9ffe487e26adf676cf951094d010f9608b434b96f8f93af5",
+        "project": "b6c6f6c5e902aeee4cad591d4c7ecbd9f0eff4dba60dd5fdd0a57aec1bb7d9e6",
         "cluster": "70329090b05461ca6fd91c92f8306e82b51db1a22bed15aef1ded01f9c00266e",
         "pools": "e3fa0ba7a727b468ca8d492205ea5f079ca9eeab24a37d0d0032de18c33b82b2",
         "select": "9219437f13220fd16b1b616287fc2dfedf1151405be0ffa07561ec2c4bad0f2a",

@@ -11,14 +11,7 @@ from conftest import make_topic_examples, surrogate_config_payload, write_yaml_c
 from exsel.corpus import save_examples
 from exsel.pipeline import PipelineError, load_config, run_pipeline
 from exsel.reduce import projection
-from exsel.reduce.projection import (
-    METHOD_LINEAR,
-    METHOD_PRECOMPUTED,
-    ProjectionConfig,
-    ProjectionError,
-    load_precomputed,
-    project,
-)
+from exsel.reduce.projection import ProjectionConfig, ProjectionError, load_precomputed, project
 from mock_transport import MockTransport
 
 
@@ -40,7 +33,7 @@ def import_projection(tmp_path, vectors: str, n_candidates: int):
         pool,
         tmp_path / "run",
         corpus={"n_validation": 0},
-        projection={"method": METHOD_PRECOMPUTED, "target_dimension": 2, "precomputed_path": str(path)},
+        projection={"target_dimension": 2, "precomputed_path": str(path)},
     )
     cfg = load_config(write_yaml_config(tmp_path / "config.yaml", payload))
     transport = MockTransport()
@@ -54,26 +47,26 @@ class TestLinear:
     def test_full_dimension_preserves_pairwise_distances(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(30, 5))
-        out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=5))
+        out = project(data, ProjectionConfig(target_dimension=5))
         assert np.allclose(pairwise(out), pairwise(data), atol=1e-9)
 
     def test_rank_one_data_has_zero_second_component(self):
         rng = np.random.default_rng(3)
         direction = rng.normal(size=5)
         data = np.outer([1.0, 2.0, 4.5], direction)
-        out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=2))
+        out = project(data, ProjectionConfig(target_dimension=2))
         assert np.allclose(out[:, 1], 0.0, atol=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(40, 12))
-        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=4)
+        cfg = ProjectionConfig(target_dimension=4)
         assert np.array_equal(project(data, cfg), project(data, cfg))
 
     def test_first_component_maximizes_variance(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(200, 6)) * np.array([10.0, 1, 1, 1, 1, 1])
-        out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=3))
+        out = project(data, ProjectionConfig(target_dimension=3))
         variances = out.var(axis=0)
         assert variances[0] >= variances[1] >= variances[2]
         assert variances[0] == pytest.approx(data.var(axis=0).max(), rel=0.1)
@@ -81,11 +74,11 @@ class TestLinear:
     def test_target_exceeding_input_dimension_rejected(self):
         data = np.zeros((4, 3))
         with pytest.raises(ProjectionError):
-            project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+            project(data, ProjectionConfig(target_dimension=4))
 
     def test_more_dimensions_than_rows_pads_with_zeros(self):
         data = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        out = project(data, ProjectionConfig(target_dimension=4))
         assert out.shape == (2, 4)
         assert np.allclose(pairwise(out), pairwise(data), atol=1e-9)
         assert out[:, 2:].tobytes() == np.zeros((2, 2)).tobytes()  # two rows give at most two directions
@@ -115,7 +108,7 @@ def svd_reference(data, target):
 @pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d", "wide-rank-deficient"])
 def test_matches_the_svd_reference(kind):
     data, target = _inputs()[kind]
-    out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=target))
+    out = project(data, ProjectionConfig(target_dimension=target))
     assert out.shape == (len(data), target)
     assert np.abs(out - svd_reference(data, target)).max() <= 1e-10
 
@@ -131,7 +124,7 @@ def test_eigh_solves_the_smaller_side(monkeypatch, shape, side):
         return eigh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    project(np.random.default_rng(4).normal(size=shape), ProjectionConfig(method=METHOD_LINEAR, target_dimension=20))
+    project(np.random.default_rng(4).normal(size=shape), ProjectionConfig(target_dimension=20))
     assert sides == [(side, side)]
 
 
@@ -157,7 +150,7 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("kind", ["tall", "rank-deficient", "n-below-d", "wide-rank-deficient"])
     def test_same_bytes_with_and_without_the_thread_limit(self, monkeypatch, kind):
         data, target = _inputs()[kind]
-        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=target)
+        cfg = ProjectionConfig(target_dimension=target)
         limited = project(data, cfg)
         monkeypatch.setattr(projection, "_blas_thread_controls", lambda: None)
         assert np.array_equal(project(data, cfg), limited)
@@ -174,7 +167,7 @@ class TestOneBlasThread:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        project(_inputs()["tall"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        project(_inputs()["tall"][0], ProjectionConfig(target_dimension=4))
         assert seen == [1]
         assert get() == before
 
@@ -189,7 +182,7 @@ class TestOneBlasThread:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
-        project(_inputs()["wide-rank-deficient"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+        project(_inputs()["wide-rank-deficient"][0], ProjectionConfig(target_dimension=4))
         assert seen == [1]
         assert get() == 2
 
@@ -204,7 +197,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(np.linalg.LinAlgError):
-            project(_inputs()["rank-deficient"][0], ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+            project(_inputs()["rank-deficient"][0], ProjectionConfig(target_dimension=4))
         assert get() == before
 
     def test_inputs_on_both_sides_of_the_old_work_bound_run_in_one_thread(self, monkeypatch, blas_threads):
@@ -221,7 +214,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         for rows in (4095, 4096):
             data = np.random.default_rng(9).normal(size=(rows, 64))
-            project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=4))
+            project(data, ProjectionConfig(target_dimension=4))
         assert seen == [1, 1]
         assert get() == 2
 
@@ -230,7 +223,7 @@ class TestOneBlasThread:
         # at this shape a final product outside the one-thread section does too
         get, set_ = blas_threads
         data = np.random.default_rng(0).normal(size=(210, 400))
-        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=20)
+        cfg = ProjectionConfig(target_dimension=20)
         outputs = []
         for threads in (1, 2):
             set_(threads)
@@ -254,7 +247,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
         data, target = _inputs()["rank-deficient"]
-        cfg = ProjectionConfig(method=METHOD_LINEAR, target_dimension=target)
+        cfg = ProjectionConfig(target_dimension=target)
         start = threading.Barrier(2)
 
         def worker():
@@ -295,7 +288,7 @@ class TestOneBlasThread:
             assert projection._blas_thread_controls.__wrapped__() is None
         monkeypatch.setattr(projection, "_blas_thread_controls", lambda: None)
         data = np.random.default_rng(4).normal(size=(50, 6))
-        out = project(data, ProjectionConfig(method=METHOD_LINEAR, target_dimension=6))
+        out = project(data, ProjectionConfig(target_dimension=6))
         assert np.allclose(pairwise(out), pairwise(data), atol=1e-9)
 
 
@@ -338,7 +331,3 @@ class TestPrecomputed:
         path.write_text(f"1.0 2.0\n\n3.0 {bad}\n", encoding="utf-8")
         with pytest.raises(ProjectionError, match=r"proj\.txt:3: non-finite"):
             load_precomputed(path)
-
-    def test_config_requires_path(self):
-        with pytest.raises(ProjectionError):
-            ProjectionConfig(method=METHOD_PRECOMPUTED, target_dimension=2)

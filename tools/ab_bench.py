@@ -9,7 +9,8 @@ other; T is the `run_seconds` of the change's BENCHMARK.json. Even pairs
 run the parent first, odd pairs the change. The last line of each run's
 standard output is its JSON result. `--out` gets one
 row per run under `runs`, and under `end_to_end[W]`, per metric, the
-median and quartiles of each side and the number of pairs the change won.
+median and quartiles of each side, the number of pairs the change won
+and the no-regression `verdict` against the metric's `bound`.
 An existing `--out` file is updated in place: the rows and summary of
 other workloads are kept, those of W are replaced.
 
@@ -48,21 +49,45 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return row
 
 
-def _spread(values: list[float]) -> dict:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), inclusive; one value is all three."""
     if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = _quartiles(values)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """The no-regression verdict on one metric, `bound` relative to the parent's median.
+
+    `unresolved`: the parent's q3 - q1 exceeds `bound` times its median,
+    and not every change run beats every parent run. Otherwise
+    `within_bound` when the change's median is no worse than the
+    parent's by more than `bound` times the parent's median, else
+    `exceeds_bound`.
+    """
+    sign = 1 if lower else -1  # sign * (a - b) > 0: a is worse than b
+    q1, median, q3 = _quartiles(parent)
+    all_beat = max(sign * value for value in change) < min(sign * value for value in parent)
+    if q3 - q1 > bound * abs(median) and not all_beat:
+        return "unresolved"
+    worse_by = sign * (statistics.median(change) - median)
+    return "within_bound" if worse_by <= bound * abs(median) else "exceeds_bound"
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per-metric spread of each side and pair wins of the change, for one workload's runs.
+    """Per-metric spread of each side, pair wins and verdict of the change, for one workload's runs.
 
     `runs` are rows with `pair`, `side`, `rc`, `correct` and one value per
-    metric; `metrics` are BENCHMARK.json entries (`name`, `better`). A
-    pair is won only by a strictly better value. `gap_exceeds_parent_iqr`
-    says whether the medians differ by more than the parent's q3 - q1.
+    metric; `metrics` are BENCHMARK.json end-to-end entries (`name`,
+    `better`, `bound`). A pair is won only by a strictly better value.
+    `gap_exceeds_parent_iqr` says whether the medians differ by more than
+    the parent's q3 - q1; `verdict` is `verdict()` on the same runs.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for row in runs:
@@ -74,7 +99,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     }
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        entry = {side: _spread([p[side][name] for p in pairs]) for side in SIDES}
+        values = {side: [p[side][name] for p in pairs] for side in SIDES}
+        entry = {side: _spread(values[side]) for side in SIDES}
         entry["change_wins"] = sum(
             (p["change"][name] < p["parent"][name]) if lower else (p["change"][name] > p["parent"][name])
             for p in pairs
@@ -83,6 +109,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         entry["gap_exceeds_parent_iqr"] = (
             abs(parent["median"] - entry["change"]["median"]) > parent["q3"] - parent["q1"]
         )
+        entry["verdict"] = verdict(values["parent"], values["change"], lower, metric["bound"])
         out[name] = entry
     return out
 
