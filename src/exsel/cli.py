@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from typing import Sequence
 
 from exsel.llm.transport import ClientError
 from exsel.pipeline.config import ConfigError, PipelineConfig, load_config
-from exsel.pipeline.runner import run_baselines, run_pipeline
+from exsel.pipeline.runner import run_pipeline
 from exsel.plotting import render_plots
 
 EXIT_OK = 0
@@ -28,6 +29,7 @@ _COMMAND_STAGE = {
     "select": "select",
     "evaluate": "report",
     "run-all": "report",
+    "baseline": "baseline",
 }
 
 
@@ -95,21 +97,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         for path in render_plots(config.output_dir):
             print(path)
         return EXIT_OK
-    if args.command == "baseline":
-        payload = run_baselines(config, force=args.force, log=print)
+    state = run_pipeline(config, through=_COMMAND_STAGE[args.command], force=args.force, log=print)
+    for k in sorted(state.best_fitness):
+        print(f"best fitness k={k}: {state.best_fitness[k]:.4f}")
+    if args.command == "baseline":  # the stage's summary, whether it ran or was skipped
+        payload = json.loads((state.root / "baseline" / "baselines.json").read_text(encoding="utf-8"))
         for k, summary in payload["random"].items():
             print(f"random baseline k={k}: mean={summary['mean']:.4f} std={summary['std']:.4f}")
         if "zeroshot" in payload:
             print(f"zero-shot fitness: {payload['zeroshot']['fitness']:.4f}")
-        return EXIT_OK
-    state = run_pipeline(
-        config,
-        through=_COMMAND_STAGE[args.command],
-        force=args.force,
-        log=print,
-    )
-    for k in sorted(state.best_fitness):
-        print(f"best fitness k={k}: {state.best_fitness[k]:.4f}")
     return EXIT_OK
 
 

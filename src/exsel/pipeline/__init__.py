@@ -11,7 +11,7 @@ from exsel.pipeline.config import (
     load_config,
 )
 from exsel.pipeline.manifest import RunManifest, file_sha256
-from exsel.pipeline.runner import STAGES, PipelineError, RunState, run_baselines, run_pipeline
+from exsel.pipeline.runner import STAGES, PipelineError, RunState, run_pipeline
 
 __all__ = [
     "ConfigError",
@@ -27,6 +27,5 @@ __all__ = [
     "config_from_dict",
     "file_sha256",
     "load_config",
-    "run_baselines",
     "run_pipeline",
 ]

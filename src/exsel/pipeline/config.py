@@ -18,6 +18,7 @@ from typing import Callable, TypeVar, get_args, get_type_hints
 
 import yaml
 
+from exsel.corpus import load_examples
 from exsel.evolve import GAConfig
 from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
@@ -107,6 +108,17 @@ class PipelineConfig:
         for section, path in [*inputs, ("projection", self.projection.precomputed_path)]:
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"{section}: no such file: {path}")
+        if self.projection.precomputed_path is not None:  # the row count needs the candidates: `project` checks it
+            dimension = self.projection.target_dimension
+            with open(self.projection.precomputed_path, encoding="utf-8") as rows:
+                width = next((len(row.split()) for row in rows if row.strip()), 0)
+            if width != dimension:
+                raise ConfigError(f"projection.precomputed_path is {width} wide, not target_dimension {dimension}")
+        if self.fitness_mode == MODE_LLM and self.corpus.test_path is not None:  # read now, not after select
+            try:
+                load_examples(self.corpus.test_path)
+            except ValueError as exc:  # a DatasetError, or bytes that are not UTF-8
+                raise ConfigError(f"corpus.test_path: {exc}") from exc
         if Path(self.output_dir).is_file():
             raise ConfigError(f"output_dir {self.output_dir} is a file, not a directory")
         cache = self.embedding_cache  # checked here, not where the project stage opens it after the paid pool stage
@@ -210,11 +222,14 @@ def _generation(
     inline = sorted({"positive_prompt_template", "negative_prompt_template"} & set(fields))
     if inline:
         raise ValueError(f"{', '.join(inline)} cannot be written inline; name a file with *_template_path")
-    return GenerationConfig(
-        positive_prompt_template=load_template(positive_template_path, POSITIVE_GENERATION_TEMPLATE),
-        negative_prompt_template=load_template(negative_template_path, NEGATIVE_GENERATION_TEMPLATE),
-        **fields,
-    )
+    templates = {
+        f"{stream}_prompt_template": load_template(f"{stream}_template_path", path, text, chunk="", count=0, labels="")
+        for stream, path, text in (
+            ("positive", positive_template_path, POSITIVE_GENERATION_TEMPLATE),
+            ("negative", negative_template_path, NEGATIVE_GENERATION_TEMPLATE),
+        )
+    }
+    return GenerationConfig(**templates, **fields)
 
 
 def _ga(seed: int = 0, **fields) -> GAConfig:
@@ -226,7 +241,8 @@ def _ga(seed: int = 0, **fields) -> GAConfig:
 
 def _evaluation(instruction_template_path: str | None = None, **fields) -> EvaluationConfig:
     """The `evaluation` section; its instruction template comes only from the `instruction_template_path` file."""
-    return EvaluationConfig(load_template(instruction_template_path, EXTRACTION_INSTRUCTION_TEMPLATE), **fields)
+    path, default = instruction_template_path, EXTRACTION_INSTRUCTION_TEMPLATE
+    return EvaluationConfig(load_template("instruction_template_path", path, default, labels=""), **fields)
 
 
 def config_from_dict(raw: dict, base: Path) -> PipelineConfig:

@@ -1,11 +1,13 @@
 """Stage-wise pipeline runner with manifest-backed resumption.
 
-Stages run in a fixed order: pool, project, cluster, pools, select,
-report. Each stage writes byte-stable artifacts under the output
-directory and records their hashes in the manifest, under a key over
-what the stage reads (`_stage_reads`) and the artifact hashes of every
-earlier stage. A stage whose key is unchanged and whose artifacts still
-hash-match is loaded instead of re-executed.
+`run-all` runs six stages in a fixed order: pool, project, cluster,
+pools, select, report. A seventh, baseline, runs after pools and reads
+no artifact of select or report. Each stage writes byte-stable
+artifacts under the output directory and records their hashes in the
+manifest, under a key over what the stage reads (`_stage_reads`) and the
+artifact hashes of the stages it chains on (`CHAINS`). A stage whose key
+is unchanged and whose artifacts still hash-match is loaded instead of
+re-executed.
 Artifacts carry no timestamps and floats are written exactly (repr, or
 raw float64 bytes in projection.f64), so a fixed seed reproduces files
 byte for byte.
@@ -55,6 +57,8 @@ from exsel.reduce.projection import ProjectionError, load_precomputed, project
 from exsel.seeding import derive_seed
 
 STAGES = ("pool", "project", "cluster", "pools", "select", "report")
+# the stages each stage's key chains on, which run before it, in order
+CHAINS = {stage: STAGES[:i] for i, stage in enumerate(STAGES)} | {"baseline": STAGES[:4]}
 
 _SURROGATE_EMBED_DIM = 32
 _SURROGATE_EMBED_MODEL = "char-ngram-hash-32"
@@ -96,6 +100,13 @@ class RunState:
         return LLMClient(self.transport, self.config.transport)
 
     @cached_property
+    def evaluation_set(self) -> tuple[str, list[Example]]:
+        """What report and baseline score on, by name: the test file in llm mode when one is given, else validation."""
+        if self.config.fitness_mode == MODE_LLM and self.config.corpus.test_path is not None:
+            return "test", load_examples(self.config.corpus.test_path)
+        return "validation", self.validation
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """The labels every extraction prompt names: those of the candidates, then validation, in first-seen order."""
         return observed_labels(self.candidates + self.validation)
@@ -104,11 +115,13 @@ class RunState:
         """Keyword settings shared by every llm evaluation: GA fitness, report and zero-shot baseline."""
         return {"model": self.config.chat_model, "labels": self.labels, "settings": self.config.evaluation}
 
-    def fitness_provider(self, pool: ClusteredPool) -> Callable[[Genome], float]:
+    def fitness_provider(self, pool: ClusteredPool, queries: list[Example] | None = None) -> Callable[[Genome], float]:
+        """Fitness over `pool`; in llm mode, micro-F1 on `queries`, validation when None."""
         if self.config.fitness_mode == MODE_SURROGATE:
             return make_surrogate_provider(pool, derive_seed(self.config.seed, "surrogate"))
         settings = self.evaluation_settings()
-        return lambda genome: evaluate_genome_llm(genome, pool, self.validation, self.chat_client, **settings).fitness
+        queries = self.validation if queries is None else queries
+        return lambda genome: evaluate_genome_llm(genome, pool, queries, self.chat_client, **settings).fitness
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -168,13 +181,9 @@ def _project_run(state: RunState) -> list[Path]:
     if cfg.projection.precomputed_path is not None:
         # imported vectors replace embedding and projection; no embedding call is made
         state.projected = load_precomputed(cfg.projection.precomputed_path)
-        rows, width = state.projected.shape
-        if rows != len(state.candidates):
+        rows = len(state.projected)
+        if rows != len(state.candidates):  # its width was checked at config load
             raise ProjectionError(f"precomputed file has {rows} rows for {len(state.candidates)} candidates")
-        if width != cfg.projection.target_dimension:
-            raise ProjectionError(
-                f"precomputed vectors have dimension {width}, expected {cfg.projection.target_dimension}"
-            )
     else:
         texts = [ex.text for ex in state.candidates]
         matrix = state.embedding_client.embed_batch(state.embedding_model, texts)
@@ -313,9 +322,6 @@ def _report_run(state: RunState) -> list[Path]:
     out = state.root / "report"
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
-    test_examples = None
-    if cfg.fitness_mode == MODE_LLM and cfg.corpus.test_path is not None:
-        test_examples = load_examples(cfg.corpus.test_path)
     for k in cfg.pool_sizes:
         pool = state.candidate_pools[k]
         best = state.best_genomes[k]
@@ -329,22 +335,32 @@ def _report_run(state: RunState) -> list[Path]:
                 "example_ids": [ex.id for ex in resolve_examples(best, pool)],
             }
         else:
-            eval_set = test_examples if test_examples is not None else state.validation
-            evaluation = evaluate_genome_llm(best, pool, eval_set, state.chat_client, **state.evaluation_settings())
-            payload = {
-                "k": k,
-                "mode": MODE_LLM,
-                "evaluated_on": "test" if test_examples is not None else "validation",
-                **evaluation.as_dict(),
-            }
+            evaluated_on, queries = state.evaluation_set
+            evaluation = evaluate_genome_llm(best, pool, queries, state.chat_client, **state.evaluation_settings())
+            payload = {"k": k, "mode": MODE_LLM, "evaluated_on": evaluated_on, **evaluation.as_dict()}
         path = out / f"metrics_k{k}.json"
         _write_json(path, payload)
         artifacts.append(path)
     return artifacts
 
 
-def _report_load(state: RunState) -> None:
-    return None
+# ---------------------------------------------------------------- baseline
+
+def _baseline_run(state: RunState) -> list[Path]:
+    cfg = state.config
+    evaluated_on, queries = state.evaluation_set
+    payload: dict = {"mode": cfg.fitness_mode, "n_draws": cfg.baseline_draws, "random": {}}
+    for k, pool in state.candidate_pools.items():
+        fitness = state.fitness_provider(pool, queries)
+        seed = derive_seed(cfg.seed, "baseline", k)
+        payload["random"][str(k)] = baseline_random(pool, cfg.ga.genome_length, cfg.baseline_draws, fitness, seed)
+    if cfg.fitness_mode == MODE_LLM:
+        payload["evaluated_on"] = evaluated_on
+        payload["zeroshot"] = evaluate_fewshot((), queries, state.chat_client, **state.evaluation_settings()).as_dict()
+    out = state.root / "baseline"
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "baselines.json", payload)
+    return [out / "baselines.json"]
 
 
 _STAGE_FNS: dict[str, tuple[Callable[[RunState], list[Path]], Callable[[RunState], None]]] = {
@@ -353,30 +369,34 @@ _STAGE_FNS: dict[str, tuple[Callable[[RunState], list[Path]], Callable[[RunState
     "cluster": (_cluster_run, _cluster_load),
     "pools": (_pools_run, _pools_load),
     "select": (_select_run, _select_load),
-    "report": (_report_run, _report_load),
+    "report": (_report_run, lambda state: None),
+    "baseline": (_baseline_run, lambda state: None),
 }
 
 
 def _stage_reads(cfg: PipelineConfig, embedding_model: str) -> dict[str, tuple]:
-    """What each stage reads besides earlier stages' artifacts, in STAGES order: sections whole, their path fields
+    """What each stage reads besides its chain's artifacts: sections whole, their path fields
     by content (`_contents`), never by location, so an edited input reruns its readers and a moved tree nothing.
     Only the files some key holds are hashed."""
     corpus, llm = cfg.corpus, cfg.fitness_mode == MODE_LLM
     evaluating = (cfg.chat_model, *dataclasses.astuple(cfg.evaluation)) if llm else ()
-    # a pool file is split as it is, its documents and their chunking unread; report alone reads the test file
+    # a pool file is split as it is, its documents and their chunking unread; report and baseline read the test file
     if corpus.pool_path is not None:
         pool = (cfg.seed, file_sha256(corpus.pool_path), corpus.n_validation)
     else:
         documents = _contents("corpus", dataclasses.replace(corpus, test_path=None))
         pool = (cfg.seed, documents, (cfg.generation, cfg.chat_model))
     test = file_sha256(corpus.test_path) if llm and corpus.test_path is not None else None
+    report = (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, evaluating, test)
     return {
         "pool": pool,
         "project": (_contents("projection", cfg.projection), embedding_model),
         "cluster": (cfg.clustering,),
         "pools": (cfg.pool_sizes,),
         "select": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, cfg.ga, evaluating),
-        "report": (cfg.seed, cfg.fitness_mode, cfg.pool_sizes, evaluating, test),
+        "report": report,
+        # of `ga`, a random draw reads the genome length alone
+        "baseline": (*report, cfg.baseline_draws, cfg.ga.genome_length),
     }
 
 
@@ -395,13 +415,13 @@ def run_pipeline(
     transport: Transport | None = None,
     log: Callable[[str], None] | None = None,
 ) -> RunState:
-    """Run stages up to and including `through`, resuming where possible.
+    """Run stage `through` after the stages it chains on (`CHAINS`), resuming where possible.
 
     Client errors and config errors propagate unchanged; any other stage
     failure is wrapped in PipelineError naming the stage.
     """
-    if through not in STAGES:
-        raise ValueError(f"unknown stage {through!r}; expected one of {STAGES}")
+    if through not in CHAINS:
+        raise ValueError(f"unknown stage {through!r}; expected one of {tuple(CHAINS)}")
     root = Path(config.output_dir)
     root.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.load(root)
@@ -414,9 +434,9 @@ def run_pipeline(
         transport = HttpTransport(config.transport)
     state = RunState(config=config, root=root, transport=transport, embedding_model=embedding_model)
     reads = _stage_reads(config, embedding_model)
-    upstream: list[tuple[str, str]] = []
-    for stage in STAGES:
+    for stage in (*CHAINS[through], through):
         run_fn, load_fn = _STAGE_FNS[stage]
+        upstream = [item for earlier in CHAINS[stage] for item in manifest.stages[earlier]["artifacts"].items()]
         key = hashlib.sha256(repr((reads[stage], sorted(upstream))).encode("utf-8")).hexdigest()
         if not force and manifest.can_skip(stage, key):
             load_fn(state)
@@ -437,42 +457,6 @@ def run_pipeline(
             state.executed.append(stage)
             if log:
                 log(f"[run ] {stage} ({seconds:.2f}s)")
-        upstream.extend(manifest.stages[stage]["artifacts"].items())
-        if stage == through:
-            break
     manifest.save()
     return state
 
-
-def run_baselines(
-    config: PipelineConfig,
-    *,
-    force: bool = False,
-    transport: Transport | None = None,
-    log: Callable[[str], None] | None = None,
-) -> dict:
-    """Random-draw (and, in llm mode, zero-shot) reference scores per pool size.
-
-    Reuses completed stages through pool construction (unless `force`),
-    then writes baseline/baselines.json. Not a manifest stage: reruns
-    overwrite.
-    """
-    state = run_pipeline(config, through="pools", force=force, transport=transport, log=log)
-    cfg = state.config
-    payload: dict = {"mode": cfg.fitness_mode, "n_draws": cfg.baseline_draws, "random": {}}
-    for k in cfg.pool_sizes:
-        pool = state.candidate_pools[k]
-        payload["random"][str(k)] = baseline_random(
-            pool,
-            cfg.ga.genome_length,
-            cfg.baseline_draws,
-            state.fitness_provider(pool),
-            derive_seed(cfg.seed, "baseline", k),
-        )
-    if cfg.fitness_mode == MODE_LLM:
-        evaluation = evaluate_fewshot((), state.validation, state.chat_client, **state.evaluation_settings())
-        payload["zeroshot"] = evaluation.as_dict()
-    out = state.root / "baseline"
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "baselines.json", payload)
-    return payload

@@ -58,8 +58,12 @@ when nothing is extractable. No commentary.
 GENERATION_SYSTEM_PROMPT = "You produce strictly formatted JSON training data."
 
 
-def load_template(path: Path | str | None, default: str) -> str:
-    """Read a template file, or fall back to the built-in default."""
-    if path is None:
-        return default
-    return Path(path).read_text(encoding="utf-8")
+def load_template(name: str, path: Path | str | None, default: str, **fill: object) -> str:
+    """Read a template file, or fall back to the built-in default, and format it once with `fill`, the placeholders a
+    run fills in: one it cannot fill raises ValueError naming `name`, the field that names the file, before any call."""
+    template = default if path is None else Path(path).read_text(encoding="utf-8")
+    try:
+        template.format(**fill)
+    except (LookupError, ValueError, AttributeError, TypeError) as exc:
+        raise ValueError(f"{name} {path}: the template does not format: {exc!r}") from exc
+    return template

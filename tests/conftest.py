@@ -133,13 +133,13 @@ class EchoService:
         return json.dumps(records)
 
 
-@pytest.fixture
-def llm_config_path(tmp_path):
-    doc = tmp_path / "corpus.txt"
+def llm_config_payload(tree) -> dict:
+    """The tiny llm run: 60 generated examples, 12 for validation, one pool of 16; writes its document into `tree`."""
+    doc = tree / "corpus.txt"
     doc.write_text("ledger audit invoice accrual dividend equity " * 60, encoding="utf-8")
-    payload = {
+    return {
         "seed": 5,
-        "output_dir": str(tmp_path / "run"),
+        "output_dir": str(tree / "run"),
         "fitness_mode": "llm",
         "corpus": {"documents": [str(doc)], "n_validation": 12, "chunk_size": 120, "n_chunks": 6},
         "generation": {"n_total": 60, "batch_size": 10, "labels": ["term"], "positive_fraction": 0.5},
@@ -157,4 +157,8 @@ def llm_config_path(tmp_path):
         },
         "client": {"chat_model": "mock-chat", "embedding_model": "mock-embed"},
     }
-    return write_yaml_config(tmp_path / "config.yaml", payload)
+
+
+@pytest.fixture
+def llm_config_path(tmp_path):
+    return write_yaml_config(tmp_path / "config.yaml", llm_config_payload(tmp_path))

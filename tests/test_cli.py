@@ -1,6 +1,7 @@
 """Exit codes and subcommand behavior of the command line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import yaml
 
 from conftest import surrogate_config_payload, write_yaml_config
 from exsel import cli
+from exsel.pipeline.runner import CHAINS
 
 
 def write_config(tmp_path, pool_path, name="config.yaml", **overrides):
@@ -171,3 +173,14 @@ def test_force_flag_reruns_completed_stages(tmp_path, small_pool_path, capsys):
     out = capsys.readouterr().out
     assert "[run ] select" in out
     assert "[skip]" not in out
+
+
+def test_readme_cli_table_lists_every_subcommand_and_each_runs_a_stage():
+    # a subcommand added to the parser, the table or the dispatch alone fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)(?=^## )", readme, re.DOTALL | re.MULTILINE).group(1)
+    listed = re.findall(r"^\| `([a-z-]+)` +\|", section, re.MULTILINE)
+    (subparsers,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    assert sorted(listed) == sorted(subparsers.choices)
+    assert sorted(cli._COMMAND_STAGE) == sorted(set(listed) - {"plot"})
+    assert set(cli._COMMAND_STAGE.values()) <= set(CHAINS)

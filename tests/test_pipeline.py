@@ -18,8 +18,17 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOPIC_VOCAB, EchoService, surrogate_config_payload, write_run_tree, write_yaml_config
-from exsel.corpus import load_examples
+from conftest import (
+    TOPIC_VOCAB,
+    EchoService,
+    llm_config_payload,
+    make_topic_examples,
+    surrogate_config_payload,
+    write_run_tree,
+    write_yaml_config,
+)
+from exsel import cli
+from exsel.corpus import load_examples, save_examples
 from exsel.evolve import GAConfig, RunTrace, TraceRecord
 from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
@@ -33,7 +42,6 @@ from exsel.pipeline import (
     RunManifest,
     config_from_dict,
     load_config,
-    run_baselines,
     run_pipeline,
 )
 from exsel.pipeline import config as config_module
@@ -43,6 +51,11 @@ from exsel.pipeline.manifest import file_sha256
 from exsel.plotting import read_trace
 from exsel.reduce.density import ClusteringParams
 from exsel.reduce.projection import ProjectionConfig, load_precomputed
+from exsel.templates import (
+    EXTRACTION_INSTRUCTION_TEMPLATE,
+    NEGATIVE_GENERATION_TEMPLATE,
+    POSITIVE_GENERATION_TEMPLATE,
+)
 from mock_transport import MockTransport
 
 
@@ -338,10 +351,13 @@ def test_readme_config_block_loads(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Config\n.*?^```yaml\n(.*?)^```", readme, re.DOTALL | re.MULTILINE).group(1)
     raw = yaml.safe_load(block)
-    inputs = [*raw["corpus"]["documents"], raw["corpus"]["test_path"], raw["evaluation"]["instruction_template_path"]]
-    for name in inputs:
+    named = [*raw["corpus"]["documents"], raw["evaluation"]["instruction_template_path"]]
+    files = dict.fromkeys(named, "Extract {labels}.")
+    # in llm mode the test file is read at load
+    files[raw["corpus"]["test_path"]] = '{"id": "q1", "text": "Acme issued notes.", "entities": {"issuer": ["Acme"]}}\n'
+    for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text("Extract {labels}.", encoding="utf-8")
+        (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setenv("LLM_ENDPOINT", "http://localhost:8000/v1")
     cfg = load_config(write_yaml_config(tmp_path / "config.yaml", raw))
     assert (cfg.fitness_mode, cfg.transport.endpoint_url) == ("llm", "http://localhost:8000/v1")
@@ -417,10 +433,58 @@ def drawn_values(small: bool):
 DATA_CONDITIONS = ("must be smaller than the pool size", "exceeds input dimension", "pool has no clusters")
 
 
+@dataclasses.dataclass(frozen=True)
+class Written:
+    """Content of the file a field names (a template, the test file, an import file), for an llm run that reads it."""
+
+    text: str
+
+
+# template pieces: placeholders the run fills, ones it cannot, and stray braces
+PLACEHOLDERS = [
+    "{labels}", "{chunk}", "{count}", "{count:d}", "{labels!r}", "{{}}", " text ", "{format}", "{0}", "{}",
+    "{count:s}", "{labels[0]}", "{labels.x}", "{count[0]}", "{", "}",
+]
+# the test file's last line after six good ones: good, cut short, not a record, a repeated id, blank
+LAST_LINES = [
+    '{"id": "t00-0006", "text": "glacier moraine", "entities": {"term": ["glacier"]}}', '{"id": "t00-0006", "te',
+    "not json", "[]", '{"id": "t00-0000", "text": "firn", "entities": {}}', '{"id": "x", "text": "", "entities": {}}',
+    "  ",
+]
+TEMPLATES = {
+    ("evaluation", "instruction_template_path"): EXTRACTION_INSTRUCTION_TEMPLATE,
+    ("generation", "positive_template_path"): POSITIVE_GENERATION_TEMPLATE,
+    ("generation", "negative_template_path"): NEGATIVE_GENERATION_TEMPLATE,
+}
+WRITTEN = st.one_of(
+    st.tuples(st.sampled_from(sorted(TEMPLATES)), st.lists(st.sampled_from(PLACEHOLDERS), max_size=3).map("".join)),
+    st.tuples(st.just(("corpus", "test_path")), st.sampled_from(LAST_LINES)),
+).map(lambda case: (case[0], Written(case[1])))
+
+
+def written_llm_payload(tree: Path, field: tuple[str, str], written: Written) -> dict:
+    """The tiny llm run with `written` in the file `field` names: in a template after its built-in text, so the
+    replies keep their shape; in the test file as the last line after six good ones; else as the whole file."""
+    payload = llm_config_payload(tree)
+    section, key = field
+    text = TEMPLATES.get(field, "") + written.text
+    if field == ("corpus", "test_path"):
+        save_examples(make_topic_examples(1, 6, seed=1), tree / "written")
+        text = (tree / "written").read_text(encoding="utf-8") + written.text + "\n"
+    (tree / "written").write_text(text, encoding="utf-8")
+    payload.setdefault(section, {})[key] = "written"
+    return payload
+
+
 @settings(
     max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(case=st.sampled_from(CONFIG_FIELDS).flatmap(lambda f: st.tuples(st.just(f), drawn_values(f in SMALL_FIELDS))))
+@given(
+    case=st.one_of(
+        st.sampled_from(CONFIG_FIELDS).flatmap(lambda f: st.tuples(st.just(f), drawn_values(f in SMALL_FIELDS))),
+        WRITTEN,
+    )
+)
 @example(case=(("corpus", "pool_path"), ""))  # the config directory: a raw IsADirectoryError before any stage
 @example(case=(("corpus", "documents"), ["."]))
 @example(case=(("", "output_dir"), "pool.jsonl"))  # a raw FileExistsError
@@ -428,12 +492,17 @@ DATA_CONDITIONS = ("must be smaller than the pool size", "exceeds input dimensio
 @example(case=(("client", "embedding_cache"), "x.f64"))
 def test_a_config_that_loads_runs(small_pool_path, case):
     # each drawn value ends in a ConfigError naming its section, a finished run, or a PipelineError of the data;
-    # before the rule, `generation.labels: term` or `client.chat_model: 5` loaded and failed only at a request
+    # before the rule, `generation.labels: term` or `client.chat_model: 5` loaded and failed only at a request.
+    # So does drawn content of a template or test file, over an llm run that reads it: before it was read at load,
+    # `{format}` in a template or a cut last test line loaded and failed after paid calls
     (section, key), value = case
+    transport = PureService() if isinstance(value, Written) else None
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copy(small_pool_path, Path(scratch) / "pool.jsonl")
         payload = surrogate_config_payload("pool.jsonl", "run")
-        if not section:
+        if transport is not None:
+            payload = written_llm_payload(Path(scratch), (section, key), value)
+        elif not section:
             payload[key] = value
         else:
             payload[section] = {**payload.get(section, {}), key: value}
@@ -444,7 +513,7 @@ def test_a_config_that_loads_runs(small_pool_path, case):
             assert re.search(rf"\b{section or key}\b", str(exc)), exc
             return
         try:
-            run_pipeline(cfg, through="report")
+            run_pipeline(cfg, through="report", transport=transport)
         except PipelineError as exc:
             assert any(condition in str(exc) for condition in DATA_CONDITIONS), exc
 
@@ -642,15 +711,19 @@ class TestSurrogateRuns:
 
     def test_baselines_written_and_deterministic(self, tmp_path, small_pool_path):
         cfg = load_config(write_config(tmp_path, small_pool_path))
-        payload = run_baselines(cfg)
-        again = run_baselines(cfg)
-        assert payload == again
+        assert run_pipeline(cfg, through="baseline").executed == [*STAGES[:4], "baseline"]
+        payload = read_baselines(cfg)
         assert sorted(payload["random"]) == ["120", "40"]
         for summary in payload["random"].values():
             assert len(summary["fitnesses"]) == 3
             assert summary["std"] >= 0.0
-        on_disk = json.loads((Path(cfg.output_dir) / "baseline" / "baselines.json").read_text())
-        assert on_disk == payload
+        fresh = dataclasses.replace(cfg, output_dir=str(tmp_path / "fresh"))
+        run_pipeline(fresh, through="baseline")
+        assert read_baselines(fresh) == payload
+
+
+def read_baselines(cfg) -> dict:
+    return json.loads((Path(cfg.output_dir) / "baseline" / "baselines.json").read_text(encoding="utf-8"))
 
 
 def test_trace_artifact_round_trips(tmp_path):
@@ -911,7 +984,7 @@ class TestLlmModeWithMockTransport:
         for through in ("pool", "select", "report"):
             run_pipeline(cfg, through=through, transport=transport)
             marks.append(len(transport.chat_requests))
-        run_baselines(cfg, transport=transport)
+        run_pipeline(cfg, through="baseline", transport=transport)
         marks.append(len(transport.chat_requests))
         requests = transport.chat_requests
         phases = {
@@ -931,8 +1004,8 @@ class TestLlmModeWithMockTransport:
     def test_zeroshot_baseline_with_echo_is_perfect(self, llm_config_path):
         cfg = load_config(llm_config_path)
         transport = self.make_transport()
-        run_pipeline(cfg, through="pools", transport=transport)
-        payload = run_baselines(cfg, transport=transport)
+        run_pipeline(cfg, through="baseline", transport=transport)
+        payload = read_baselines(cfg)
         assert payload["zeroshot"]["fitness"] == 1.0
         assert len(payload["random"]["16"]["fitnesses"]) == 3
 
@@ -1063,6 +1136,83 @@ def test_moved_llm_tree_reruns_nothing_and_makes_no_call(tmp_path, llm_config_pa
     assert (state.executed, log.calls) == ([], [])
 
 
+class Queries(PureService):
+    """PureService that notes the query text of every extraction request."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts: list[str] = []
+
+    def complete(self, request):
+        if request.user_prompt.endswith("Entities:"):
+            self.texts.append(request.user_prompt.rsplit("Text: ", 1)[1].removesuffix("\nEntities:"))
+        return super().complete(request)
+
+
+def test_baselines_score_on_the_test_file_like_report(tmp_path, llm_config_path):
+    # the random draws and zero-shot query the texts report queries, so the three numbers share one set
+    test = make_topic_examples(1, 7, seed=1)
+    save_examples(test, tmp_path / "test.jsonl")
+    payload = yaml.safe_load(llm_config_path.read_text(encoding="utf-8"))
+    payload["corpus"]["test_path"] = str(tmp_path / "test.jsonl")
+    cfg = load_config(write_yaml_config(llm_config_path, payload))
+    run_pipeline(cfg, through="pools", transport=PureService())
+    service = Queries()
+    assert run_pipeline(cfg, through="baseline", transport=service).executed == ["baseline"]
+    assert len(service.texts) == cfg.baseline_draws * 7 + 7
+    assert set(service.texts) == {example.text for example in test}
+    assert read_baselines(cfg)["evaluated_on"] == "test"
+
+
+def test_baseline_is_a_stage_that_reruns_only_on_what_it_reads(tmp_path, llm_config_path, monkeypatch, capsys):
+    log = CallLog(PureService(), tmp_path / "never")
+    monkeypatch.setattr(runner_module, "HttpTransport", lambda settings: log)
+
+    def exsel(*argv) -> tuple[list[str], list]:
+        """The stage lines of one CLI run, and the calls it made; `baseline` prints its summary, run or skipped."""
+        del log.calls[:]
+        assert cli.main([*argv, "--config", str(llm_config_path)]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        if argv[0] == "baseline":
+            assert lines[-2:] == [line for line in lines if line.startswith(("random baseline k=16:", "zero-shot"))]
+        return [line.split(" (")[0] for line in lines if line.startswith("[")], list(log.calls)
+
+    chain = [*STAGES[:4], "baseline"]
+    assert exsel("baseline")[0] == [f"[run ] {stage}" for stage in chain]
+    assert exsel("baseline") == ([f"[skip] {stage}" for stage in chain], [])
+    exsel("run-all")
+    payload = yaml.safe_load(llm_config_path.read_text(encoding="utf-8"))
+    payload["ga"]["mu"] = 7
+    write_yaml_config(llm_config_path, payload)
+    assert exsel("run-all")[0] == [*(f"[skip] {s}" for s in STAGES[:4]), "[run ] select", "[run ] report"]
+    assert exsel("baseline") == ([f"[skip] {stage}" for stage in chain], [])
+    assert exsel("baseline", "--force")[0] == [f"[run ] {stage}" for stage in chain]
+
+
+# each fault the config's inputs show that failed in a stage after paid calls (174, 6, 3 and 6 of them on this run):
+# the file a field names, and what it holds
+INPUT_FAULTS = {
+    "test-file-last-line-not-json": (("corpus", "test_path"), '{"id": "t00-0006", "text": "glacier mor'),
+    "instruction-template-names-format": (("evaluation", "instruction_template_path"), "{format}"),
+    "negative-template-names-style": (("generation", "negative_template_path"), "{style}"),
+    "import-file-3-wide-target-8": (("projection", "precomputed_path"), "0.5 1.5 2.5\n" * 48),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_an_input_fault_is_a_config_error_before_any_call(tmp_path, monkeypatch, capsys, fault):
+    (section, field), text = INPUT_FAULTS[fault]
+    path = write_yaml_config(tmp_path / "config.yaml", written_llm_payload(tmp_path, (section, field), Written(text)))
+    named = rf"^{section}(\.|: ){field}\b"  # the field, in its section
+    with pytest.raises(ConfigError, match=named):
+        load_config(path)
+    log = CallLog(PureService(), tmp_path / "never")
+    monkeypatch.setattr(runner_module, "HttpTransport", lambda settings: log)
+    assert cli.main(["run-all", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert re.search(named, capsys.readouterr().err.removeprefix("error: "))
+    assert log.calls == []
+
+
 # run directories written by earlier versions must keep matching these
 PINNED_STAGE_KEYS = {
     "surrogate": {
@@ -1108,7 +1258,7 @@ def test_generated_pool_bytes_are_pinned(llm_config_path):
 
 
 PINNED_BASELINES = {
-    "llm": "a7eb42ab370d9341e2419a9a805b0b5d43903c6f2727c05c4b49cfb3877a09c6",
+    "llm": "65535cc7bf63ac319401f72fadeb056dd39a7c8124c7b41e1f36e95928ca9b8a",
     "surrogate": "608972e003c65d59daca4b012ab46184092e6a53340fb7c855dbb190e1716f62",
 }
 
@@ -1118,10 +1268,10 @@ def test_baselines_bytes_are_pinned(tmp_path, small_pool_path, llm_config_path, 
     # baselines.json is written from plain dicts; a refactor of its writer must not move a byte
     if mode == "llm":
         cfg = load_config(llm_config_path)
-        run_baselines(cfg, transport=TestLlmModeWithMockTransport().make_transport())
+        run_pipeline(cfg, through="baseline", transport=TestLlmModeWithMockTransport().make_transport())
     else:
         cfg = load_config(write_config(tmp_path, small_pool_path))
-        run_baselines(cfg)
+        run_pipeline(cfg, through="baseline")
     assert file_sha256(Path(cfg.output_dir) / "baseline" / "baselines.json") == PINNED_BASELINES[mode]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_topic_examples, surrogate_config_payload, write_yaml_config
 from exsel.corpus import save_examples
-from exsel.pipeline import PipelineError, load_config, run_pipeline
+from exsel.pipeline import ConfigError, PipelineError, load_config, run_pipeline
 from exsel.reduce import projection
 from exsel.reduce.projection import ProjectionConfig, ProjectionError, load_precomputed, project
 from mock_transport import MockTransport
@@ -303,9 +303,9 @@ class TestPrecomputed:
         assert isinstance(info.value.__cause__, ProjectionError)
 
     def test_dimension_mismatch(self, tmp_path):
-        with pytest.raises(PipelineError, match="stage project failed: .*dimension 3, expected 2") as info:
-            import_projection(tmp_path, "1.0 2.0 3.0\n4.0 5.0 6.0\n", n_candidates=2)
-        assert isinstance(info.value.__cause__, ProjectionError)
+        # the width is read at config load, before any stage runs or pays
+        with pytest.raises(ConfigError, match=r"^projection\.precomputed_path is 3 wide, not target_dimension 2$"):
+            import_projection(tmp_path, "\n1.0 2.0 3.0\n4.0 5.0 6.0\n", n_candidates=2)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "proj.txt"
