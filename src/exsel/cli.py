@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("evaluate", parents=[common], help="score the best genome and write metrics")
     sub.add_parser("baseline", parents=[common], help="random-draw and zero-shot reference scores")
     sub.add_parser("run-all", parents=[common], help="run every stage in order")
-    sub.add_parser("plot", parents=[common], help="plot fitness and mutation-probability traces")
+    sub.add_parser("plot", parents=[common], help="one SVG per pool size from the traces")
     return parser
 
 

@@ -116,9 +116,11 @@ class PipelineConfig:
                 raise ConfigError(f"projection.precomputed_path is {width} wide, not target_dimension {dimension}")
         if self.fitness_mode == MODE_LLM and self.corpus.test_path is not None:  # read now, not after select
             try:
-                load_examples(self.corpus.test_path)
+                examples = load_examples(self.corpus.test_path)
             except ValueError as exc:  # a DatasetError, or bytes that are not UTF-8
                 raise ConfigError(f"corpus.test_path: {exc}") from exc
+            if not examples:
+                raise ConfigError(f"corpus.test_path: {self.corpus.test_path} holds no example")
         if Path(self.output_dir).is_file():
             raise ConfigError(f"output_dir {self.output_dir} is a file, not a directory")
         cache = self.embedding_cache  # checked here, not where the project stage opens it after the paid pool stage

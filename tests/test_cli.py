@@ -1,15 +1,19 @@
 """Exit codes and subcommand behavior of the command line interface."""
 
 import json
+import math
 import re
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 import yaml
 
 from conftest import surrogate_config_payload, write_yaml_config
 from exsel import cli
+from exsel.evolve import RunTrace, TraceRecord
 from exsel.pipeline.runner import CHAINS
+from exsel.plotting import PlottingError, read_trace, render_plots
 
 
 def write_config(tmp_path, pool_path, name="config.yaml", **overrides):
@@ -59,15 +63,55 @@ def test_baseline_command_writes_summary(tmp_path, small_pool_path, capsys):
     assert payload["n_draws"] == 3
 
 
-def test_plot_renders_png_per_pool_size(tmp_path, small_pool_path):
-    pytest.importorskip("matplotlib")
+def polylines(svg_path) -> list[list[tuple[float, float]]]:
+    """The points of each polyline in an SVG file, which must parse."""
+    root = ElementTree.parse(svg_path).getroot()
+    lines = root.iter("{http://www.w3.org/2000/svg}polyline")
+    return [[tuple(map(float, point.split(","))) for point in line.get("points").split()] for line in lines]
+
+
+def test_plot_renders_svg_per_pool_size(tmp_path, small_pool_path, capsys):
     config = write_config(tmp_path, small_pool_path)
     assert cli.main(["select", "--config", str(config)]) == cli.EXIT_OK
+    capsys.readouterr()
     assert cli.main(["plot", "--config", str(config)]) == cli.EXIT_OK
-    for name in ["fitness_k40.png", "fitness_k120.png", "p_inter_k40.png", "p_inter_k120.png"]:
-        path = tmp_path / "run" / "plots" / name
-        assert path.exists()
-        assert path.read_bytes().startswith(b"\x89PNG")
+    plots = tmp_path / "run" / "plots"
+    assert capsys.readouterr().out.split() == [str(plots / "trace_k120.svg"), str(plots / "trace_k40.svg")]
+    assert sorted(path.name for path in plots.iterdir()) == ["trace_k120.svg", "trace_k40.svg"]
+    for k in (40, 120):
+        rows = len(read_trace(tmp_path / "run" / "select" / f"trace_k{k}.tsv")["generation"])
+        # best and mean fitness above, p_inter below, one point per generation
+        assert [len(points) for points in polylines(plots / f"trace_k{k}.svg")] == [rows] * 3
+
+
+def test_plot_of_a_run_with_no_generation_after_the_first_has_one_point_per_line(tmp_path, small_pool_path):
+    config = write_config(tmp_path, small_pool_path, ga={"max_generations": 0})
+    assert cli.main(["select", "--config", str(config)]) == cli.EXIT_OK
+    assert cli.main(["plot", "--config", str(config)]) == cli.EXIT_OK
+    for k in (40, 120):
+        assert len(read_trace(tmp_path / "run" / "select" / f"trace_k{k}.tsv")["generation"]) == 1
+        assert [len(points) for points in polylines(tmp_path / "run" / "plots" / f"trace_k{k}.svg")] == [1] * 3
+
+
+def test_plot_of_a_flat_fitness_trace_has_finite_coordinates(tmp_path):
+    (tmp_path / "select").mkdir()
+    records = [TraceRecord(g, 0.5, 0.5, 1.0 - g / 4, 0.05 + 0.65 * (1.0 - g / 4), 24) for g in range(4)]
+    RunTrace(tuple(records)).write_tsv(tmp_path / "select" / "trace_k40.tsv")
+    (svg,) = render_plots(tmp_path)
+    lines = polylines(svg)
+    assert [len(points) for points in lines] == [4] * 3
+    assert all(math.isfinite(value) for points in lines for point in points for value in point)
+
+
+def test_plot_of_a_trace_without_rows_is_stage_failure_naming_the_file(tmp_path, small_pool_path, capsys):
+    config = write_config(tmp_path, small_pool_path)
+    trace = tmp_path / "run" / "select" / "trace_k40.tsv"
+    trace.parent.mkdir(parents=True)
+    RunTrace(()).write_tsv(trace)  # its header alone
+    with pytest.raises(PlottingError, match=re.escape(str(trace))):
+        render_plots(tmp_path / "run")
+    assert cli.main(["plot", "--config", str(config)]) == cli.EXIT_STAGE
+    assert str(trace) in capsys.readouterr().err
 
 
 def test_plot_without_traces_is_stage_failure(tmp_path, small_pool_path):

@@ -48,7 +48,7 @@ from exsel.pipeline import config as config_module
 from exsel.pipeline import runner as runner_module
 from exsel.pipeline.config import CorpusConfig
 from exsel.pipeline.manifest import file_sha256
-from exsel.plotting import read_trace
+from exsel.plotting import read_trace, render_plots
 from exsel.reduce.density import ClusteringParams
 from exsel.reduce.projection import ProjectionConfig, load_precomputed
 from exsel.templates import (
@@ -438,6 +438,7 @@ class Written:
     """Content of the file a field names (a template, the test file, an import file), for an llm run that reads it."""
 
     text: str
+    whole: bool = False  # the whole file, with no built-in text or good examples before it
 
 
 # template pieces: placeholders the run fills, ones it cannot, and stray braces
@@ -464,11 +465,12 @@ WRITTEN = st.one_of(
 
 def written_llm_payload(tree: Path, field: tuple[str, str], written: Written) -> dict:
     """The tiny llm run with `written` in the file `field` names: in a template after its built-in text, so the
-    replies keep their shape; in the test file as the last line after six good ones; else as the whole file."""
+    replies keep their shape; in the test file as the last line after six good ones; else, or when `written.whole`,
+    as the whole file."""
     payload = llm_config_payload(tree)
     section, key = field
-    text = TEMPLATES.get(field, "") + written.text
-    if field == ("corpus", "test_path"):
+    text = ("" if written.whole else TEMPLATES.get(field, "")) + written.text
+    if field == ("corpus", "test_path") and not written.whole:
         save_examples(make_topic_examples(1, 6, seed=1), tree / "written")
         text = (tree / "written").read_text(encoding="utf-8") + written.text + "\n"
     (tree / "written").write_text(text, encoding="utf-8")
@@ -1189,20 +1191,21 @@ def test_baseline_is_a_stage_that_reruns_only_on_what_it_reads(tmp_path, llm_con
     assert exsel("baseline", "--force")[0] == [f"[run ] {stage}" for stage in chain]
 
 
-# each fault the config's inputs show that failed in a stage after paid calls (174, 6, 3 and 6 of them on this run):
-# the file a field names, and what it holds
+# each fault the config's inputs show that failed in a stage after paid calls (174, 174, 6, 3 and 6 of them on this
+# run): the file a field names, and what it holds
 INPUT_FAULTS = {
-    "test-file-last-line-not-json": (("corpus", "test_path"), '{"id": "t00-0006", "text": "glacier mor'),
-    "instruction-template-names-format": (("evaluation", "instruction_template_path"), "{format}"),
-    "negative-template-names-style": (("generation", "negative_template_path"), "{style}"),
-    "import-file-3-wide-target-8": (("projection", "precomputed_path"), "0.5 1.5 2.5\n" * 48),
+    "test-file-last-line-not-json": (("corpus", "test_path"), Written('{"id": "t00-0006", "text": "glacier mor')),
+    "test-file-blank-lines-only": (("corpus", "test_path"), Written("\n  \n", whole=True)),
+    "instruction-template-names-format": (("evaluation", "instruction_template_path"), Written("{format}")),
+    "negative-template-names-style": (("generation", "negative_template_path"), Written("{style}")),
+    "import-file-3-wide-target-8": (("projection", "precomputed_path"), Written("0.5 1.5 2.5\n" * 48)),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
 def test_an_input_fault_is_a_config_error_before_any_call(tmp_path, monkeypatch, capsys, fault):
-    (section, field), text = INPUT_FAULTS[fault]
-    path = write_yaml_config(tmp_path / "config.yaml", written_llm_payload(tmp_path, (section, field), Written(text)))
+    (section, field), written = INPUT_FAULTS[fault]
+    path = write_yaml_config(tmp_path / "config.yaml", written_llm_payload(tmp_path, (section, field), written))
     named = rf"^{section}(\.|: ){field}\b"  # the field, in its section
     with pytest.raises(ConfigError, match=named):
         load_config(path)
@@ -1310,6 +1313,22 @@ def test_metrics_bytes_are_pinned(tmp_path, small_pool_path, llm_config_path, mo
         run_pipeline(cfg)
     root = Path(cfg.output_dir) / "report"
     assert {name: file_sha256(root / name) for name in PINNED_METRICS[mode]} == PINNED_METRICS[mode]
+
+
+PINNED_PLOTS = {
+    "trace_k40.svg": "b842ce82cb5ec333030a0ef35c2c46f2caa26e95eb68f36d97fd98ab596cf208",
+    "trace_k120.svg": "8977c5b685691dc0a332baab7c663ec981950539f1684a16a1717412989b0bae",
+}
+
+
+def test_plot_bytes_are_pinned(tmp_path, small_pool_path):
+    # the SVG text is a function of the trace alone, so a second plot writes the same bytes
+    cfg = load_config(write_config(tmp_path, small_pool_path))
+    run_pipeline(cfg, through="select")
+    root = Path(cfg.output_dir) / "plots"
+    for _ in range(2):
+        assert sorted(path.name for path in render_plots(cfg.output_dir)) == sorted(PINNED_PLOTS)
+        assert {name: file_sha256(root / name) for name in PINNED_PLOTS} == PINNED_PLOTS
 
 
 class Jittered:
