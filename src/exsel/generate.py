@@ -133,6 +133,7 @@ def generate_pool(
     rejection_reasons: Counter[str] = Counter()
     batch_failures: Counter[str] = Counter()
     per_stream: dict[str, Counter[str]] = {}
+    client_error: ClientError | None = None  # the last, the cause when every batch failed on the client
 
     for batch_index, (stream, count) in enumerate(plan):
         template = cfg.positive_prompt_template if stream == POSITIVE else cfg.negative_prompt_template
@@ -158,6 +159,7 @@ def generate_pool(
         except ClientError as exc:
             logger.warning("batch %d (%s) skipped: %s", batch_index, stream, exc)
             batch_failures[FAILURE_CLIENT] += 1
+            client_error = exc
             continue
         if records is None:
             batch_failures[FAILURE_PARSE] += 1
@@ -176,7 +178,8 @@ def generate_pool(
 
     failed_batches = sum(batch_failures.values())
     if failed_batches == len(plan):
-        raise GenerationError(f"all {len(plan)} generation batches failed: {dict(batch_failures)}")
+        cause = client_error if batch_failures[FAILURE_CLIENT] == failed_batches else None
+        raise GenerationError(f"all {len(plan)} generation batches failed: {dict(batch_failures)}") from cause
     report = {
         "requested": cfg.n_total,
         "parsed_ok": len(examples),

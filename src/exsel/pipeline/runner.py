@@ -3,11 +3,12 @@
 `run-all` runs six stages in a fixed order: pool, project, cluster,
 pools, select, report. A seventh, baseline, runs after pools and reads
 no artifact of select or report. Each stage writes byte-stable
-artifacts under the output directory and records their hashes in the
-manifest, under a key over what the stage reads (`_stage_reads`) and the
-artifact hashes of the stages it chains on (`CHAINS`). A stage whose key
-is unchanged and whose artifacts still hash-match is loaded instead of
-re-executed.
+artifacts under the output directory and names every file it writes
+through `RunState.artifact`; the runner records exactly those files'
+hashes in the manifest, under a key over what the stage reads
+(`_stage_reads`) and the artifact hashes of the stages it chains on
+(`CHAINS`). A stage whose key is unchanged and whose artifacts still
+hash-match is loaded instead of re-executed.
 Artifacts carry no timestamps and floats are written exactly (repr, or
 raw float64 bytes in projection.f64), so a fixed seed reproduces files
 byte for byte.
@@ -88,6 +89,14 @@ class RunState:
     best_fitness: dict[int, float] = field(default_factory=dict)
     executed: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
+    written: list[Path] = field(default_factory=list)  # the running stage's artifacts, in the order it named them
+
+    def artifact(self, relpath: str) -> Path:
+        """`root / relpath`, its directory made, recorded as an artifact of the running stage."""
+        path = self.root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.written.append(path)
+        return path
 
     @cached_property
     def embedding_client(self) -> LLMClient:
@@ -130,10 +139,8 @@ def _write_json(path: Path, payload: object) -> None:
 
 # ---------------------------------------------------------------- pool
 
-def _pool_run(state: RunState) -> list[Path]:
+def _pool_run(state: RunState) -> None:
     cfg = state.config
-    out = state.root / "pool"
-    out.mkdir(parents=True, exist_ok=True)
     report = None
     if cfg.corpus.pool_path is not None:
         examples = load_examples(cfg.corpus.pool_path)
@@ -155,13 +162,10 @@ def _pool_run(state: RunState) -> list[Path]:
         )
     split_seed = derive_seed(cfg.seed, "split")
     state.candidates, state.validation = split_dataset(examples, cfg.corpus.n_validation, split_seed)
-    save_examples(state.candidates, out / "candidates.jsonl")
-    save_examples(state.validation, out / "validation.jsonl")
-    artifacts = [out / "candidates.jsonl", out / "validation.jsonl"]
+    save_examples(state.candidates, state.artifact("pool/candidates.jsonl"))
+    save_examples(state.validation, state.artifact("pool/validation.jsonl"))
     if report is not None:
-        _write_json(out / "generation_report.json", report)
-        artifacts.append(out / "generation_report.json")
-    return artifacts
+        _write_json(state.artifact("pool/generation_report.json"), report)
 
 
 def _pool_load(state: RunState) -> None:
@@ -172,12 +176,10 @@ def _pool_load(state: RunState) -> None:
 
 # ---------------------------------------------------------------- project
 
-def _project_run(state: RunState) -> list[Path]:
+def _project_run(state: RunState) -> None:
     cfg = state.config
     if not state.candidates:
         raise PipelineError("no candidate examples to project")
-    out = state.root / "reduce"
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.projection.precomputed_path is not None:
         # imported vectors replace embedding and projection; no embedding call is made
         state.projected = load_precomputed(cfg.projection.precomputed_path)
@@ -188,9 +190,7 @@ def _project_run(state: RunState) -> list[Path]:
         texts = [ex.text for ex in state.candidates]
         matrix = state.embedding_client.embed_batch(state.embedding_model, texts)
         state.projected = project(matrix, cfg.projection)
-    path = out / "projection.f64"
-    path.write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
-    return [path]
+    state.artifact("reduce/projection.f64").write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
 
 
 def _project_load(state: RunState) -> None:
@@ -203,17 +203,13 @@ def _project_load(state: RunState) -> None:
 
 # ---------------------------------------------------------------- cluster
 
-def _cluster_run(state: RunState) -> list[Path]:
+def _cluster_run(state: RunState) -> None:
     assert state.projected is not None
     labels = cluster(state.projected, state.config.clustering)
     state.assignment = labels
-    out = state.root / "reduce"
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "assignment.tsv"
     lines = ["id\tcluster"]
     lines.extend(f"{ex.id}\t{int(label)}" for ex, label in zip(state.candidates, labels))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [path]
+    state.artifact("reduce/assignment.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cluster_load(state: RunState) -> None:
@@ -227,13 +223,10 @@ def _cluster_load(state: RunState) -> None:
 
 # ---------------------------------------------------------------- pools
 
-def _pools_run(state: RunState) -> list[Path]:
+def _pools_run(state: RunState) -> None:
     assert state.assignment is not None
     cfg = state.config
     filtered = filter_noise(state.candidates, state.assignment)
-    out = state.root / "pools"
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     for k in cfg.pool_sizes:
         selected = build_pool(filtered, k)
         pool = filtered.restrict(selected)
@@ -250,10 +243,7 @@ def _pools_run(state: RunState) -> list[Path]:
                 for index in selected
             ],
         }
-        path = out / f"pool_k{k}.json"
-        _write_json(path, payload)
-        artifacts.append(path)
-    return artifacts
+        _write_json(state.artifact(f"pools/pool_k{k}.json"), payload)
 
 
 def _pools_load(state: RunState) -> None:
@@ -274,11 +264,8 @@ def _pools_load(state: RunState) -> None:
 
 # ---------------------------------------------------------------- select
 
-def _select_run(state: RunState) -> list[Path]:
+def _select_run(state: RunState) -> None:
     cfg = state.config
-    out = state.root / "select"
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     for k in cfg.pool_sizes:
         pool = state.candidate_pools[k]
         ga_cfg = dataclasses.replace(cfg.ga, seed=derive_seed(cfg.seed, "select", k))
@@ -286,13 +273,11 @@ def _select_run(state: RunState) -> list[Path]:
         state.best_genomes[k] = best
         state.best_fitness[k] = trace.records[-1].best_fitness
 
-        trace_path = out / f"trace_k{k}.tsv"
-        trace.write_tsv(trace_path)
+        trace.write_tsv(state.artifact(f"select/trace_k{k}.tsv"))
 
         examples = resolve_examples(best, pool)
-        genome_path = out / f"best_genome_k{k}.json"
         _write_json(
-            genome_path,
+            state.artifact(f"select/best_genome_k{k}.json"),
             {
                 "k": k,
                 "fitness": state.best_fitness[k],
@@ -300,10 +285,7 @@ def _select_run(state: RunState) -> list[Path]:
                 "example_ids": [ex.id for ex in examples],
             },
         )
-        prompt_path = out / f"prompt_k{k}.txt"
-        prompt_path.write_text(render_fewshot_block(examples) + "\n", encoding="utf-8")
-        artifacts.extend([trace_path, genome_path, prompt_path])
-    return artifacts
+        state.artifact(f"select/prompt_k{k}.txt").write_text(render_fewshot_block(examples) + "\n", encoding="utf-8")
 
 
 def _select_load(state: RunState) -> None:
@@ -317,11 +299,8 @@ def _select_load(state: RunState) -> None:
 
 # ---------------------------------------------------------------- report
 
-def _report_run(state: RunState) -> list[Path]:
+def _report_run(state: RunState) -> None:
     cfg = state.config
-    out = state.root / "report"
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     for k in cfg.pool_sizes:
         pool = state.candidate_pools[k]
         best = state.best_genomes[k]
@@ -338,15 +317,12 @@ def _report_run(state: RunState) -> list[Path]:
             evaluated_on, queries = state.evaluation_set
             evaluation = evaluate_genome_llm(best, pool, queries, state.chat_client, **state.evaluation_settings())
             payload = {"k": k, "mode": MODE_LLM, "evaluated_on": evaluated_on, **evaluation.as_dict()}
-        path = out / f"metrics_k{k}.json"
-        _write_json(path, payload)
-        artifacts.append(path)
-    return artifacts
+        _write_json(state.artifact(f"report/metrics_k{k}.json"), payload)
 
 
 # ---------------------------------------------------------------- baseline
 
-def _baseline_run(state: RunState) -> list[Path]:
+def _baseline_run(state: RunState) -> None:
     cfg = state.config
     evaluated_on, queries = state.evaluation_set
     payload: dict = {"mode": cfg.fitness_mode, "n_draws": cfg.baseline_draws, "random": {}}
@@ -357,13 +333,10 @@ def _baseline_run(state: RunState) -> list[Path]:
     if cfg.fitness_mode == MODE_LLM:
         payload["evaluated_on"] = evaluated_on
         payload["zeroshot"] = evaluate_fewshot((), queries, state.chat_client, **state.evaluation_settings()).as_dict()
-    out = state.root / "baseline"
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "baselines.json", payload)
-    return [out / "baselines.json"]
+    _write_json(state.artifact("baseline/baselines.json"), payload)
 
 
-_STAGE_FNS: dict[str, tuple[Callable[[RunState], list[Path]], Callable[[RunState], None]]] = {
+_STAGE_FNS: dict[str, tuple[Callable[[RunState], None], Callable[[RunState], None]]] = {
     "pool": (_pool_run, _pool_load),
     "project": (_project_run, _project_load),
     "cluster": (_cluster_run, _cluster_load),
@@ -444,15 +417,16 @@ def run_pipeline(
             if log:
                 log(f"[skip] {stage}")
         else:
+            state.written = []
             start = time.perf_counter()
             try:
-                artifacts = run_fn(state)
+                run_fn(state)
             except (ClientError, ConfigError, PipelineError):
                 raise
             except Exception as exc:
                 raise PipelineError(f"stage {stage} failed: {exc}") from exc
             seconds = time.perf_counter() - start
-            manifest.record_stage(stage, key, artifacts, seconds)
+            manifest.record_stage(stage, key, state.written, seconds)
             manifest.save()
             state.executed.append(stage)
             if log:

@@ -1,13 +1,17 @@
-"""Shared fixtures: synthetic topic pools whose hashed-ngram embeddings cluster cleanly, and a tiny llm run."""
+"""Shared fixtures: synthetic topic pools whose hashed-ngram embeddings cluster cleanly, a tiny llm run, and services
+that answer it purely or crash after a set number of calls."""
 
+import hashlib
 import json
 import random
 import shutil
+import threading
 
 import pytest
 import yaml
 
 from exsel.corpus import Example, save_examples
+from exsel.llm.mock import HashingEmbeddingTransport
 
 TOPIC_VOCAB = [
     ["glacier", "moraine", "crevasse", "icefall", "serac", "firn", "ablation", "bergschrund"],
@@ -162,3 +166,59 @@ def llm_config_payload(tree) -> dict:
 @pytest.fixture
 def llm_config_path(tmp_path):
     return write_yaml_config(tmp_path / "config.yaml", llm_config_payload(tmp_path))
+
+
+class Crash(Exception):
+    """Stands in for a killed process: no stage absorbs it, unlike a ClientError."""
+
+
+class PureService:
+    """Chat and embeddings that are a pure function of the request, so a rerun gets the replies a first run got.
+
+    Generation replies ten records in a topic picked by a digest of the
+    whole request; extraction names one of the query's first three words,
+    picked by a digest of the whole prompt, so fitness varies by genome.
+    """
+
+    def __init__(self):
+        self.hasher = HashingEmbeddingTransport(dimension=32)
+
+    def complete(self, request):
+        digest = hashlib.sha256(repr(request).encode("utf-8")).digest()
+        if request.user_prompt.endswith("Entities:"):
+            words = request.user_prompt.rsplit("Text: ", 1)[1].split()
+            return json.dumps({"term": [words[digest[0] % 3]]})
+        negative = "NO extractable" in request.user_prompt
+        vocab = TOPIC_VOCAB[digest[0] % 6]
+        records = []
+        for i in range(10):
+            words = [vocab[(digest[1] + i + j) % len(vocab)] for j in range(10)]
+            text = " ".join(words) + f" gen {digest.hex()[:8]} {i}"
+            records.append({"text": text, "entities": {} if negative else {"term": [words[0]]}})
+        return json.dumps(records)
+
+    def embed(self, model, texts):
+        return self.hasher.embed(model, texts)
+
+
+class CrashAfter:
+    """Passes the first `n` calls on to `inner`; every later call raises Crash."""
+
+    def __init__(self, inner, n):
+        self.inner, self.n = inner, n
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def _count(self):
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.n:
+                raise Crash(f"crashed after {self.n} calls")
+
+    def complete(self, request):
+        self._count()
+        return self.inner.complete(request)
+
+    def embed(self, model, texts):
+        self._count()
+        return self.inner.embed(model, texts)

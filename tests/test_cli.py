@@ -184,6 +184,14 @@ def test_client_failure_exit_code(tmp_path, small_pool_path):
     assert cli.main(["run-all", "--config", str(config)]) == cli.EXIT_CLIENT
 
 
+def test_generation_whose_every_batch_failed_on_the_client_is_client_failure(llm_config_path, capsys):
+    payload = yaml.safe_load(llm_config_path.read_text(encoding="utf-8"))
+    payload["client"].update(endpoint_url="http://127.0.0.1:9/v1", max_retries=0, backoff_base_s=0.0, timeout_s=2.0)
+    write_yaml_config(llm_config_path, payload)
+    assert cli.main(["run-all", "--config", str(llm_config_path)]) == cli.EXIT_CLIENT
+    assert "all 6 generation batches failed: {'client-error': 6}" in capsys.readouterr().err
+
+
 def test_output_dir_and_seed_overrides(tmp_path, small_pool_path):
     config = write_config(tmp_path, small_pool_path)
     other = tmp_path / "other"

@@ -168,8 +168,9 @@ class TestGeneratePool:
     def test_all_batches_failing_is_fatal(self):
         cfg = GenerationConfig(n_total=2, batch_size=2)
         client = make_client(MockTransport(replies=["x", "y", "z", "w"]))
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError) as raised:
             generate_pool(cfg, CHUNKS, client, model="m", seed=0)
+        assert raised.value.__cause__ is None  # unparseable replies are no client failure: the CLI exits 3
 
     def test_ids_unique_and_fresh(self):
         cfg = GenerationConfig(n_total=40, batch_size=10, positive_fraction=0.5)

@@ -6,7 +6,6 @@ import json
 import re
 import shutil
 import tempfile
-import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -19,8 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    TOPIC_VOCAB,
+    CrashAfter,
     EchoService,
+    PureService,
     llm_config_payload,
     make_topic_examples,
     surrogate_config_payload,
@@ -1012,39 +1012,6 @@ class TestLlmModeWithMockTransport:
         assert len(payload["random"]["16"]["fitnesses"]) == 3
 
 
-class Crash(Exception):
-    """Stands in for a killed process: no stage absorbs it, unlike a ClientError."""
-
-
-class PureService:
-    """Chat and embeddings that are a pure function of the request, so a rerun gets the replies a first run got.
-
-    Generation replies ten records in a topic picked by a digest of the
-    whole request; extraction names one of the query's first three words,
-    picked by a digest of the whole prompt, so fitness varies by genome.
-    """
-
-    def __init__(self):
-        self.hasher = HashingEmbeddingTransport(dimension=32)
-
-    def complete(self, request):
-        digest = hashlib.sha256(repr(request).encode("utf-8")).digest()
-        if request.user_prompt.endswith("Entities:"):
-            words = request.user_prompt.rsplit("Text: ", 1)[1].split()
-            return json.dumps({"term": [words[digest[0] % 3]]})
-        negative = "NO extractable" in request.user_prompt
-        vocab = TOPIC_VOCAB[digest[0] % 6]
-        records = []
-        for i in range(10):
-            words = [vocab[(digest[1] + i + j) % len(vocab)] for j in range(10)]
-            text = " ".join(words) + f" gen {digest.hex()[:8]} {i}"
-            records.append({"text": text, "entities": {} if negative else {"term": [words[0]]}})
-        return json.dumps(records)
-
-    def embed(self, model, texts):
-        return self.hasher.embed(model, texts)
-
-
 class CallLog:
     """Passes every call on to `inner` and notes its kind, and whether `marker` existed when it came."""
 
@@ -1059,29 +1026,6 @@ class CallLog:
 
     def embed(self, model, texts):
         self.calls.append(("embed", self.marker.exists()))
-        return self.inner.embed(model, texts)
-
-
-class CrashAfter:
-    """Passes the first `n` calls on to `inner`; every later call raises Crash."""
-
-    def __init__(self, inner, n):
-        self.inner, self.n = inner, n
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def _count(self):
-        with self._lock:
-            self.calls += 1
-            if self.calls > self.n:
-                raise Crash(f"crashed after {self.n} calls")
-
-    def complete(self, request):
-        self._count()
-        return self.inner.complete(request)
-
-    def embed(self, model, texts):
-        self._count()
         return self.inner.embed(model, texts)
 
 

@@ -1,6 +1,6 @@
 """Replay the mutation checks in tools/mutants.json: each mutant must make the tests it names fail.
 
-    python3 tools/mutants.py    # ~1 min on 2 vCPUs
+    python3 tools/mutants.py    # ~2 min on 2 vCPUs
 
 Each entry of the data file gives an `id`, a `file` under src/, an `old`
 text that must occur in that file exactly once, its `new` text, and the
