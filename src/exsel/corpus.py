@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -37,13 +38,14 @@ def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozens
         for value in values:  # checked before hashing: a list or object value is unhashable
             if not isinstance(value, str) or not value.strip():
                 raise DatasetError(f"entity value for label {label!r} must be a non-empty string, got {value!r}")
-        frozen[label] = frozenset(values)
+        # interned plain str, so a pool holds one object per distinct string; a str subclass cannot be interned
+        frozen[sys.intern(str(label))] = frozenset(sys.intern(str(value)) for value in values)
     return frozen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
-    """One sentence-level example: text plus per-label sets of gold values."""
+    """One sentence-level example: text plus per-label sets of gold values; slotted, so no `__dict__` or weakref."""
 
     id: str
     text: str
@@ -58,6 +60,7 @@ class Example:
         if self.provenance not in _PROVENANCES:
             raise DatasetError(f"example {self.id!r}: provenance must be one of {_PROVENANCES}")
         object.__setattr__(self, "entities", _freeze_entities(self.entities))
+        object.__setattr__(self, "provenance", sys.intern(str(self.provenance)))
 
 
 def observed_labels(examples: Iterable[Example]) -> tuple[str, ...]:

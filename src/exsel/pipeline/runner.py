@@ -74,7 +74,7 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class RunState:
-    """Everything a later stage needs from earlier ones, plus lazy clients over the run's transport."""
+    """Everything a later stage needs from earlier ones, plus a lazy chat client over the run's transport."""
 
     config: PipelineConfig
     root: Path
@@ -97,12 +97,6 @@ class RunState:
         path.parent.mkdir(parents=True, exist_ok=True)
         self.written.append(path)
         return path
-
-    @cached_property
-    def embedding_client(self) -> LLMClient:
-        # only this client loads the on-disk cache, so a chat-only resume never reads it
-        cache = EmbeddingCache(self.config.embedding_cache or self.root / "cache" / "embeddings.jsonl")
-        return LLMClient(self.transport, self.config.transport, embedding_cache=cache)
 
     @cached_property
     def chat_client(self) -> LLMClient:
@@ -134,7 +128,10 @@ class RunState:
 
 
 def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    """`json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)` and a newline, streamed into the file."""
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------- pool
@@ -187,8 +184,11 @@ def _project_run(state: RunState) -> None:
         if rows != len(state.candidates):  # its width was checked at config load
             raise ProjectionError(f"precomputed file has {rows} rows for {len(state.candidates)} candidates")
     else:
-        texts = [ex.text for ex in state.candidates]
-        matrix = state.embedding_client.embed_batch(state.embedding_model, texts)
+        # the cache is read only here, and its rows are freed as soon as the matrix is built
+        cache = EmbeddingCache(cfg.embedding_cache or state.root / "cache" / "embeddings.jsonl")
+        client = LLMClient(state.transport, cfg.transport, embedding_cache=cache)
+        matrix = client.embed_batch(state.embedding_model, [ex.text for ex in state.candidates])
+        del cache, client
         state.projected = project(matrix, cfg.projection)
     state.artifact("reduce/projection.f64").write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
 

@@ -98,3 +98,38 @@ def test_verdict_reads_higher_as_better_where_declared():
     summary = ab_bench.summarize(paired([2.0, 2.0, 2.0], [2.0, 2.0, 2.0], change_ok_ops=0.89), METRICS)
     assert summary["ok_ops"]["verdict"] == "exceeds_bound"
     assert ab_bench.summarize(canned(), METRICS)["ok_ops"]["verdict"] == "within_bound"
+
+
+def test_gap_counts_only_in_the_better_direction():
+    # the change is slower by 1.0 against a parent IQR of 0.125: a regression, not a gain
+    runs = paired([2.0, 2.1, 2.2, 2.0], [3.0, 3.1, 3.2, 3.0])
+    wall = ab_bench.summarize(runs, METRICS)["wall_s"]
+    assert wall["change_wins"] == 0
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(0.125)
+    assert wall["gap_exceeds_parent_iqr"] is False
+    assert wall["gain_shown"] is False
+    # on a higher-is-better metric a lower change median is the regression
+    ok_ops = ab_bench.summarize(paired([2.0] * 3, [2.0] * 3, change_ok_ops=0.5), METRICS)["ok_ops"]
+    assert ok_ops["gap_exceeds_parent_iqr"] is False
+
+
+def spaced(n_pairs, n_wins, gap=1.0):
+    """Parent walls 10, 10.1, ...; the change is `gap` faster in its first `n_wins` pairs and as fast in the rest."""
+    parent = [10.0 + 0.1 * i for i in range(n_pairs)]
+    return paired(parent, [p - gap if i < n_wins else p for i, p in enumerate(parent)])
+
+
+@pytest.mark.parametrize(
+    "runs, shown",
+    [
+        pytest.param(spaced(10, 10), True, id="every-pair-won"),
+        pytest.param(spaced(10, 9), True, id="nine-of-ten-won"),
+        pytest.param(spaced(10, 8), False, id="eight-of-ten-won"),
+        pytest.param(spaced(10, 10, gap=0.1), False, id="gap-inside-the-parent-iqr"),
+        pytest.param(canned(), False, id="three-of-four-won"),
+    ],
+)
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(runs, shown):
+    summary = ab_bench.summarize(runs, METRICS)
+    assert summary["wall_s"]["gain_shown"] is shown
+    assert summary["paid_calls"]["gain_shown"] is False

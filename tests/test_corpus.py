@@ -1,7 +1,10 @@
 """Tests for the example data model, JSONL round-trips, splits, and chunking."""
 
+import dataclasses
 import json
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,29 @@ class TestExample:
     def test_constructor_takes_only_a_mapping_of_entities(self, entities):
         with pytest.raises(DatasetError, match="^entities must be an object mapping label to a list of values$"):
             Example(id="a", text="t", entities=entities)
+
+    def test_numpy_strings_build_replace_and_round_trip(self, tmp_path):
+        # numpy.str_ cannot be interned itself; the example holds plain strings, one object per distinct one
+        plain = Example(id="a", text="x", entities={"person": ["Ann", "Bo"]}, provenance="human")
+        ex = Example(
+            id="a", text="x", entities={np.str_("person"): [np.str_("Ann"), np.str_("Bo")]}, provenance=np.str_("human")
+        )
+        assert ex == plain
+        assert type(ex.provenance) is str and ex.provenance is plain.provenance
+        [(label, values)] = ex.entities.items()
+        assert label is next(iter(plain.entities)) and {type(value) for value in values} == {str}
+        moved = dataclasses.replace(ex, id="b")
+        assert moved.entities == ex.entities
+        save_examples([ex, moved], tmp_path / "numpy.jsonl")
+        save_examples([plain, dataclasses.replace(plain, id="b")], tmp_path / "plain.jsonl")
+        assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+        assert load_examples(tmp_path / "numpy.jsonl") == [ex, moved]
+
+    def test_has_no_instance_dict(self):
+        ex = Example(id="a", text="x")
+        assert not hasattr(ex, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(ex)
 
 
 class TestObservedLabels:

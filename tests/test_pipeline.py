@@ -1,12 +1,14 @@
 """Config parsing, manifest resumption, and the runner over surrogate and mocked llm paths."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import re
 import shutil
 import tempfile
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -32,6 +34,7 @@ from exsel.corpus import load_examples, save_examples
 from exsel.evolve import GAConfig, RunTrace, TraceRecord
 from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
+from exsel.llm.cache import EmbeddingCache
 from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.llm.transport import TransportConfig
 from exsel.pipeline import (
@@ -739,6 +742,13 @@ def test_trace_artifact_round_trips(tmp_path):
     assert [tuple(row) for row in zip(*columns.values())] == [dataclasses.astuple(r) for r in records]
 
 
+def test_json_artifact_is_the_dumps_text_and_a_newline(tmp_path):
+    payload = {"zé": [0.1 + 0.2, -0.0, 5e-324, [1e308, [], {}]], "名前": {"b": "ü ✓", "a": [1, True, None]}, "k": 2 / 3}
+    runner_module._write_json(tmp_path / "artifact.json", payload)
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert (tmp_path / "artifact.json").read_bytes() == text.encode("utf-8")
+
+
 def write_vectors(path, matrix):
     """An import file for `projection.precomputed_path`: one whitespace-separated row per line, floats by repr."""
     path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in matrix.tolist()), encoding="utf-8")
@@ -790,6 +800,23 @@ def test_embedding_cache_bytes_are_pinned(tmp_path, small_pool_path):
         "embeddings.jsonl": "8707ef8302b1324f918d5058aa42851cd43b7d768d4fae00ebad0800f2bd3996",
         "embeddings.f64": "f63fa087e9b749e3f448fcb52d85f573e0befb1a333a9452242f9e4f8ea8577e",
     }
+
+
+def test_run_frees_the_embedding_cache_it_opened(tmp_path, small_pool_path, monkeypatch):
+    # only project reads the cache; its rows must not stay alive through the later stages
+    opened = []
+    init = EmbeddingCache.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(weakref.ref(self))
+
+    monkeypatch.setattr(EmbeddingCache, "__init__", recording)
+    state = run_pipeline(load_config(write_config(tmp_path, small_pool_path)))
+    gc.collect()
+    assert state.executed == list(STAGES)
+    assert len(opened) == 1
+    assert opened[0]() is None
 
 
 def test_imported_projection_run_makes_no_embed_calls(tmp_path, small_pool_path):

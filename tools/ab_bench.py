@@ -9,8 +9,9 @@ other; T is the `run_seconds` of the change's BENCHMARK.json. Even pairs
 run the parent first, odd pairs the change. The last line of each run's
 standard output is its JSON result. `--out` gets one
 row per run under `runs`, and under `end_to_end[W]`, per metric, the
-median and quartiles of each side, the number of pairs the change won
-and the no-regression `verdict` against the metric's `bound`.
+median and quartiles of each side, the number of pairs the change won,
+whether a gain is shown (`gain_shown`) and the no-regression `verdict`
+against the metric's `bound`.
 An existing `--out` file is updated in place: the rows and summary of
 other workloads are kept, those of W are replaced.
 
@@ -86,8 +87,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     `runs` are rows with `pair`, `side`, `rc`, `correct` and one value per
     metric; `metrics` are BENCHMARK.json end-to-end entries (`name`,
     `better`, `bound`). A pair is won only by a strictly better value.
-    `gap_exceeds_parent_iqr` says whether the medians differ by more than
-    the parent's q3 - q1; `verdict` is `verdict()` on the same runs.
+    `gap_exceeds_parent_iqr` says whether the change's median is better
+    than the parent's by more than the parent's q3 - q1; `gain_shown`,
+    whether that holds and the change won at least 9 of every 10 pairs,
+    the rule a claimed gain must meet. `verdict` is `verdict()` on the
+    same runs.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for row in runs:
@@ -106,9 +110,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             for p in pairs
         )
         parent = entry["parent"]
-        entry["gap_exceeds_parent_iqr"] = (
-            abs(parent["median"] - entry["change"]["median"]) > parent["q3"] - parent["q1"]
-        )
+        better_by = (parent["median"] - entry["change"]["median"]) * (1 if lower else -1)
+        entry["gap_exceeds_parent_iqr"] = better_by > parent["q3"] - parent["q1"]
+        entry["gain_shown"] = entry["gap_exceeds_parent_iqr"] and 10 * entry["change_wins"] >= 9 * len(pairs)
         entry["verdict"] = verdict(values["parent"], values["change"], lower, metric["bound"])
         out[name] = entry
     return out

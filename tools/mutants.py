@@ -2,7 +2,7 @@
 
     python3 tools/mutants.py    # ~2 min on 2 vCPUs
 
-Each entry of the data file gives an `id`, a `file` under src/, an `old`
+Each entry of the data file gives an `id`, a `file` under src/ or tools/, an `old`
 text that must occur in that file exactly once, its `new` text, and the
 `tests` files expected to catch it. The script copies the repository
 (without .git and caches) to a temporary directory. There, it first runs
@@ -44,8 +44,8 @@ def load() -> list[dict]:
 
 def stale(mutant: dict, root: Path) -> str | None:
     """Why `mutant` cannot be applied to the tree at `root`, or None when it can."""
-    if not mutant["file"].startswith("src/") or not (root / mutant["file"]).is_file():
-        return f"no file {mutant['file']} under src/"
+    if not mutant["file"].startswith(("src/", "tools/")) or not (root / mutant["file"]).is_file():
+        return f"no file {mutant['file']} under src/ or tools/"
     count = (root / mutant["file"]).read_text(encoding="utf-8").count(mutant["old"])
     if count != 1:
         return f"`old` occurs {count} times in {mutant['file']}"
