@@ -38,14 +38,15 @@ def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozens
         for value in values:  # checked before hashing: a list or object value is unhashable
             if not isinstance(value, str) or not value.strip():
                 raise DatasetError(f"entity value for label {label!r} must be a non-empty string, got {value!r}")
-        # interned plain str, so a pool holds one object per distinct string; a str subclass cannot be interned
-        frozen[sys.intern(str(label))] = frozenset(sys.intern(str(value)) for value in values)
+        # labels come from a small schema, so a pool shares one interned plain str per label; a str subclass
+        # cannot be interned. Values are kept as given: free-text values need not repeat.
+        frozen[sys.intern(str(label))] = frozenset(values)
     return frozen
 
 
 @dataclass(frozen=True, slots=True)
 class Example:
-    """One sentence-level example: text plus per-label sets of gold values; slotted, so no `__dict__` or weakref."""
+    """One sentence-level example: text plus per-label sets of gold values."""
 
     id: str
     text: str

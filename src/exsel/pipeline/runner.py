@@ -128,7 +128,6 @@ class RunState:
 
 
 def _write_json(path: Path, payload: object) -> None:
-    """`json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)` and a newline, streamed into the file."""
     with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")

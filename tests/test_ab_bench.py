@@ -113,10 +113,10 @@ def test_gap_counts_only_in_the_better_direction():
     assert ok_ops["gap_exceeds_parent_iqr"] is False
 
 
-def spaced(n_pairs, n_wins, gap=1.0):
+def spaced(n_pairs, n_wins, gap=1.0, change_ok_ops=1.0):
     """Parent walls 10, 10.1, ...; the change is `gap` faster in its first `n_wins` pairs and as fast in the rest."""
     parent = [10.0 + 0.1 * i for i in range(n_pairs)]
-    return paired(parent, [p - gap if i < n_wins else p for i, p in enumerate(parent)])
+    return paired(parent, [p - gap if i < n_wins else p for i, p in enumerate(parent)], change_ok_ops)
 
 
 @pytest.mark.parametrize(
@@ -127,9 +127,11 @@ def spaced(n_pairs, n_wins, gap=1.0):
         pytest.param(spaced(10, 8), False, id="eight-of-ten-won"),
         pytest.param(spaced(10, 10, gap=0.1), False, id="gap-inside-the-parent-iqr"),
         pytest.param(canned(), False, id="three-of-four-won"),
+        pytest.param(spaced(3, 3), False, id="three-pairs-are-too-few"),
+        pytest.param(spaced(10, 10, change_ok_ops=0.99), False, id="more-operations-fail"),
     ],
 )
-def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(runs, shown):
+def test_gain_shown_needs_ten_pairs_nine_tenths_won_a_gap_past_the_iqr_and_no_more_failures(runs, shown):
     summary = ab_bench.summarize(runs, METRICS)
     assert summary["wall_s"]["gain_shown"] is shown
     assert summary["paid_calls"]["gain_shown"] is False

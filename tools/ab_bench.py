@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+MIN_GAIN_PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -88,10 +89,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     metric; `metrics` are BENCHMARK.json end-to-end entries (`name`,
     `better`, `bound`). A pair is won only by a strictly better value.
     `gap_exceeds_parent_iqr` says whether the change's median is better
-    than the parent's by more than the parent's q3 - q1; `gain_shown`,
-    whether that holds and the change won at least 9 of every 10 pairs,
-    the rule a claimed gain must meet. `verdict` is `verdict()` on the
-    same runs.
+    than the parent's by more than the parent's q3 - q1. `gain_shown` is
+    the rule a claimed gain must meet: that holds, there are at least
+    `MIN_GAIN_PAIRS` pairs, the change won at least 9 of every 10 of them,
+    and its median `ok_ops` is no lower than the parent's. `verdict` is
+    `verdict()` on the same runs.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for row in runs:
@@ -101,6 +103,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         "pairs": len(pairs),
         "all_correct_rc0": all(row["correct"] and row["rc"] == 0 for row in runs),
     }
+    ok_ops = {side: statistics.median(p[side]["ok_ops"] for p in pairs) for side in SIDES}
+    may_claim = len(pairs) >= MIN_GAIN_PAIRS and ok_ops["change"] >= ok_ops["parent"]
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [p[side][name] for p in pairs] for side in SIDES}
@@ -112,7 +116,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         parent = entry["parent"]
         better_by = (parent["median"] - entry["change"]["median"]) * (1 if lower else -1)
         entry["gap_exceeds_parent_iqr"] = better_by > parent["q3"] - parent["q1"]
-        entry["gain_shown"] = entry["gap_exceeds_parent_iqr"] and 10 * entry["change_wins"] >= 9 * len(pairs)
+        entry["gain_shown"] = (
+            may_claim and entry["gap_exceeds_parent_iqr"] and 10 * entry["change_wins"] >= 9 * len(pairs)
+        )
         entry["verdict"] = verdict(values["parent"], values["change"], lower, metric["bound"])
         out[name] = entry
     return out
