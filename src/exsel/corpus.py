@@ -25,6 +25,15 @@ class DatasetError(ValueError):
     """Raised for malformed example data or violated dataset invariants."""
 
 
+def _utf8(text: str) -> None:
+    """Raise unless `text` encodes as UTF-8: one with a lone surrogate, such as JSON "\\ud800", could not be written."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DatasetError(f"{exc.object[exc.start : exc.end]!r} does not encode as UTF-8") from exc
+
+
 def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
     """Label -> frozenset of values, from a mapping of each label to a list, tuple, set or frozenset of strings."""
     if not isinstance(entities, Mapping):
@@ -35,9 +44,11 @@ def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozens
             raise DatasetError(f"entities[{label!r}] must be a list of strings")
         if not isinstance(label, str) or not label:
             raise DatasetError(f"entity label must be a non-empty string, got {label!r}")
+        _utf8(label)
         for value in values:  # checked before hashing: a list or object value is unhashable
             if not isinstance(value, str) or not value.strip():
                 raise DatasetError(f"entity value for label {label!r} must be a non-empty string, got {value!r}")
+            _utf8(value)
         # labels come from a small schema, so a pool shares one interned plain str per label; a str subclass
         # cannot be interned. Values are kept as given: free-text values need not repeat.
         frozen[sys.intern(str(label))] = frozenset(values)
@@ -62,6 +73,8 @@ class Example:
             raise DatasetError(f"example {self.id!r}: provenance must be one of {_PROVENANCES}")
         object.__setattr__(self, "entities", _freeze_entities(self.entities))
         object.__setattr__(self, "provenance", sys.intern(str(self.provenance)))
+        _utf8(self.id)
+        _utf8(self.text)
 
 
 def observed_labels(examples: Iterable[Example]) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from exsel.llm.transport import ChatRequest, ClientError
 
-# Above this many gram codes ((alphabet + 2) ** n), a batch keys its grams by string, not by a lookup table.
+# Above this many gram codes ((alphabet + 1) ** n), a batch sorts its grams' keys instead of filling a lookup table.
 _GRAM_TABLE_MAX = 1 << 20
 
 
@@ -21,7 +21,9 @@ class HashingEmbeddingTransport:
     L2-normalized. Texts sharing vocabulary land near each other, which is
     all the clustering stage needs for offline end-to-end runs. Per batch,
     numpy finds the distinct grams, each is hashed once per instance, and
-    one `np.bincount` sums the signs: exact integers, in any order.
+    one `np.bincount` sums the signs: exact integers, in any order. An
+    instance keeps what it has hashed as two numpy arrays, sorted gram keys
+    and their features, about 4n + 1 bytes per distinct gram.
     """
 
     def __init__(self, dimension: int = 32, ngram: int = 3) -> None:
@@ -31,61 +33,94 @@ class HashingEmbeddingTransport:
             raise ValueError("ngram must be >= 1")
         self.dimension = dimension
         self.ngram = ngram
-        self._features: dict[str, int] = {}  # gram -> ±(coordinate + 1)
+        # every gram hashed so far: the sorted keys (see `_keys_of`) and their features ±(coordinate + 1)
+        # in the narrowest type that holds ±dimension, closed by a key of 0xff bytes, above every gram's
+        # (a word's top byte is 0), and feature 0
+        end = np.array([b"\xff" * 4 * ngram], f"S{4 * ngram}")
+        self._table = end, np.zeros(1, np.min_scalar_type(-dimension - 1))
 
     def _feature(self, gram: str) -> int:
         digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
         coordinate = int.from_bytes(digest[:4], "big") % self.dimension + 1
-        feature = self._features[gram] = coordinate if digest[4] & 1 else -coordinate
-        return feature
+        return coordinate if digest[4] & 1 else -coordinate
 
-    def _first(self, joined: str, pads: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """For each gram occurrence (`joined[start : start + width]`), the index of one occurrence of that gram.
+    def _keys_of(self, points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Each gram's key: its code points + 1 as uint32, zero-padded to n, as `S{4n}` bytes.
 
-        A code is n symbols in base `radix`; pad spaces have their own symbol, so a text
-        shorter than n, whose code runs on into the next text, shares no code with a whole gram.
+        No code point maps to 0, so the padding (which numpy may strip) never makes two grams' keys equal.
         """
         n = self.ngram
-        points = np.frombuffer(joined.encode("utf-32-le"), np.uint32)
-        symbol = np.cumsum(np.bincount(points, minlength=1) > 0)  # 1, 2, ... for the code points present
-        radix = int(symbol[-1]) + 2  # 0 past the last text, then the symbols, then the pad spaces
+        return points.take(starts[:, None] + np.arange(n)).view(f"S{4 * n}").ravel()
+
+    def _lookup(self, joined: str, points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The features of distinct grams: those seen before from the table, the rest hashed and merged into it."""
+        keys = self._keys_of(points, starts)
+        known, known_features = self._table  # one read: a batch in another thread replaces the pair whole
+        at = np.searchsorted(known, keys)
+        features = np.where(known[at] == keys, known_features[at], 0)
+        new = np.flatnonzero(features == 0)  # not seen yet
+        if len(new):
+            widths = np.count_nonzero(keys[new].view(np.uint32).reshape(len(new), -1), axis=1)  # a short key ends in 0s
+            spans = zip(starts[new].tolist(), widths.tolist())
+            features[new] = [self._feature(joined[s : s + w]) for s, w in spans]
+            merged = np.concatenate([known, keys[new]])
+            order = np.argsort(merged, kind="stable")
+            self._table = merged[order], np.concatenate([known_features, features[new]])[order]
+        return features
+
+    def _first(self, points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """For each gram occurrence (`points[start : start + n]`), the index of one occurrence of that gram.
+
+        A code is n symbols in base `radix`, symbol 0 for the zero words between texts, so the
+        code of a text shorter than n ends in zeros and is shared with no whole gram.
+        """
+        n = self.ngram
+        present = np.bincount(points, minlength=1) > 0
+        present[0] = False
+        symbol = np.cumsum(present)  # 0 between texts, then 1, 2, ... for the code points present
+        radix = int(symbol[-1]) + 1
         if radix**n > _GRAM_TABLE_MAX:
-            first: dict[str, int] = {}
-            spans = zip(starts.tolist(), widths.tolist())
-            return np.array([first.setdefault(joined[s : s + w], i) for i, (s, w) in enumerate(spans)], np.intp)
-        digits = np.zeros(len(points) + n, np.int64)
-        digits[: len(points)] = symbol[points]
-        digits[pads] = radix - 1
-        codes = digits[: len(points)]  # the code of the gram starting at each symbol
+            _, one, back = np.unique(self._keys_of(points, starts), return_index=True, return_inverse=True)
+            return one[back]
+        digits = symbol.take(points)
+        size = len(points) - n + 1
+        codes = digits[:size].copy()  # the code of the n symbols starting at each point
         for j in range(1, n):
-            codes = codes * radix + digits[j : j + len(points)]
-        codes, table = codes[starts], np.empty(radix**n, np.intp)
-        table[codes] = np.arange(len(codes))
-        return table[codes]
+            codes *= radix
+            codes += digits[j : j + size]
+        narrow = np.min_scalar_type(len(starts))  # the table spans every code, so its entries are kept small
+        codes, table = codes.take(starts), np.empty(radix**n, narrow)
+        table[codes] = np.arange(len(codes), dtype=narrow)
+        return table.take(codes)
 
     def complete(self, request: ChatRequest) -> str:
         raise ClientError("hashing transport does not support chat")
 
     def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
         """One unit float64 row per text, in input order."""
+        n = self.ngram
         padded = [f" {text.lower()} " for text in texts]
         lengths = np.fromiter(map(len, padded), np.intp, len(padded))
-        ends = np.cumsum(lengths)
-        per_text = np.maximum(lengths - self.ngram + 1, 1)
+        # each text is followed by n - 1 separators, zero words in `points` (no code point + 1 is 0), so the
+        # one gram of a text shorter than n is zero-padded, and no gram runs on into the next text
+        heads = np.cumsum(lengths + n - 1) - lengths - (n - 1)
+        per_text = np.maximum(lengths - n + 1, 1)
         text_of = np.repeat(np.arange(len(padded)), per_text)
-        starts = np.arange(len(text_of)) + (ends - lengths - np.cumsum(per_text) + per_text)[text_of]
-        widths = np.minimum(lengths, self.ngram)[text_of]
-        joined = "".join(padded)
-        first = self._first(joined, np.concatenate([ends - lengths, ends - 1]), starts, widths)
+        starts = np.arange(len(text_of)) + (heads - np.cumsum(per_text) + per_text).take(text_of)
+        separator = "\0" * (n - 1)
+        joined = separator.join(padded) + separator
+        points = np.frombuffer(joined.encode("utf-32-le"), np.uint32) + 1
+        points[(heads + lengths)[:, None] + np.arange(n - 1)] = 0
+        first = self._first(points, starts)
         grams = np.flatnonzero(first == np.arange(len(first)))  # one occurrence stands for each gram
         signed = np.zeros(len(first), np.intp)
-        features, spans = self._features, zip(starts[grams].tolist(), widths[grams].tolist())
-        signed[grams] = [features.get(joined[s : s + w]) or self._feature(joined[s : s + w]) for s, w in spans]
-        signed = signed[first]
+        signed[grams] = self._lookup(joined, points, starts[grams])
+        signed = signed.take(first)
         dim = self.dimension
-        vectors = np.bincount(
-            text_of * dim + np.abs(signed) - 1, weights=np.sign(signed), minlength=len(padded) * dim
-        ).reshape(len(padded), dim)
+        slots = np.abs(signed)
+        slots += text_of * dim - 1
+        vectors = np.bincount(slots, weights=np.sign(signed, dtype=np.float64), minlength=len(padded) * dim)
+        vectors = vectors.reshape(len(padded), dim)
         norms = np.sqrt((vectors * vectors).sum(axis=1))
         empty = norms == 0.0  # every coordinate cancelled out: the first axis
         vectors[empty, 0] = norms[empty] = 1.0

@@ -1,6 +1,8 @@
 """Tests for the summary of tools/ab_bench.py on canned benchmark results."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,9 @@ METRICS = [
 ]
 
 
-def row(pair, side, wall_s, ok_ops=1.0, rc=0, correct=True):
+def row(pair, side, wall_s, ok_ops=1.0, rc=0, correct=True, attempted=40):
     return {"workload": "w", "pair": pair, "side": side, "rc": rc, "correct": correct,
+            "attempted": attempted, "failed": round((1.0 - ok_ops) * attempted),
             "wall_s": wall_s, "paid_calls": 52, "ok_ops": ok_ops}
 
 
@@ -135,3 +138,23 @@ def test_gain_shown_needs_ten_pairs_nine_tenths_won_a_gap_past_the_iqr_and_no_mo
     summary = ab_bench.summarize(runs, METRICS)
     assert summary["wall_s"]["gain_shown"] is shown
     assert summary["paid_calls"]["gain_shown"] is False
+
+
+def test_each_side_reports_its_median_attempted_count():
+    runs = [row(0, "parent", 3.0, attempted=40), row(0, "change", 2.0, attempted=45),
+            row(1, "parent", 3.0, attempted=42), row(1, "change", 2.0, attempted=49),
+            row(2, "parent", 3.0, attempted=41), row(2, "change", 2.0, attempted=47),
+            row(3, "parent", 3.0, attempted=99)]  # a pair without its change run is left out
+    assert ab_bench.summarize(runs, METRICS)["attempted"] == {"parent": 41, "change": 47}
+
+
+def test_each_run_row_keeps_its_attempted_and_failed_counts(tmp_path, monkeypatch):
+    result = {"correct": True, "attempted": 44, "failed": 1,
+              "metrics": {"wall_s": {"value": 0.5}, "ok_ops": {"value": 43 / 44}}}
+
+    def fake_run(cmd, cwd, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 1, stdout="# log\n" + json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    got = ab_bench.run_bench(tmp_path, "w", 2, 25, 0)
+    assert got == {"rc": 1, "correct": True, "attempted": 44, "failed": 1, "wall_s": 0.5, "ok_ops": 43 / 44}

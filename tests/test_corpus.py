@@ -164,6 +164,23 @@ class TestJsonlRoundTrip:
         with pytest.raises(DatasetError, match=r"values\.jsonl:2: entity value for label 'x' must be a non-empty string"):
             load_examples(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "\ud800", "text": "y"},
+            {"id": "b", "text": "y \udfff"},
+            {"id": "b", "text": "y", "entities": {"x\ud800": ["v"]}},
+            {"id": "b", "text": "y", "entities": {"x": ["v\ud800"]}},
+        ],
+        ids=["id", "text", "label", "value"],
+    )
+    def test_load_rejects_a_lone_surrogate_with_line_number(self, tmp_path, record):
+        # JSON "\ud800" reads as a str that save_examples could not write back
+        path = tmp_path / "lone.jsonl"
+        path.write_text(json.dumps({"id": "a", "text": "x"}) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"lone\.jsonl:2: '\\ud[0-9a-f]{3}' does not encode as UTF-8"):
+            load_examples(path)
+
     def test_load_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         rec = json.dumps({"id": "a", "text": "x"})

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from exsel.corpus import save_examples
 from exsel.generate import (
     GenerationConfig,
     GenerationError,
@@ -107,6 +108,20 @@ class TestGeneratePool:
         assert len(examples) == 1
         assert report["rejection_reasons"] == {"schema": 2}
         assert report["parsed_ok"] + report["rejected"] == 3
+
+    def test_lone_surrogates_are_schema_rejections(self, tmp_path):
+        # JSON "\ud800" parses to a str that encodes as no UTF-8: the pool could not be written
+        cfg = GenerationConfig(n_total=3, batch_size=3, positive_fraction=1.0)
+        bad = [
+            {"text": "lone \ud800 text", "entities": {"A": ["1"]}},
+            {"text": "ok text", "entities": {"A": ["\udfff"]}},
+            {"text": "fine", "entities": {"A": ["1"]}},
+        ]
+        client = make_client(MockTransport(replies=[json.dumps(bad)]))
+        examples, report = generate_pool(cfg, CHUNKS, client, model="m", seed=0)
+        assert [ex.text for ex in examples] == ["fine"]
+        assert report["rejection_reasons"] == {"schema": 2}
+        save_examples(examples, tmp_path / "pool.jsonl")
 
     def test_excess_records_rejected_not_dropped(self):
         cfg = GenerationConfig(n_total=2, batch_size=2, positive_fraction=1.0)

@@ -4,7 +4,10 @@ import fcntl
 import hashlib
 import json
 import math
+import random
+import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -592,17 +595,70 @@ class TestHashingEmbeddingTransport:
         dimension=st.integers(2, 64),
         ngram=st.integers(1, 6),
         texts=st.lists(texts_for_hashing, min_size=1, max_size=12),
-        table=st.booleans(),
     )
-    def test_batches_equal_the_per_text_oracle_bit_for_bit(self, data, dimension, ngram, texts, table):
+    def test_batches_equal_the_per_text_oracle_bit_for_bit(self, data, dimension, ngram, texts):
         batch = texts + data.draw(st.lists(st.sampled_from(texts), max_size=6), label="repeats")
         split = data.draw(st.integers(0, len(batch)), label="split")
         hasher = HashingEmbeddingTransport(dimension=dimension, ngram=ngram)
-        # table=False sends every batch down the path for alphabets too large for the lookup table
-        with mock.patch.object(hashing, "_GRAM_TABLE_MAX", hashing._GRAM_TABLE_MAX if table else 0):
-            got = np.vstack([hasher.embed("e", part) for part in (batch[:split], batch[split:])])
+        parts = []
+        for part in (batch[:split], batch[split:]):
+            # table=False sends the batch down the path for alphabets too large for the lookup table, so a
+            # gram the first batch hashed on one path is looked up on the other
+            table = data.draw(st.booleans(), label="table")
+            with mock.patch.object(hashing, "_GRAM_TABLE_MAX", hashing._GRAM_TABLE_MAX if table else 0):
+                parts.append(hasher.embed("e", part))
+        got = np.vstack(parts)
         assert got.dtype == np.float64
         assert got.tobytes() == np.array([oracle_vector(t, dimension, ngram) for t in batch]).tobytes()
+
+    def test_each_distinct_gram_is_hashed_once_per_instance(self):
+        # "x ab" holds " ab" with the text's own space, "ab" with a pad space: one gram, hashed once
+        batches = [["x ab", "ab", "the cat sat"], ["a cat", "x ab", "sat on the mat"], ["ab", "mat"]]
+        hasher = HashingEmbeddingTransport(dimension=16)
+        hashed = []
+        with mock.patch.object(hasher, "_feature", side_effect=lambda gram: hashed.append(gram) or 1):
+            for batch in batches:
+                hasher.embed("e", batch)
+        padded = {f" {text} " for batch in batches for text in batch}
+        assert sorted(hashed) == sorted({text[i : i + 3] for text in padded for i in range(len(text) - 2)})
+
+    def test_threads_sharing_an_instance_get_the_vectors_of_fresh_ones(self):
+        rng = random.Random(1)
+        batches = [["".join(rng.choices("abcdefghijklmnopqrstuvwxyz ", k=40)) for _ in range(8)] for _ in range(32)]
+        want = [HashingEmbeddingTransport(dimension=16).embed("e", batch).tobytes() for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared, got = HashingEmbeddingTransport(dimension=16), {}
+
+                def embed(i):
+                    got[i] = shared.embed("e", batches[i]).tobytes()
+
+                threads = [threading.Thread(target=embed, args=(i,)) for i in range(len(batches))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [got.get(i) for i in range(len(batches))] == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_instance_keeps_under_48_bytes_per_distinct_gram(self):
+        rng = random.Random(0)
+        texts = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz ", k=60)) for _ in range(400)]
+        grams = {f" {text} "[i : i + 3] for text in texts for i in range(len(text))}
+        assert len(grams) >= 5000
+        tracemalloc.start()
+        try:
+            hasher = HashingEmbeddingTransport(dimension=32)
+            for i in range(0, len(texts), 128):
+                hasher.embed("e", texts[i : i + 128])
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 48 * len(grams)
 
     def test_a_short_text_never_shares_a_gram_id_with_a_whole_gram(self):
         # at ngram 4, "a" pads to " a ", one gram shorter than 4, whose code runs on into the
@@ -610,6 +666,16 @@ class TestHashingEmbeddingTransport:
         texts = ["a", "a  b", "a"]
         got = HashingEmbeddingTransport(dimension=16, ngram=4).embed("e", texts)
         assert got.tobytes() == np.array([oracle_vector(t, 16, 4) for t in texts]).tobytes()
+
+    @pytest.mark.parametrize("dimension", [127, 128, 255, 256])
+    def test_features_at_the_edge_of_a_narrow_type_keep_their_coordinate_and_sign(self, dimension):
+        # the table keeps features ±(coordinate + 1) in the narrowest type that holds ±dimension
+        rng = random.Random(dimension)
+        texts = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz ", k=80)) for _ in range(64)]
+        hasher = HashingEmbeddingTransport(dimension=dimension)
+        got = np.vstack([hasher.embed("e", texts[:32]), hasher.embed("e", texts[16:])])
+        assert {-dimension, dimension} <= set(hasher._table[1].tolist())
+        assert got.tobytes() == np.array([oracle_vector(t, dimension, 3) for t in texts[:32] + texts[16:]]).tobytes()
 
     def test_grams_that_cancel_give_the_first_axis(self):
         # " aa " has two 3-grams; at dimension 2 their signs cancel

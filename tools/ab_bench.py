@@ -8,10 +8,12 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 other; T is the `run_seconds` of the change's BENCHMARK.json. Even pairs
 run the parent first, odd pairs the change. The last line of each run's
 standard output is its JSON result. `--out` gets one
-row per run under `runs`, and under `end_to_end[W]`, per metric, the
-median and quartiles of each side, the number of pairs the change won,
-whether a gain is shown (`gain_shown`) and the no-regression `verdict`
-against the metric's `bound`.
+row per run under `runs`, with the repetitions it `attempted` and how
+many `failed`, and under `end_to_end[W]` each side's median `attempted`
+(a process that repeats the workload more often peaks higher) and, per
+metric, the median and quartiles of each side, the number of pairs the
+change won, whether a gain is shown (`gain_shown`) and the
+no-regression `verdict` against the metric's `bound`.
 An existing `--out` file is updated in place: the rows and summary of
 other workloads are kept, those of W are replaced.
 
@@ -36,7 +38,7 @@ MIN_GAIN_PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run in `checkout`: its exit code and the metrics of its JSON result line."""
+    """One benchmark run in `checkout`: its exit code, and the counts and metrics of its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -46,7 +48,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(done.stderr)
         raise SystemExit(f"ab_bench: no result line from {checkout} (exit {done.returncode})")
-    row = {"rc": done.returncode, "correct": bool(result["correct"])}
+    row = {"rc": done.returncode, "correct": bool(result["correct"]),
+           "attempted": result["attempted"], "failed": result["failed"]}
     row.update({name: entry["value"] for name, entry in result["metrics"].items()})
     return row
 
@@ -85,9 +88,10 @@ def verdict(parent: list[float], change: list[float], lower: bool, bound: float)
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric spread of each side, pair wins and verdict of the change, for one workload's runs.
 
-    `runs` are rows with `pair`, `side`, `rc`, `correct` and one value per
-    metric; `metrics` are BENCHMARK.json end-to-end entries (`name`,
-    `better`, `bound`). A pair is won only by a strictly better value.
+    `runs` are rows with `pair`, `side`, `rc`, `correct`, `attempted` and
+    one value per metric; `metrics` are BENCHMARK.json end-to-end entries
+    (`name`, `better`, `bound`). `attempted` is each side's median count
+    of repetitions. A pair is won only by a strictly better value.
     `gap_exceeds_parent_iqr` says whether the change's median is better
     than the parent's by more than the parent's q3 - q1. `gain_shown` is
     the rule a claimed gain must meet: that holds, there are at least
@@ -102,6 +106,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out: dict = {
         "pairs": len(pairs),
         "all_correct_rc0": all(row["correct"] and row["rc"] == 0 for row in runs),
+        "attempted": {side: statistics.median(p[side]["attempted"] for p in pairs) for side in SIDES},
     }
     ok_ops = {side: statistics.median(p[side]["ok_ops"] for p in pairs) for side in SIDES}
     may_claim = len(pairs) >= MIN_GAIN_PAIRS and ok_ops["change"] >= ok_ops["parent"]
