@@ -54,8 +54,16 @@ def checked_rows(raw: object, n_rows: int) -> np.ndarray:
     return rows
 
 
+def _read_only(row: np.ndarray) -> np.ndarray:
+    """`row` if it is read-only, else a read-only view of it: the cache hands the same row to every caller."""
+    if row.flags.writeable:
+        row = row.view()
+        row.flags.writeable = False
+    return row
+
+
 class EmbeddingCache:
-    """In-memory map of float64 rows backed by an append-only row file and its JSONL index (optional)."""
+    """In-memory map of read-only float64 rows backed by an append-only row file and its JSONL index (optional)."""
 
     def __init__(self, path: Path | str | None = None) -> None:
         self.path = Path(path) if path is not None else None
@@ -85,7 +93,8 @@ class EmbeddingCache:
             if not whole or not isinstance(key, str):
                 continue
             try:
-                self._store.setdefault(key, checked_rows(np.frombuffer(blob, _ROW_DTYPE, width, offset)[None], 1)[0])
+                row = checked_rows(np.frombuffer(blob, _ROW_DTYPE, width, offset)[None], 1)[0]
+                self._store.setdefault(key, _read_only(row))
             except MalformedResponseError:
                 continue
 
@@ -98,9 +107,12 @@ class EmbeddingCache:
     def get(self, key: str) -> np.ndarray | None:
         return self._store.get(key)
 
-    def put(self, keys: Sequence[str], rows: np.ndarray) -> None:
-        """Store one batch of `checked_rows`, a row per key; those not yet cached go to the files in one append each."""
-        fresh = {key: row for key, row in zip(keys, rows, strict=True) if key not in self._store}
+    def put(self, keys: Sequence[str], rows: Sequence[np.ndarray]) -> None:
+        """Store one batch of `checked_rows`, a row per key; those not yet cached go to the files in one append each.
+
+        The cache keeps read-only views of the rows it is given, not copies.
+        """
+        fresh = {key: _read_only(row) for key, row in zip(keys, rows, strict=True) if key not in self._store}
         if not fresh:
             return
         self._store.update(fresh)

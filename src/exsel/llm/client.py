@@ -145,12 +145,15 @@ class LLMClient:
             return list(pool.map(self.chat, requests_))
 
     def embed_batch(self, model: str, texts: Sequence[str]) -> np.ndarray:
-        """Embed texts as an (n, d) float64 matrix in input order; repeated or previously seen texts hit the cache.
+        """Embed texts as a read-only (n, d) float64 matrix in input order; repeated or seen texts hit the cache.
 
         The rows of one call share one width: that of its cached rows, or
         else of its first service reply. Every reply is checked before it
         reaches the cache, so a malformed one raises MalformedResponseError
-        and is asked for again by the next call.
+        and is asked for again by the next call. A fresh text's reply is
+        written into the matrix at the text's first row, and the cache keeps
+        a view of that row, so the matrix shares memory with the cache and
+        is returned read-only; every other row is copied from the cache.
         """
         if any(not text for text in texts):
             raise ValueError("cannot embed empty text")
@@ -163,11 +166,15 @@ class LLMClient:
                 f"mixes them for model {model!r}; delete the cache file or use another model name"
             )
         width = widths[0] if widths else None
-        pending = {key: text for key, text in zip(keys, texts) if key not in self.cache}
-        fresh_keys = list(pending)
+        matrix = None
+        first_row: dict[str, int] = {}  # the row of each fresh text's first occurrence
+        for row, key in enumerate(keys):
+            if key not in self.cache:
+                first_row.setdefault(key, row)
+        fresh_keys = list(first_row)
         for start in range(0, len(fresh_keys), _EMBED_API_BATCH):
             chunk_keys = fresh_keys[start : start + _EMBED_API_BATCH]
-            chunk_texts = [pending[k] for k in chunk_keys]
+            chunk_texts = [texts[first_row[k]] for k in chunk_keys]
             raw = self._with_retries(lambda ct=chunk_texts: self.transport.embed(model, ct), "embed")
             rows = checked_rows(raw, len(chunk_keys))
             if width not in (None, rows.shape[1]):
@@ -176,5 +183,17 @@ class LLMClient:
                     f"holds {width}-d rows for model {model!r}; delete the cache file or use another model name"
                 )
             width = rows.shape[1]
-            self.cache.put(chunk_keys, rows)
-        return np.array([self.cache.get(key) for key in keys]).reshape(len(keys), width or 0)
+            if matrix is None:
+                matrix = np.empty((len(keys), width))
+                shared = matrix.view()  # the cache keeps rows of this read-only view, so it need not copy them
+                shared.flags.writeable = False
+            at = [first_row[k] for k in chunk_keys]
+            matrix[at] = rows
+            self.cache.put(chunk_keys, [shared[row] for row in at])
+        if matrix is None:  # every text cached, or none given
+            matrix = np.empty((len(keys), width or 0))
+        for row, key in enumerate(keys):
+            if first_row.get(key) != row:  # a cached text, or a repeat
+                matrix[row] = self.cache.get(key)
+        matrix.flags.writeable = False
+        return matrix

@@ -82,45 +82,56 @@ class HashingEmbeddingTransport:
         if radix**n > _GRAM_TABLE_MAX:
             _, one, back = np.unique(self._keys_of(points, starts), return_index=True, return_inverse=True)
             return one[back]
-        digits = symbol.take(points)
-        size = len(points) - n + 1
-        codes = digits[:size].copy()  # the code of the n symbols starting at each point
+        digits = symbol.astype(np.min_scalar_type(radix - 1)).take(points)  # a symbol is below radix
+        codes = digits.take(starts).astype(np.intp)  # the code of the n symbols starting at each start
         for j in range(1, n):
             codes *= radix
-            codes += digits[j : j + size]
+            codes += digits[j:].take(starts)
         narrow = np.min_scalar_type(len(starts))  # the table spans every code, so its entries are kept small
-        codes, table = codes.take(starts), np.empty(radix**n, narrow)
+        table = np.empty(radix**n, narrow)
         table[codes] = np.arange(len(codes), dtype=narrow)
         return table.take(codes)
 
     def complete(self, request: ChatRequest) -> str:
         raise ClientError("hashing transport does not support chat")
 
-    def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
-        """One unit float64 row per text, in input order."""
+    def _signed(self, padded: list[str], lengths: np.ndarray, per_text: np.ndarray) -> np.ndarray:
+        """The feature ±(coordinate + 1) of every gram occurrence of the padded texts, text by text.
+
+        The batch's index arrays live only in here, so they are freed before `embed` sums the features.
+        """
         n = self.ngram
-        padded = [f" {text.lower()} " for text in texts]
-        lengths = np.fromiter(map(len, padded), np.intp, len(padded))
         # each text is followed by n - 1 separators, zero words in `points` (no code point + 1 is 0), so the
         # one gram of a text shorter than n is zero-padded, and no gram runs on into the next text
         heads = np.cumsum(lengths + n - 1) - lengths - (n - 1)
-        per_text = np.maximum(lengths - n + 1, 1)
-        text_of = np.repeat(np.arange(len(padded)), per_text)
-        starts = np.arange(len(text_of)) + (heads - np.cumsum(per_text) + per_text).take(text_of)
+        starts = np.repeat(heads - np.cumsum(per_text) + per_text, per_text)  # gram i of text t starts at heads[t] + i
+        starts += np.arange(len(starts))
         separator = "\0" * (n - 1)
         joined = separator.join(padded) + separator
         points = np.frombuffer(joined.encode("utf-32-le"), np.uint32) + 1
         points[(heads + lengths)[:, None] + np.arange(n - 1)] = 0
         first = self._first(points, starts)
-        grams = np.flatnonzero(first == np.arange(len(first)))  # one occurrence stands for each gram
-        signed = np.zeros(len(first), np.intp)
-        signed[grams] = self._lookup(joined, points, starts[grams])
-        signed = signed.take(first)
+        grams = np.flatnonzero(first == np.arange(len(first), dtype=first.dtype))  # one occurrence stands for each gram
+        features = self._lookup(joined, points, starts[grams])
+        signed = np.zeros(len(first), features.dtype)
+        signed[grams] = features
+        return signed.take(first)
+
+    def embed(self, model: str, texts: Sequence[str]) -> np.ndarray:
+        """One unit float64 row per text, in input order."""
         dim = self.dimension
-        slots = np.abs(signed)
-        slots += text_of * dim - 1
-        vectors = np.bincount(slots, weights=np.sign(signed, dtype=np.float64), minlength=len(padded) * dim)
-        vectors = vectors.reshape(len(padded), dim)
+        padded = [f" {text.lower()} " for text in texts]
+        lengths = np.fromiter(map(len, padded), np.intp, len(padded))
+        per_text = np.maximum(lengths - self.ngram + 1, 1)
+        signed = self._signed(padded, lengths, per_text)
+        # slot 2 (t dim + |f| - 1) counts the grams of text t with feature f > 0, the next slot those with
+        # f < 0: one bincount of exact integers, with no float weights
+        slots = np.repeat(np.arange(len(padded)) * dim - 1, per_text)
+        slots += np.abs(signed)
+        slots *= 2
+        slots += signed < 0
+        counts = np.bincount(slots, minlength=2 * len(padded) * dim)
+        vectors = np.subtract(counts[0::2], counts[1::2], dtype=np.float64).reshape(len(padded), dim)
         norms = np.sqrt((vectors * vectors).sum(axis=1))
         empty = norms == 0.0  # every coordinate cancelled out: the first axis
         vectors[empty, 0] = norms[empty] = 1.0

@@ -183,13 +183,16 @@ def _project_run(state: RunState) -> None:
         if rows != len(state.candidates):  # its width was checked at config load
             raise ProjectionError(f"precomputed file has {rows} rows for {len(state.candidates)} candidates")
     else:
-        # the cache is read only here, and its rows are freed as soon as the matrix is built
-        cache = EmbeddingCache(cfg.embedding_cache or state.root / "cache" / "embeddings.jsonl")
-        client = LLMClient(state.transport, cfg.transport, embedding_cache=cache)
-        matrix = client.embed_batch(state.embedding_model, [ex.text for ex in state.candidates])
-        del cache, client
-        state.projected = project(matrix, cfg.projection)
-    state.artifact("reduce/projection.f64").write_bytes(state.projected.astype(_PROJECTION_DTYPE, copy=False).tobytes())
+        # no name here holds the matrix, so `project` frees it once centered
+        state.projected = project(_embedded(state), cfg.projection)
+    state.projected.astype(_PROJECTION_DTYPE, copy=False).tofile(state.artifact("reduce/projection.f64"))
+
+
+def _embedded(state: RunState) -> np.ndarray:
+    """The candidates' embedding matrix. The cache is read only here: it and its rows' views are freed on return."""
+    cache = EmbeddingCache(state.config.embedding_cache or state.root / "cache" / "embeddings.jsonl")
+    client = LLMClient(state.transport, state.config.transport, embedding_cache=cache)
+    return client.embed_batch(state.embedding_model, [ex.text for ex in state.candidates])
 
 
 def _project_load(state: RunState) -> None:

@@ -125,6 +125,7 @@ def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
         raise ProjectionError(f"target_dimension {cfg.target_dimension} exceeds input dimension {dim}")
 
     centered = matrix - matrix.mean(axis=0, keepdims=True)
+    del matrix  # when the caller kept no name for it, the input is freed here
     kept = min(n, cfg.target_dimension)  # like an SVD, at most min(n, d) directions
     projected = np.zeros((n, cfg.target_dimension))  # a rank-deficient input keeps zero-variance columns
     with _one_blas_thread():
@@ -137,5 +138,5 @@ def project(matrix: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
             components = np.linalg.eigh(centered.T @ centered)[1][:, ::-1].T[:kept]
         # canonical sign: the largest-magnitude entry of each direction is positive
         components *= np.sign(components[np.arange(kept), np.abs(components).argmax(axis=1)])[:, None]
-        projected[:, :kept] = centered @ components.T
+        np.matmul(centered, components.T, out=projected[:, :kept])
     return projected

@@ -158,3 +158,32 @@ def test_each_run_row_keeps_its_attempted_and_failed_counts(tmp_path, monkeypatc
     monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
     got = ab_bench.run_bench(tmp_path, "w", 2, 25, 0)
     assert got == {"rc": 1, "correct": True, "attempted": 44, "failed": 1, "wall_s": 0.5, "ok_ops": 43 / 44}
+
+
+def test_a_second_seed_is_kept_beside_the_first(tmp_path, monkeypatch):
+    spec = {"run_seconds": 25, "end_to_end": METRICS, "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    env = {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2, "cpu_model": "cpu"}
+    for seed in (2, 3):
+        result = tmp_path / ".perfbench" / f"w-seed{seed}" / "result-trace0.json"
+        result.parent.mkdir(parents=True)
+        result.write_text(json.dumps({"env": env}), encoding="utf-8")
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        return {"rc": 0, "correct": True, "attempted": 40, "failed": 0,
+                "wall_s": float(seed), "paid_calls": 52, "ok_ops": 1.0}
+
+    monkeypatch.setattr(ab_bench, "run_bench", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    for seed in (2, 3, 2):
+        args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+                "--seed", str(seed), "--pairs", "2", "--out", str(out)]
+        assert ab_bench.main(args) == 0
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(bench["end_to_end"]) == ["w seed 2", "w seed 3"]
+    assert bench["end_to_end"]["w seed 3"]["seed"] == 3
+    assert bench["end_to_end"]["w seed 3"]["wall_s"]["parent"]["median"] == 3.0
+    # the rerun of seed 2 replaced its own 4 rows and kept seed 3's
+    assert sorted((row["seed"], row["pair"], row["side"]) for row in bench["runs"]) == sorted(
+        (seed, pair, side) for seed in (2, 3) for pair in (0, 1) for side in ab_bench.SIDES
+    )

@@ -6,8 +6,10 @@ import json
 import math
 import random
 import sys
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from exsel.llm import (
     TransportConfig,
     TransientServiceError,
 )
+from exsel.llm import client as client_module
 from exsel.llm import mock as hashing
 from exsel.llm.cache import cache_key
 from mock_transport import MockTransport
@@ -428,6 +431,60 @@ texts_for_hashing = st.one_of(
     st.text(max_size=16),
     st.text(alphabet=" aAbİß\x00", max_size=8),  # double spaces, and "İ", whose lowercase is two code points
 )
+
+
+class TestEmbedBatchSharesItsMatrix:
+    """The matrix `embed_batch` returns holds each fresh row once: the cache keeps a view of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), pool=st.lists(texts_for_hashing.filter(bool), min_size=1, max_size=8, unique=True))
+    def test_mixes_of_fresh_cached_and_repeated_texts_equal_the_per_text_oracle(self, data, pool):
+        cached = data.draw(st.lists(st.sampled_from(pool), max_size=8), label="cached")
+        batch = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16), label="batch")
+        chunk = data.draw(st.integers(1, 4), label="texts per service call")
+        read_back = data.draw(st.booleans(), label="cached rows read back from the row file")
+        hasher = HashingEmbeddingTransport(dimension=16)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(client_module, "_EMBED_API_BATCH", chunk):
+            path = Path(tmp) / "embeddings.jsonl"
+            client = make_client(hasher, embedding_cache=EmbeddingCache(path))
+            client.embed_batch("e", cached)
+            if read_back:
+                client = make_client(hasher, embedding_cache=EmbeddingCache(path))
+            got = client.embed_batch("e", batch)
+        assert got.tobytes() == np.array([oracle_vector(t, 16, 3) for t in batch]).tobytes()
+        assert not got.flags.writeable
+        keys = [cache_key("e", text) for text in batch]
+        fresh = {cache_key("e", text) for text in batch} - {cache_key("e", text) for text in cached}
+        for row, key in enumerate(keys):
+            # only the first row of a fresh text is the cache's row; the rest are copies of it
+            shared = key in fresh and keys.index(key) == row
+            assert np.shares_memory(got[row], client.cache.get(key)) is shared
+            assert not client.cache.get(key).flags.writeable
+
+    def test_the_returned_matrix_cannot_be_written(self):
+        client = make_client(MockTransport(embed_fn=lambda text: [1.0, 2.0]))
+        matrix = client.embed_batch("e", ["x", "y", "x"])
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 9.0
+        assert client.embed_batch("e", ["x"]).tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("read_back", [False, True], ids=["put", "read-back"])
+    def test_a_cached_row_cannot_be_written(self, tmp_path, read_back):
+        path = tmp_path / "embeddings.jsonl"
+        client = make_client(MockTransport(embed_fn=lambda text: [1.0, 2.0]), embedding_cache=EmbeddingCache(path))
+        client.embed_batch("e", ["x"])
+        if read_back:
+            client = make_client(MockTransport(), embedding_cache=EmbeddingCache(path))
+        row = client.cache.get(cache_key("e", "x"))
+        with pytest.raises(ValueError, match="read-only"):
+            row[:] = 9.0
+        assert client.embed_batch("e", ["x"]).tolist() == [[1.0, 2.0]]
+
+    def test_put_keeps_a_read_only_view_and_leaves_the_callers_rows_writable(self):
+        cache, rows = EmbeddingCache(), np.array([[1.0, 2.0], [3.0, 4.0]])
+        cache.put(["a", "b"], rows)
+        assert not cache.get("a").flags.writeable and rows.flags.writeable
+        assert np.shares_memory(cache.get("b"), rows)
 
 
 class TestConcurrencyBound:

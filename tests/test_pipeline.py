@@ -8,6 +8,7 @@ import re
 import shutil
 import tempfile
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -35,6 +36,7 @@ from exsel.evolve import GAConfig, RunTrace, TraceRecord
 from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
 from exsel.llm.cache import EmbeddingCache
+from exsel.llm.client import LLMClient
 from exsel.llm.mock import HashingEmbeddingTransport
 from exsel.llm.transport import TransportConfig
 from exsel.pipeline import (
@@ -817,6 +819,51 @@ def test_run_frees_the_embedding_cache_it_opened(tmp_path, small_pool_path, monk
     assert state.executed == list(STAGES)
     assert len(opened) == 1
     assert opened[0]() is None
+
+
+def test_project_frees_the_embedding_matrix_before_its_eigenproblem(tmp_path, small_pool_path, monkeypatch):
+    # neither the stage nor `project` keeps a name for the matrix, and the cache holding views of it is gone
+    refs, alive = [], []
+    embed_batch, eigh = LLMClient.embed_batch, np.linalg.eigh
+
+    def recording(self, *args):
+        matrix = embed_batch(self, *args)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    def checking(a):
+        alive.append(refs[0]() is not None)
+        return eigh(a)
+
+    monkeypatch.setattr(LLMClient, "embed_batch", recording)
+    monkeypatch.setattr(np.linalg, "eigh", checking)
+    run_pipeline(load_config(write_config(tmp_path, small_pool_path)), through="project")
+    assert alive == [False]
+
+
+def test_project_stage_peak_stays_under_840_bytes_per_candidate(tmp_path, monkeypatch):
+    # one embedding matrix is alive at a time: the service's reply rows are written into it, the cache keeps
+    # views of it, and `project` frees it once centered. A stage that also kept the reply arrays alive and
+    # built a second matrix from the cache's rows peaked at 892 bytes a row on this fixture; this one, 770
+    pool = tmp_path / "pool.jsonl"
+    save_examples(make_topic_examples(12, 250, seed=7), pool)
+    run, load = runner_module._STAGE_FNS["project"]
+    peaks = []
+
+    def traced(state):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run(state)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    monkeypatch.setitem(runner_module._STAGE_FNS, "project", (traced, load))
+    tracemalloc.start()
+    try:
+        state = run_pipeline(load_config(write_config(tmp_path, pool)), through="project")
+    finally:
+        tracemalloc.stop()
+    assert len(state.candidates) >= 2000
+    assert peaks[0] / len(state.candidates) < 840
 
 
 def test_imported_projection_run_makes_no_embed_calls(tmp_path, small_pool_path):

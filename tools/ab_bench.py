@@ -8,18 +8,19 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 other; T is the `run_seconds` of the change's BENCHMARK.json. Even pairs
 run the parent first, odd pairs the change. The last line of each run's
 standard output is its JSON result. `--out` gets one
-row per run under `runs`, with the repetitions it `attempted` and how
-many `failed`, and under `end_to_end[W]` each side's median `attempted`
-(a process that repeats the workload more often peaks higher) and, per
-metric, the median and quartiles of each side, the number of pairs the
-change won, whether a gain is shown (`gain_shown`) and the
-no-regression `verdict` against the metric's `bound`.
-An existing `--out` file is updated in place: the rows and summary of
-other workloads are kept, those of W are replaced.
+row per run under `runs`, with its workload and seed, the repetitions it
+`attempted` and how many `failed`, and under `end_to_end["W seed S"]`
+each side's median `attempted` (a process that repeats the workload more
+often peaks higher) and, per metric, the median and quartiles of each
+side, the number of pairs the change won, whether a gain is shown
+(`gain_shown`) and the no-regression `verdict` against the metric's
+`bound`. An existing `--out` file is updated in place: the rows and
+summary of every other workload and seed are kept, those of W at S are
+replaced.
 
 `--trace 1` runs the traced benchmark instead and stores, per side, the
-median of each per-layer metric under `per_layer[W]`; the end-to-end
-summary is left alone.
+median of each per-layer metric under `per_layer["W seed S"]`; the
+end-to-end summary is left alone.
 
 Standard library only, so it runs against any two checkouts.
 """
@@ -149,13 +150,14 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             checkout = args.parent if side == "parent" else args.change
-            row = {"workload": args.workload, "pair": pair, "side": side}
+            row = {"workload": args.workload, "seed": args.seed, "pair": pair, "side": side}
             row.update(run_bench(checkout, args.workload, args.seed, seconds, args.trace))
             runs.append(row)
             print(f"# pair {pair} {side}: rc {row['rc']} correct {row['correct']}"
                   f" wall_s {row.get('wall_s', '-')}", flush=True)
 
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    key = f"{args.workload} seed {args.seed}"  # a second seed's summary and rows are kept beside the first's
     if args.what:
         bench["what"] = args.what
     bench["method"] = (
@@ -173,15 +175,14 @@ def main(argv: list[str] | None = None) -> int:
             rows = [r for r in runs if r["side"] == side]
             names = [m["name"] for m in spec["per_layer"]]
             entry[side] = {name: round(statistics.median(r[name] for r in rows), 4) for name in names}
-        bench.setdefault("per_layer", {})[args.workload] = entry
+        bench.setdefault("per_layer", {})[key] = entry
     else:
         bench["command"] = command
-        bench.setdefault("end_to_end", {})[args.workload] = {
-            "seed": args.seed, **summarize(runs, spec["end_to_end"]),
-        }
-        bench["runs"] = [r for r in bench.get("runs", []) if r["workload"] != args.workload] + runs
+        bench.setdefault("end_to_end", {})[key] = {"seed": args.seed, **summarize(runs, spec["end_to_end"])}
+        kept = [r for r in bench.get("runs", []) if (r["workload"], r.get("seed")) != (args.workload, args.seed)]
+        bench["runs"] = kept + runs
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
-    summary = bench["per_layer" if args.trace else "end_to_end"][args.workload]
+    summary = bench["per_layer" if args.trace else "end_to_end"][key]
     print(json.dumps(summary))
     return 0 if summary["all_correct_rc0"] else 1
 
