@@ -8,16 +8,19 @@ cloning per child. Mutation switches between inter-cluster (replace
 cluster and example) and intra-cluster (replace example only) moves;
 the inter-cluster probability rises and falls with the share of
 clusters the current population still covers, so exploration fades as
-the population concentrates.
+the population concentrates. Every new gene comes from one draw rule,
+`_draw`: up to `_RESAMPLE_ATTEMPTS` tries, each drawing the cluster
+uniformly (or keeping a given one) and the example uniformly within it,
+until the gene is not already taken.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Container, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from exsel.reduce.pooling import ClusteredPool
@@ -122,29 +125,30 @@ def inter_probability(d_g: float, cfg: GAConfig) -> float:
     return cfg.p_min + (cfg.p_max - cfg.p_min) * d_g
 
 
+def _draw(sizes: Sequence[int], cluster: int | None, taken: Container[Gene], rng: random.Random) -> Gene | None:
+    """A gene not in `taken`, example uniform within `cluster` (None: a uniform cluster per attempt); None when
+    `_RESAMPLE_ATTEMPTS` attempts all land on taken genes."""
+    for _ in range(_RESAMPLE_ATTEMPTS):
+        where = rng.randrange(len(sizes)) if cluster is None else cluster
+        gene = Gene(where, rng.randrange(sizes[where]))
+        if gene not in taken:
+            return gene
+    return None
+
+
 def random_genome(pool: ClusteredPool, length: int, rng: random.Random) -> Genome:
     """Draw genes cluster-first (cluster uniform, example uniform within), no duplicates."""
     sizes = pool.cluster_sizes
     total = sum(sizes)
     if total < length:
         raise ValueError(f"pool has {total} examples, cannot fill a genome of length {length}")
-    genes: list[Gene] = []
-    used: set[Gene] = set()
+    genes: dict[Gene, None] = {}  # insertion-ordered, with set lookups
     while len(genes) < length:
-        for _ in range(_RESAMPLE_ATTEMPTS):
-            cluster = rng.randrange(len(sizes))
-            gene = Gene(cluster, rng.randrange(sizes[cluster]))
-            if gene not in used:
-                break
-        else:
-            # rejection sampling stalled (tiny pool); draw from the complement
-            free = [
-                Gene(c, e) for c, size in enumerate(sizes) for e in range(size)
-                if Gene(c, e) not in used
-            ]
-            gene = rng.choice(free)
-        genes.append(gene)
-        used.add(gene)
+        gene = _draw(sizes, None, genes, rng)
+        if gene is None:  # rejection sampling stalled (tiny pool); draw from the complement
+            every = (Gene(c, e) for c, size in enumerate(sizes) for e in range(size))
+            gene = rng.choice([free for free in every if free not in genes])
+        genes[gene] = None
     return tuple(genes)
 
 
@@ -156,19 +160,10 @@ def mutate(genome: Genome, pool: ClusteredPool, p_inter: float, rng: random.Rand
     returned unchanged. Landing on the original gene is allowed, so an
     intra-cluster move in a one-example cluster is a no-op.
     """
-    sizes = pool.cluster_sizes
     position = rng.randrange(len(genome))
-    inter = rng.random() < p_inter
-    others = set(genome) - {genome[position]}
-    for _ in range(_RESAMPLE_ATTEMPTS):
-        if inter:
-            cluster = rng.randrange(len(sizes))
-        else:
-            cluster = genome[position].cluster
-        gene = Gene(cluster, rng.randrange(sizes[cluster]))
-        if gene not in others:
-            return genome[:position] + (gene,) + genome[position + 1 :]
-    return genome
+    cluster = None if rng.random() < p_inter else genome[position].cluster
+    gene = _draw(pool.cluster_sizes, cluster, set(genome) - {genome[position]}, rng)
+    return genome if gene is None else genome[:position] + (gene,) + genome[position + 1 :]
 
 
 def splice(a: Genome, b: Genome, i: int, j: int) -> tuple[Genome, Genome]:
@@ -180,21 +175,13 @@ def splice(a: Genome, b: Genome, i: int, j: int) -> tuple[Genome, Genome]:
 
 def _repair(child: Genome, pool: ClusteredPool, rng: random.Random) -> Genome | None:
     """Resample later duplicate genes intra-cluster; None if not repairable."""
-    sizes = pool.cluster_sizes
-    genes = list(child)
-    seen: set[Gene] = set()
-    for position, gene in enumerate(genes):
-        if gene not in seen:
-            seen.add(gene)
-            continue
-        for _ in range(_RESAMPLE_ATTEMPTS):
-            candidate = Gene(gene.cluster, rng.randrange(sizes[gene.cluster]))
-            if candidate not in seen:
-                genes[position] = candidate
-                seen.add(candidate)
-                break
-        else:
-            return None
+    genes: dict[Gene, None] = {}  # insertion-ordered, with set lookups
+    for gene in child:
+        if gene in genes:
+            gene = _draw(pool.cluster_sizes, gene.cluster, genes, rng)
+            if gene is None:
+                return None
+        genes[gene] = None
     return tuple(genes)
 
 
@@ -254,10 +241,8 @@ def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tupl
 
     cache: dict[Genome, float] = {}
     records: list[TraceRecord] = []
-    pending_evaluations = 0
 
     def evaluate(genomes: Sequence[Genome]) -> None:
-        nonlocal pending_evaluations
         for genome in genomes:
             if genome not in cache:
                 try:
@@ -267,14 +252,11 @@ def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tupl
                         f"fitness provider failed at generation {len(records)}: {exc}",
                         RunTrace(tuple(records)),
                     ) from exc
-                pending_evaluations += 1
 
     population = [random_genome(pool, cfg.genome_length, rng) for _ in range(cfg.mu)]
-    best_history: list[float] = []
+    counted = 0  # the cache entries the records so far count
     stall = 0
-    generation = 0
-
-    while True:
+    for generation in itertools.count():
         evaluate(population)
         fits = [cache[genome] for genome in population]
         best = max(fits)
@@ -287,14 +269,13 @@ def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tupl
                 best_fitness=best,
                 diversity=d_g,
                 p_inter=p_inter,
-                evaluations=pending_evaluations,
+                evaluations=len(cache) - counted,
             )
         )
-        pending_evaluations = 0
-        best_history.append(best)
+        counted = len(cache)
 
-        if generation > cfg.warmup and len(best_history) > cfg.patience:
-            reference = best_history[-1 - cfg.patience]
+        if generation > cfg.warmup and len(records) > cfg.patience:
+            reference = records[-1 - cfg.patience].best_fitness
             relative = (best - reference) / max(reference, _TINY)
             stall = stall + 1 if relative < cfg.min_relative_improvement else 0
             if stall >= cfg.patience:
@@ -315,17 +296,8 @@ def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tupl
                 (child,) = select_tournament(population, fits, 1, cfg.tournament_size, rng)
             offspring.append(child)
         evaluate(offspring)
+        # a stable sort: of equal fitnesses, parents stay ahead of offspring and each keeps its order
+        population = sorted(population + offspring, key=lambda genome: -cache[genome])[: cfg.mu]
 
-        combined = population + offspring
-        order = sorted(range(len(combined)), key=lambda idx: -cache[combined[idx]])
-        population = [combined[idx] for idx in order[: cfg.mu]]
-        generation += 1
-
-    # insertion order breaks fitness ties in favor of the earliest evaluation
-    best_genome: Genome | None = None
-    best_fit = -math.inf
-    for genome, fit in cache.items():
-        if fit > best_fit:
-            best_genome, best_fit = genome, fit
-    assert best_genome is not None
-    return best_genome, RunTrace(tuple(records))
+    # max keeps the first of equal fitnesses, so a tie goes to the earliest evaluation
+    return max(cache, key=cache.__getitem__), RunTrace(tuple(records))

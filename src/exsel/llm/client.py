@@ -105,13 +105,13 @@ class LLMClient:
     def __init__(
         self,
         transport: Transport,
-        config: TransportConfig | None = None,
+        config: TransportConfig,
         *,
         embedding_cache: EmbeddingCache | None = None,
         sleep: Callable[[float], None] | None = None,
     ) -> None:
         self.transport = transport
-        self.config = config if config is not None else getattr(transport, "config", TransportConfig())
+        self.config = config
         self.cache = embedding_cache if embedding_cache is not None else EmbeddingCache()
         self._sleep = sleep if sleep is not None else time.sleep
         self._gate = threading.Semaphore(self.config.max_in_flight)
@@ -139,6 +139,7 @@ class LLMClient:
         """Run several chat calls, concurrently up to max_in_flight, order-preserving."""
         if not requests_:
             return []
+        # not a one-worker pool: a failure must stop the batch, and pool.map cancels only requests no worker took yet
         if self.config.max_in_flight == 1 or len(requests_) == 1:
             return [self.chat(req) for req in requests_]
         with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:

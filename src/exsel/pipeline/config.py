@@ -24,7 +24,7 @@ from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
 from exsel.llm.transport import TransportConfig
 from exsel.reduce.density import ClusteringParams
-from exsel.reduce.projection import ProjectionConfig
+from exsel.reduce.projection import ProjectionConfig, load_precomputed
 from exsel.templates import (
     EXTRACTION_INSTRUCTION_TEMPLATE,
     NEGATIVE_GENERATION_TEMPLATE,
@@ -110,8 +110,10 @@ class PipelineConfig:
                 raise ConfigError(f"{section}: no such file: {path}")
         if self.projection.precomputed_path is not None:  # the row count needs the candidates: `project` checks it
             dimension = self.projection.target_dimension
-            with open(self.projection.precomputed_path, encoding="utf-8") as rows:
-                width = next((len(row.split()) for row in rows if row.strip()), 0)
+            try:  # every row, so a bad one fails here and not after the paid pool stage
+                width = load_precomputed(self.projection.precomputed_path).shape[1]
+            except ValueError as exc:  # a ProjectionError, or bytes that are not UTF-8
+                raise ConfigError(f"projection.precomputed_path: {exc}") from exc
             if width != dimension:
                 raise ConfigError(f"projection.precomputed_path is {width} wide, not target_dimension {dimension}")
         if self.fitness_mode == MODE_LLM and self.corpus.test_path is not None:  # read now, not after select

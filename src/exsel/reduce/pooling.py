@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from exsel.corpus import Example
@@ -94,18 +95,5 @@ def build_pool(pool: ClusteredPool, k: int) -> tuple[int, ...]:
         raise ValueError("k must be >= 1")
     sizes = pool.cluster_sizes
     order = sorted(range(pool.n_clusters), key=lambda c: (-sizes[c], c))
-    taken = [0] * pool.n_clusters
-    selected: list[int] = []
-    while len(selected) < k:
-        progressed = False
-        for cid in order:
-            if len(selected) >= k:
-                break
-            members = pool.cluster_members[cid]
-            if taken[cid] < len(members):
-                selected.append(members[taken[cid]])
-                taken[cid] += 1
-                progressed = True
-        if not progressed:
-            break
-    return tuple(selected)
+    visits = zip_longest(*(pool.cluster_members[c] for c in order))  # one tuple per round, None where a cluster ran out
+    return tuple(index for visit in visits for index in visit if index is not None)[:k]

@@ -1,5 +1,6 @@
 """Tests for the GA operators and the evolution loop."""
 
+import hashlib
 import math
 import random
 
@@ -340,6 +341,23 @@ class TestEvolve:
         with pytest.raises(EvolutionError) as info:
             evolve(pool, flaky, cfg)
         assert len(info.value.trace.records) >= 1
+
+    def test_a_fitness_tie_goes_to_the_earliest_evaluated_genome(self):
+        pool = grid_pool(6, 5)
+        cfg = GAConfig(mu=10, lambda_=20, max_generations=4, genome_length=4, seed=3)
+        first = random_genome(pool, cfg.genome_length, random.Random(cfg.seed))  # the initial population's first
+        best, _ = evolve(pool, lambda genome: 0.5, cfg)
+        assert best == first
+
+    def test_evaluation_order_is_pinned(self):
+        # every draw of the operators and the survivors' order (ties are common here) decide which genomes reach
+        # the fitness, and when; a change to either moves every artifact of the select stage
+        pool = grid_pool(5, 3)
+        cfg = GAConfig(mu=8, lambda_=16, max_generations=6, genome_length=4, seed=21)
+        order = []
+        evolve(pool, lambda genome: (order.append(genome), len({g.cluster for g in genome}) / 4)[1], cfg)
+        digest = hashlib.sha256(repr(order).encode()).hexdigest()
+        assert digest == "55ed23ae0384d9d7437ed9603fea55fbfad6b4b3ab35ec27f765493d628851db"
 
     def test_evaluation_counts_sum_to_unique_genomes(self):
         pool = grid_pool(6, 5)

@@ -504,6 +504,20 @@ class TestConcurrencyBound:
         assert results == ["ok"] * 20
         assert transport.max_observed_in_flight <= 3
 
+    def test_chat_many_at_width_one_stops_at_the_failing_request(self):
+        # a one-worker executor would have taken request 8 before the failure of request 7 reached the caller
+        reqs = [ChatRequest(model="m", system_prompt="s", user_prompt=f"p{i}") for i in range(20)]
+
+        def reply(request):
+            if request is reqs[7]:
+                raise ClientError("rejected")
+            return request.user_prompt
+
+        transport = MockTransport(chat_fn=reply)
+        with pytest.raises(ClientError):
+            make_client(transport, TransportConfig(max_in_flight=1)).chat_many(reqs)
+        assert transport.chat_requests == reqs[:8]
+
     def test_chat_many_preserves_order(self):
         transport = MockTransport(chat_fn=lambda req: req.user_prompt)
         client = make_client(transport, TransportConfig(max_in_flight=4))

@@ -1209,14 +1209,24 @@ def test_baseline_is_a_stage_that_reruns_only_on_what_it_reads(tmp_path, llm_con
     assert exsel("baseline", "--force")[0] == [f"[run ] {stage}" for stage in chain]
 
 
-# each fault the config's inputs show that failed in a stage after paid calls (174, 174, 6, 3 and 6 of them on this
-# run): the file a field names, and what it holds
+def import_file_line_2(row: str) -> Written:
+    """An import file of 48 rows 8 wide (the llm fixture's target_dimension) with `row` as its line 2."""
+    good = "0.5 " * 7 + "1.5\n"
+    return Written(good + row + "\n" + good * 46)
+
+
+# each fault the config's inputs show that failed in a stage after paid calls (174, 174, 6, 3, 6, 6, 6 and 6 of them
+# on this run): the file a field names, and what it holds
 INPUT_FAULTS = {
     "test-file-last-line-not-json": (("corpus", "test_path"), Written('{"id": "t00-0006", "text": "glacier mor')),
     "test-file-blank-lines-only": (("corpus", "test_path"), Written("\n  \n", whole=True)),
     "instruction-template-names-format": (("evaluation", "instruction_template_path"), Written("{format}")),
     "negative-template-names-style": (("generation", "negative_template_path"), Written("{style}")),
     "import-file-3-wide-target-8": (("projection", "precomputed_path"), Written("0.5 1.5 2.5\n" * 48)),
+    # the whole import file is read at config load, not only its first line
+    "import-file-line-2-a-word": (("projection", "precomputed_path"), import_file_line_2("0.5 " * 7 + "x")),
+    "import-file-line-2-7-wide": (("projection", "precomputed_path"), import_file_line_2("0.5 " * 7)),
+    "import-file-line-2-nan": (("projection", "precomputed_path"), import_file_line_2("0.5 " * 7 + "nan")),
 }
 
 

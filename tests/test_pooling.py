@@ -145,6 +145,22 @@ def test_round_robin_balance_property(sizes, k):
                 assert per_cluster[a] >= per_cluster[b] - 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-1, 5), max_size=40), st.one_of(st.integers(1, 50), st.integers(1, 2**63)))
+def test_build_pool_orders_members_by_rank_then_cluster_place(labels, k):
+    # the round-robin stated without rounds: the members sorted by their rank within their cluster, then by their
+    # cluster's place among the clusters (larger first, equal sizes by ascending id), cut to k
+    ids = sorted(set(labels) - {-1})
+    pool = ClusteredPool(examples=tuple(make_examples(len(labels))), assignment=tuple(
+        -1 if a == -1 else ids.index(a) for a in labels
+    ))
+    sizes = pool.cluster_sizes
+    place = [sum((sizes[d], -d) > (sizes[c], -c) for d in range(len(sizes))) for c in range(len(sizes))]
+    rank = {index: r for members in pool.cluster_members for r, index in enumerate(members)}
+    expected = sorted(rank, key=lambda index: (rank[index], place[pool.assignment[index]]))[:k]
+    assert build_pool(pool, k) == tuple(expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=8), st.integers(1, 60))
 def test_build_pool_candidate_invariants(sizes, k):
