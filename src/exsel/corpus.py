@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,17 +27,20 @@ class DatasetError(ValueError):
 
 
 def _utf8(text: str) -> None:
-    """Raise unless `text` encodes as UTF-8: one with a lone surrogate, such as JSON "\\ud800", could not be written."""
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DatasetError(f"{exc.object[exc.start : exc.end]!r} does not encode as UTF-8") from exc
+    """Raise unless `text` encodes as UTF-8: one with a lone surrogate, such as JSON "\\ud800", could not be written.
+
+    Callers test `text.isascii()` first, which is cheaper than this call, so only non-ASCII text gets here.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DatasetError(f"{exc.object[exc.start : exc.end]!r} does not encode as UTF-8") from exc
 
 
 def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
     """Label -> frozenset of values, from a mapping of each label to a list, tuple, set or frozenset of strings."""
-    if not isinstance(entities, Mapping):
+    # a dict, what a record holds, passes the cheap test; the ABC's isinstance costs several times more
+    if not isinstance(entities, dict) and not isinstance(entities, Mapping):
         raise DatasetError("entities must be an object mapping label to a list of values")
     frozen: dict[str, frozenset[str]] = {}
     for label, values in entities.items():
@@ -44,11 +48,13 @@ def _freeze_entities(entities: Mapping[str, Iterable[str]]) -> dict[str, frozens
             raise DatasetError(f"entities[{label!r}] must be a list of strings")
         if not isinstance(label, str) or not label:
             raise DatasetError(f"entity label must be a non-empty string, got {label!r}")
-        _utf8(label)
+        if not label.isascii():
+            _utf8(label)
         for value in values:  # checked before hashing: a list or object value is unhashable
             if not isinstance(value, str) or not value.strip():
                 raise DatasetError(f"entity value for label {label!r} must be a non-empty string, got {value!r}")
-            _utf8(value)
+            if not value.isascii():
+                _utf8(value)
         # labels come from a small schema, so a pool shares one interned plain str per label; a str subclass
         # cannot be interned. Values are kept as given: free-text values need not repeat.
         frozen[sys.intern(str(label))] = frozenset(values)
@@ -73,8 +79,10 @@ class Example:
             raise DatasetError(f"example {self.id!r}: provenance must be one of {_PROVENANCES}")
         object.__setattr__(self, "entities", _freeze_entities(self.entities))
         object.__setattr__(self, "provenance", sys.intern(str(self.provenance)))
-        _utf8(self.id)
-        _utf8(self.text)
+        if not self.id.isascii():
+            _utf8(self.id)
+        if not self.text.isascii():
+            _utf8(self.text)
 
 
 def observed_labels(examples: Iterable[Example]) -> tuple[str, ...]:
@@ -95,12 +103,30 @@ def example_to_record(example: Example) -> dict:
     }
 
 
+def _record_line(example: Example) -> str:
+    """`json.dumps(example_to_record(example), ensure_ascii=False, sort_keys=True)` and a newline.
+
+    Built in one f-string, each string through `encode_basestring`, the C escaper that call itself uses: the
+    keys in sorted order, json's default separators.
+    """
+    entities = ", ".join(
+        f"{encode_basestring(label)}: [{', '.join(map(encode_basestring, sorted(values)))}]"
+        for label, values in sorted(example.entities.items())
+    )
+    return (
+        f'{{"entities": {{{entities}}}, "id": {encode_basestring(example.id)}, '
+        f'"provenance": {encode_basestring(example.provenance)}, "text": {encode_basestring(example.text)}}}\n'
+    )
+
+
+_FIELDS = frozenset({"id", "text", "entities", "provenance"})
+
+
 def example_from_record(record: object) -> Example:
     if not isinstance(record, dict):
         raise DatasetError(f"record must be an object, got {type(record).__name__}")
-    unknown = set(record) - {"id", "text", "entities", "provenance"}
-    if unknown:
-        raise DatasetError(f"record has unknown fields: {sorted(unknown)}")
+    if not _FIELDS.issuperset(record):
+        raise DatasetError(f"record has unknown fields: {sorted(set(record) - _FIELDS)}")
     return Example(
         id=record.get("id", ""),
         text=record.get("text", ""),
@@ -139,9 +165,7 @@ def save_examples(examples: Iterable[Example], path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for example in examples:
-            fh.write(json.dumps(example_to_record(example), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(map(_record_line, examples))
 
 
 def split_dataset(examples: Sequence[Example], n_validation: int, seed: int) -> tuple[list[Example], list[Example]]:

@@ -17,6 +17,7 @@ until the gene is not already taken.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -230,10 +231,12 @@ def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tupl
     Per generation: evaluate, record (mean, best, diversity, p_inter,
     evaluation count), then breed lambda offspring and keep the best mu
     of parents plus offspring. Fitness values are cached by genome
-    content, so a genome is never evaluated twice. Early stopping
-    engages after the warm-up: when the relative improvement of the
-    best fitness over the value `patience` generations back stays below
-    the threshold for `patience` consecutive generations, the run ends.
+    content, so a genome is never evaluated twice; a provider that raises
+    or returns a non-finite fitness ends the run with an EvolutionError
+    carrying the trace so far. Early stopping engages after the warm-up:
+    when the relative improvement of the best fitness over the value
+    `patience` generations back stays below the threshold for `patience`
+    consecutive generations, the run ends.
     """
     rng = random.Random(cfg.seed)
     if pool.n_clusters < 1:
@@ -246,12 +249,15 @@ def evolve(pool: ClusteredPool, fitness: FitnessProvider, cfg: GAConfig) -> tupl
         for genome in genomes:
             if genome not in cache:
                 try:
-                    cache[genome] = float(fitness(genome))
+                    value = float(fitness(genome))
+                    if not math.isfinite(value):  # a NaN would make the survivor sort and the best genome arbitrary
+                        raise ValueError(f"non-finite fitness {value}")
                 except Exception as exc:
                     raise EvolutionError(
                         f"fitness provider failed at generation {len(records)}: {exc}",
                         RunTrace(tuple(records)),
                     ) from exc
+                cache[genome] = value
 
     population = [random_genome(pool, cfg.genome_length, rng) for _ in range(cfg.mu)]
     counted = 0  # the cache entries the records so far count

@@ -18,6 +18,7 @@ import fcntl
 import hashlib
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -124,8 +125,9 @@ class EmbeddingCache:
                 rows.write(block.tobytes())
                 rows.flush()
                 offset = rows.tell() - block.nbytes
-                lines = "".join(
-                    f'{{"key": {json.dumps(key)}, "width": {block.shape[1]}, "offset": {offset + i * block[0].nbytes}}}\n'
+                lines = "".join(  # encode_basestring_ascii(key) is json.dumps(key) without its dispatch
+                    f'{{"key": {encode_basestring_ascii(key)}, "width": {block.shape[1]}, '
+                    f'"offset": {offset + i * block[0].nbytes}}}\n'
                     for i, key in enumerate(fresh)
                 )
                 end = index.seek(0, os.SEEK_END)

@@ -75,6 +75,7 @@ def aggregate(per_example: Iterable[Mapping[str, ExtractionCounts]]) -> dict:
         n_examples += 1
         for label, counts in example_counts.items():
             totals[label] = totals.get(label, ExtractionCounts()) + counts
+    totals = dict(sorted(totals.items()))  # label order, so the float sum below does not follow string hashing
     pooled = sum(totals.values(), ExtractionCounts())
     observed = [c for c in totals.values() if c.tp + c.fp + c.fn > 0]
     macro = sum(c.f1 for c in observed) / len(observed) if observed else 0.0
@@ -84,5 +85,5 @@ def aggregate(per_example: Iterable[Mapping[str, ExtractionCounts]]) -> dict:
         "micro_f1": pooled.f1,
         "macro_f1": macro,
         "n_examples": n_examples,
-        "per_label": {label: {"tp": c.tp, "fp": c.fp, "fn": c.fn} for label, c in sorted(totals.items())},
+        "per_label": {label: {"tp": c.tp, "fp": c.fp, "fn": c.fn} for label, c in totals.items()},
     }

@@ -17,10 +17,14 @@ def strip_code_fence(text: str) -> str:
 
 
 def parse_json_payload(text: str) -> object | None:
-    """Parse model output as JSON after fence removal; None when invalid."""
+    """Parse model output as JSON after fence removal; None when invalid.
+
+    Invalid includes a reply json reads but cannot hold: an integer past Python's digit limit (a ValueError,
+    the base of JSONDecodeError) or nesting past the recursion limit.
+    """
     try:
         return json.loads(strip_code_fence(text))
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return None
 
 

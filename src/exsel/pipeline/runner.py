@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -233,19 +235,25 @@ def _pools_run(state: RunState) -> None:
         selected = build_pool(filtered, k)
         pool = filtered.restrict(selected)
         state.candidate_pools[k] = pool
-        payload = {
-            "k": k,
-            "n_clusters": pool.n_clusters,
-            "selected": [
-                {
-                    "index": index,
-                    "id": pool.examples[index].id,
-                    "cluster": int(filtered.assignment[index]),
-                }
-                for index in selected
-            ],
-        }
-        _write_json(state.artifact(f"pools/pool_k{k}.json"), payload)
+        _write_pool(state.artifact(f"pools/pool_k{k}.json"), k, pool.n_clusters, filtered, selected)
+
+
+def _write_pool(path: Path, k: int, n_clusters: int, filtered: ClusteredPool, selected: Sequence[int]) -> None:
+    """What `_write_json` writes for `{"k", "n_clusters", "selected": [{"index", "id", "cluster"}, ...]}`, the
+    entries in `selected`'s order, an entry's cluster being its cluster in `filtered`.
+
+    json's indenting encoder is pure Python, so the long list is written here an entry at a time, its ids
+    through `encode_basestring`, the C escaper that encoder calls.
+    """
+    leads = itertools.chain(["\n"], itertools.repeat(",\n"))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f'{{\n  "k": {k},\n  "n_clusters": {n_clusters},\n  "selected": [')
+        fh.writelines(
+            f'{lead}    {{\n      "cluster": {filtered.assignment[index]},\n'
+            f'      "id": {encode_basestring(filtered.examples[index].id)},\n      "index": {index}\n    }}'
+            for lead, index in zip(leads, selected)
+        )
+        fh.write("\n  ]\n}\n" if selected else "]\n}\n")
 
 
 def _pools_load(state: RunState) -> None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 import weakref
 
 import numpy as np
@@ -24,6 +25,11 @@ from exsel.corpus import (
 labels_st = st.sampled_from(["person", "org", "location", "date"])
 values_st = st.frozensets(st.text(alphabet="abcdef XYZ", min_size=1, max_size=8).filter(str.strip), max_size=3)
 entities_st = st.dictionaries(labels_st, values_st, max_size=3)
+# what json escapes (quotes, backslashes, control characters) and what it writes as is (non-ASCII, non-BMP)
+escaped_chars_st = st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é😀')
+escaped_text_st = st.text(
+    alphabet=st.one_of(escaped_chars_st, st.characters(blacklist_categories=("Cs",))), min_size=1, max_size=12
+)
 
 
 def example_st(ident: str) -> st.SearchStrategy[Example]:
@@ -96,6 +102,12 @@ class TestExample:
         assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
         assert load_examples(tmp_path / "numpy.jsonl") == [ex, moved]
 
+    def test_takes_a_mapping_that_is_not_a_dict(self):
+        ex = Example(id="a", text="x", entities=types.MappingProxyType({"person": ["Ann", "Bo"]}))
+        assert ex.entities == {"person": frozenset({"Ann", "Bo"})}
+        with pytest.raises(DatasetError, match=r"^entities\['person'\] must be a list of strings$"):
+            Example(id="a", text="x", entities=types.MappingProxyType({"person": "Ann"}))
+
     def test_has_no_instance_dict(self):
         ex = Example(id="a", text="x")
         assert not hasattr(ex, "__dict__")
@@ -125,6 +137,28 @@ class TestJsonlRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "examples.jsonl"
         save_examples(examples, path)
         assert load_examples(path) == list(examples)
+
+    @settings(max_examples=100)
+    @given(
+        examples=st.lists(
+            st.builds(
+                Example,
+                id=escaped_text_st,
+                text=escaped_text_st,
+                # several labels, several values each, a label with none, or no label at all (a negative)
+                entities=st.dictionaries(
+                    escaped_text_st, st.lists(escaped_text_st.filter(str.strip), max_size=3), max_size=3
+                ),
+                provenance=st.sampled_from(["synthetic", "human"]),
+            ),
+            max_size=4,
+        )
+    )
+    def test_saved_lines_are_the_json_dumps_of_each_record(self, tmp_path_factory, examples):
+        path = tmp_path_factory.mktemp("lines") / "examples.jsonl"
+        save_examples(examples, path)
+        lines = [json.dumps(example_to_record(ex), ensure_ascii=False, sort_keys=True) + "\n" for ex in examples]
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
 
     def test_missing_entities_defaults_to_empty(self):
         ex = example_from_record({"id": "a", "text": "x"})
@@ -190,8 +224,8 @@ class TestJsonlRoundTrip:
 
     def test_load_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "extra.jsonl"
-        path.write_text('{"id": "a", "text": "x", "score": 3}\n', encoding="utf-8")
-        with pytest.raises(DatasetError, match="unknown fields"):
+        path.write_text('{"id": "a", "text": "x", "score": 3, "rank": 1}\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"extra\.jsonl:1: record has unknown fields: \['rank', 'score'\]$"):
             load_examples(path)
 
     def test_load_skips_blank_lines(self, tmp_path):

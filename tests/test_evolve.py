@@ -342,6 +342,17 @@ class TestEvolve:
             evolve(pool, flaky, cfg)
         assert len(info.value.trace.records) >= 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_fitness_is_an_evolution_error(self, bad):
+        # unchecked, a NaN for the initial population's first genome read nan as every generation's best and won
+        pool = grid_pool(6, 5)
+        cfg = GAConfig(mu=10, lambda_=20, max_generations=3, genome_length=4, seed=3)
+        first = random_genome(pool, cfg.genome_length, random.Random(cfg.seed))
+        fitness = coverage_fitness(pool)
+        with pytest.raises(EvolutionError, match=r"at generation 0: non-finite fitness") as info:
+            evolve(pool, lambda genome: bad if genome == first else fitness(genome), cfg)
+        assert info.value.trace.records == ()
+
     def test_a_fitness_tie_goes_to_the_earliest_evaluated_genome(self):
         pool = grid_pool(6, 5)
         cfg = GAConfig(mu=10, lambda_=20, max_generations=4, genome_length=4, seed=3)

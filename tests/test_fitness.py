@@ -8,6 +8,7 @@ from exsel.corpus import Example
 from exsel.evolve import Gene
 from exsel.fitness import (
     EvaluationConfig,
+    evaluate_fewshot,
     evaluate_genome_llm,
     example_quality,
     make_surrogate_provider,
@@ -16,6 +17,7 @@ from exsel.fitness import (
     resolve_examples,
 )
 from exsel.llm import LLMClient, TransportConfig
+from exsel.parsing import parse_label_map
 from exsel.reduce.pooling import ClusteredPool
 from mock_transport import MockTransport
 
@@ -119,6 +121,21 @@ class TestEvaluateGenomeLLM:
         client = make_client(MockTransport(chat_fn=lambda req: reply))
         result = evaluate_genome_llm(GENOME, pool, validation, client, model="m", labels=LABELS)
         assert result.fitness == 1.0
+
+    @pytest.mark.parametrize(
+        "reply",
+        ["1" * 5000, '{"Revenue": ' + "1" * 5000 + "}", "[" * 100_000, '{"Revenue": ' + "[" * 100_000],
+        ids=["digits", "digits-in-a-map", "depth", "depth-in-a-map"],
+    )
+    def test_reply_json_cannot_hold_is_unparseable(self, reply):
+        # an integer past the digit limit raises ValueError, nesting past the recursion limit RecursionError
+        assert parse_label_map(reply) is None
+        validation = validation_set(3)
+        client = make_client(MockTransport(chat_fn=lambda req: reply))
+        demos = resolve_examples(GENOME, labeled_pool())
+        result = evaluate_fewshot(demos, validation, client, model="m", labels=LABELS)
+        assert result.n_unparseable == len(validation)
+        assert result.fitness == 0.0
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):

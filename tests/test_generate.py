@@ -148,6 +148,15 @@ class TestGeneratePool:
         assert report["failed_batches"] == 1
         assert report["batch_failure_reasons"] == {"parse-failure": 1}
 
+    @pytest.mark.parametrize("reply", ["1" * 5000, "[" * 100_000], ids=["digits", "depth"])
+    def test_reply_json_cannot_hold_is_a_parse_failure(self, reply):
+        cfg = GenerationConfig(n_total=4, batch_size=2, positive_fraction=1.0)
+        transport = MockTransport(replies=[reply, reply, json.dumps(records(2))])
+        examples, report = generate_pool(cfg, CHUNKS, make_client(transport), model="m", seed=0)
+        assert transport.chat_calls == 3
+        assert len(examples) == 2
+        assert report["batch_failure_reasons"] == {"parse-failure": 1}
+
     def test_client_error_skips_batch(self):
         cfg = GenerationConfig(n_total=4, batch_size=2, positive_fraction=1.0)
         transport = MockTransport(

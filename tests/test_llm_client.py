@@ -329,6 +329,10 @@ class TestEmbeddingStore:
         assert cache.rows_path.read_bytes() == np.array([[0.1, -2.0], [3.0, 1e-300]], "<f8").tobytes()
         lines = [json.loads(line) for line in cache.path.read_text(encoding="utf-8").splitlines()]
         assert lines == [{"key": "a", "width": 2, "offset": 0}, {"key": "b", "width": 2, "offset": 16}]
+        key = 'é "\\ \x00 😀'  # a line holds the key as json.dumps writes it: ASCII, with escapes
+        cache.put([key], np.array([[5.0, 6.0]]))
+        last = cache.path.read_bytes().splitlines()[-1]
+        assert last == f'{{"key": {json.dumps(key)}, "width": 2, "offset": 32}}'.encode("ascii")
 
     def test_cut_inside_a_row_loses_only_that_row_and_later_bytes_do_not_revive_it(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"

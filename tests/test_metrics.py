@@ -1,5 +1,7 @@
 """Tests for set-based extraction scoring, checked against a brute-force oracle."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -136,6 +138,13 @@ class TestAggregate:
         assert report["micro_f1"] == pytest.approx(18 / 20)
         assert report["macro_f1"] == pytest.approx(0.5)
         assert report["per_label"] == {"a": {"tp": 9, "fp": 0, "fn": 0}, "b": {"tp": 0, "fp": 1, "fn": 1}}
+
+    def test_report_bytes_do_not_follow_label_insertion_order(self):
+        # per-label F1 0.1, 0.2 and 0.3; summed in some other orders the mean reads 0.19999999999999998
+        counts = {"a": ExtractionCounts(1, 9, 9), "b": ExtractionCounts(1, 4, 4), "c": ExtractionCounts(3, 7, 7)}
+        reports = [aggregate([{label: counts[label] for label in order}]) for order in itertools.permutations(counts)]
+        assert {report["macro_f1"] for report in reports} == {(0.1 + 0.2 + 0.3) / 3}
+        assert len({json.dumps(report) for report in reports}) == 1
 
     def test_matches_oracle_on_randomized_instances(self):
         rng = random.Random(20260814)

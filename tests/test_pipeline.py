@@ -31,7 +31,7 @@ from conftest import (
     write_yaml_config,
 )
 from exsel import cli
-from exsel.corpus import load_examples, save_examples
+from exsel.corpus import Example, load_examples, save_examples
 from exsel.evolve import GAConfig, RunTrace, TraceRecord
 from exsel.fitness import EvaluationConfig
 from exsel.generate import GenerationConfig
@@ -55,6 +55,7 @@ from exsel.pipeline.config import CorpusConfig
 from exsel.pipeline.manifest import file_sha256
 from exsel.plotting import read_trace, render_plots
 from exsel.reduce.density import ClusteringParams
+from exsel.reduce.pooling import filter_noise
 from exsel.reduce.projection import ProjectionConfig, load_precomputed
 from exsel.templates import (
     EXTRACTION_INSTRUCTION_TEMPLATE,
@@ -749,6 +750,34 @@ def test_json_artifact_is_the_dumps_text_and_a_newline(tmp_path):
     runner_module._write_json(tmp_path / "artifact.json", payload)
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     assert (tmp_path / "artifact.json").read_bytes() == text.encode("utf-8")
+
+
+# ids json escapes (quotes, backslashes, control characters) and ids it writes as they are (non-ASCII, non-BMP)
+pool_id_st = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\n\x00\x1f\u2028é😀'), st.characters(blacklist_categories=("Cs",))),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.lists(pool_id_st, unique=True, max_size=8),
+    k=st.integers(1, 2**63),
+    n_clusters=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_pool_artifact_is_the_json_artifact_of_its_payload(tmp_path_factory, ids, k, n_clusters, data):
+    assignment = data.draw(st.lists(st.integers(-1, 3), min_size=len(ids), max_size=len(ids)))
+    filtered = filter_noise([Example(id=ident, text="t") for ident in ids], assignment)
+    order = data.draw(st.permutations(range(len(filtered.examples))))
+    selected = tuple(order[: data.draw(st.integers(0, len(order)))])
+    root = tmp_path_factory.mktemp("pool")
+    for chosen in (selected, ()):  # json writes an empty list as "[]", with no indented line inside
+        runner_module._write_pool(root / "pool.json", k, n_clusters, filtered, chosen)
+        entries = [{"index": i, "id": filtered.examples[i].id, "cluster": filtered.assignment[i]} for i in chosen]
+        runner_module._write_json(root / "payload.json", {"k": k, "n_clusters": n_clusters, "selected": entries})
+        assert (root / "pool.json").read_bytes() == (root / "payload.json").read_bytes()
 
 
 def write_vectors(path, matrix):
