@@ -109,10 +109,10 @@ def _record_line(example: Example) -> str:
     Built in one f-string, each string through `encode_basestring`, the C escaper that call itself uses: the
     keys in sorted order, json's default separators.
     """
-    entities = ", ".join(
+    entities = ", ".join([  # a list: join would build one from a generator anyway, more slowly
         f"{encode_basestring(label)}: [{', '.join(map(encode_basestring, sorted(values)))}]"
         for label, values in sorted(example.entities.items())
-    )
+    ])
     return (
         f'{{"entities": {{{entities}}}, "id": {encode_basestring(example.id)}, '
         f'"provenance": {encode_basestring(example.provenance)}, "text": {encode_basestring(example.text)}}}\n'
@@ -135,10 +135,27 @@ def example_from_record(record: object) -> Example:
     )
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> object:
+    """`json.loads(line)` for a stripped line, through the C scanner that call ends in, without its Python wrapper.
+
+    A line the scanner does not read whole (no value at the start, a BOM, trailing data) goes to `json.loads`,
+    which raises json's own error for it.
+    """
+    try:
+        record, end = _scan_once(line, 0)
+    except StopIteration:
+        end = -1
+    return record if end == len(line) else json.loads(line)
+
+
 def load_examples(path: Path | str) -> list[Example]:
     """Load a JSONL examples file, validating per-record schema and id uniqueness.
 
-    Errors carry the 1-based line number of the offending record.
+    Errors carry the 1-based line number of the offending record, also for a line json reads but cannot hold:
+    an integer past Python's digit limit (a ValueError) or nesting past the recursion limit.
     """
     path = Path(path)
     examples: list[Example] = []
@@ -149,9 +166,8 @@ def load_examples(path: Path | str) -> list[Example]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                example = example_from_record(record)
-            except (json.JSONDecodeError, DatasetError) as exc:
+                example = example_from_record(_decode_line(line))
+            except (ValueError, RecursionError) as exc:  # ValueError: DatasetError, JSONDecodeError, the digit limit
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc
             if example.id in seen_ids:
                 raise DatasetError(f"{path}:{lineno}: duplicate example id {example.id!r}")

@@ -228,6 +228,50 @@ class TestJsonlRoundTrip:
         with pytest.raises(DatasetError, match=r"extra\.jsonl:1: record has unknown fields: \['rank', 'score'\]$"):
             load_examples(path)
 
+    @settings(max_examples=150)
+    @given(
+        record=st.fixed_dictionaries(
+            {"id": escaped_text_st, "text": escaped_text_st},
+            optional={
+                "entities": st.dictionaries(
+                    escaped_text_st, st.lists(escaped_text_st.filter(str.strip), max_size=3), max_size=3
+                ),
+                "provenance": st.sampled_from(["synthetic", "human", "other"]),
+                "score": st.integers(),
+            },
+        ),
+        # a record as json writes it, then maybe spoiled: cut short, trailing data, a BOM, or a value not an object
+        spoil=st.sampled_from(["", "cut", "trailing", "bom", "array", "number", "word"]),
+        cut=st.integers(1, 40),
+    )
+    def test_load_reads_each_line_as_json_loads_does(self, tmp_path_factory, record, spoil, cut):
+        line = json.dumps(record, ensure_ascii=False)
+        line = {
+            "": line, "cut": line[: max(1, len(line) - cut)], "trailing": line + " {}", "bom": "\ufeff" + line,
+            "array": f"[{line}]", "number": str(cut), "word": "nope",
+        }[spoil].strip()
+        path = tmp_path_factory.mktemp("lines") / "one.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            expected = [example_from_record(json.loads(line))]
+        except ValueError as exc:  # DatasetError or json.JSONDecodeError
+            with pytest.raises(DatasetError) as raised:
+                load_examples(path)
+            assert str(raised.value) == f"{path}:1: {exc}"
+        else:
+            assert load_examples(path) == expected
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id": "b", "text": "y", "n": ' + "1" * 5000 + "}", "[" * 100_000],
+        ids=["digit-limit", "recursion-limit"],
+    )
+    def test_load_reports_line_number_for_a_line_json_cannot_hold(self, tmp_path, line):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"deep\.jsonl:2: "):
+            load_examples(path)
+
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n\n{"id": "b", "text": "y"}\n', encoding="utf-8")
