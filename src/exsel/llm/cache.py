@@ -84,7 +84,7 @@ class EmbeddingCache:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     key, width, offset = record["key"], record["width"], record["offset"]
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, RecursionError, KeyError, TypeError):
                     continue  # ValueError: not UTF-8 or not JSON; TypeError: a record that is not an object
                 if type(width) is int and type(offset) is int and width > 0 and offset >= 0:  # a bool or 2.9 is no int
                     entries.append((key, width, offset))

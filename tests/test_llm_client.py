@@ -274,8 +274,9 @@ class TestEmbedBatch:
         [
             (lambda lines: [b"not json\n", *lines], {"j": [2.0], "k": [1.0]}),
             (lambda lines: [lines[0], b"\xff\xfe" + lines[1]], {"j": [2.0]}),
+            (lambda lines: [b"[" * 100_000 + b"\n", *lines], {"j": [2.0], "k": [1.0]}),
         ],
-        ids=["not-json", "not-utf8"],
+        ids=["not-json", "not-utf8", "nested-past-the-recursion-limit"],
     )
     def test_cache_skips_corrupt_lines(self, tmp_path, corrupt, loaded):
         path = tmp_path / "cache.jsonl"
